@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as spstats
 
 from . import averaging, coupling, sde, stats
 from .averaging import action_drift_F, averaged_diffusion, principal_sqrt
@@ -188,6 +187,8 @@ def criterion_6(n_paths, seed, threads):
 # --- criterion 7: modified effective equation matches in action law -------------
 
 def criterion_7(n_paths, seed, threads):
+    from scipy import stats as spstats  # the only scipy user; kept off the import path
+
     spec = acceptance_system()
     record = [1.0, 4.0, 10.0]
     full = sde.simulate_effective(spec, "full", ACCEPTANCE_V0, T=10.0, dtau=1e-3,

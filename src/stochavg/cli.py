@@ -306,9 +306,10 @@ def cmd_couple_demo(args):
         for d, k, est in occ_rows:
             fh.write(f"{d!r},{k},{est!r}\n")
     series = [(f"occupation_k{k}", d, est, est, est) for d, k, est in occ_rows]
+    seg_times = result.times.tolist()
     series += [
-        (f"segments/path{p}", result.times[s.start], 1.0 if s.kind == coupling.DELTA else 0.0,
-         result.times[s.start], result.times[s.end])
+        (f"segments/path{p}", seg_times[s.start], 1.0 if s.kind == coupling.DELTA else 0.0,
+         seg_times[s.start], seg_times[s.end])
         for p, segs in enumerate(result.schedules) for s in segs
     ]
     _write_plotdata(out, series)
@@ -331,26 +332,21 @@ def cmd_mixing(args):
     times = _floats(args.times)
     reps = stats.mixing_profile(spec, args.variant, v1, v2, args.T, args.dtau,
                                 args.paths, args.seed, times, threads=args.threads)
-    with open(out / "mixing.csv", "w", encoding="utf-8") as fh:
-        fh.write("eps,time,metric,estimate,ci_lo,ci_hi,noise_floor\n")
-        for t, rep in zip(times, reps):
-            fh.write(f"{spec.epsilon!r},{t!r},bl_state_distance,{rep.estimate!r},"
-                     f"{rep.bootstrap_ci[0]!r},{rep.bootstrap_ci[1]!r},"
-                     f"{rep.noise_floor!r}\n")
-    _write_json(out / "mixing.json", [
-        {"eps": spec.epsilon, "time": t, "metric": "bl_state_distance",
-         "estimate": rep.estimate, "ci_lo": rep.bootstrap_ci[0],
-         "ci_hi": rep.bootstrap_ci[1], "noise_floor": rep.noise_floor}
-        for t, rep in zip(times, reps)
-    ])
-    _write_plotdata(out, [("mixing", t, rep.estimate, rep.bootstrap_ci[0],
-                           rep.bootstrap_ci[1]) for t, rep in zip(times, reps)])
+    rows = [stats.ConvergenceRow(eps=spec.epsilon, time=t, estimate=rep.estimate,
+                                 ci_lo=rep.bootstrap_ci[0], ci_hi=rep.bootstrap_ci[1],
+                                 noise_floor=rep.noise_floor, feature_max=rep.feature_max,
+                                 marginal_max=rep.marginal_max)
+            for t, rep in zip(times, reps)]
+    stats.write_distance_csv(rows, out / "mixing.csv", metric="bl_state_distance")
+    _write_json(out / "mixing.json",
+                stats.distance_rows_json(rows, metric="bl_state_distance"))
+    _write_plotdata(out, [("mixing", r.time, r.estimate, r.ci_lo, r.ci_hi) for r in rows])
     _write_manifest(out, "mixing", text, args, {
         "v0_a": args.v0_a, "v0_b": args.v0_b, "times": times, "T": args.T,
         "dtau": args.dtau, "paths": args.paths, "variant": args.variant,
     })
-    for t, rep in zip(times, reps):
-        print(f"tau={t:g}: distance={rep.estimate:.5f} floor={rep.noise_floor:.5f}")
+    for r in rows:
+        print(f"tau={r.time:g}: distance={r.estimate:.5f} floor={r.noise_floor:.5f}")
     return EXIT_OK
 
 

@@ -265,8 +265,7 @@ def export_segments_csv(result: CoupledResult, path):
     """CSV schema: path,seg_index,kind,start_time,end_time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("path,seg_index,kind,start_time,end_time\n")
+        times = result.times.tolist()  # plain float reprs, not np.float64(...)
         for p, segs in enumerate(result.schedules):
             for i, s in enumerate(segs):
-                fh.write(
-                    f"{p},{i},{s.kind},{result.times[s.start]!r},{result.times[s.end]!r}\n"
-                )
+                fh.write(f"{p},{i},{s.kind},{times[s.start]!r},{times[s.end]!r}\n")

@@ -588,17 +588,19 @@ def moment_diagnostic(spec: SystemSpec, v0, T, dtau, n_paths, seed,
 
 
 def export_ensemble_csv(ens: PathEnsemble, path):
+    # Python scalars (one path at a time), so fields are plain float reprs
+    # rather than numpy-scalar reprs such as np.float64(0.5)
+    times = ens.times.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         if ens.kind == "state":
             fh.write("path,time,k,re,im\n")
             for p in range(ens.n_paths):
-                for j, t in enumerate(ens.times):
-                    for k in range(ens.n):
-                        z = ens.values[p, j, k]
-                        fh.write(f"{p},{t!r},{k + 1},{z.real!r},{z.imag!r}\n")
+                for t, row in zip(times, ens.values[p].tolist()):
+                    for k, z in enumerate(row, start=1):
+                        fh.write(f"{p},{t!r},{k},{z.real!r},{z.imag!r}\n")
         else:
             fh.write("path,time,k,I\n")
             for p in range(ens.n_paths):
-                for j, t in enumerate(ens.times):
-                    for k in range(ens.n):
-                        fh.write(f"{p},{t!r},{k + 1},{ens.values[p, j, k]!r}\n")
+                for t, row in zip(times, ens.values[p].tolist()):
+                    for k, v in enumerate(row, start=1):
+                        fh.write(f"{p},{t!r},{k},{v!r}\n")

@@ -5,25 +5,28 @@ The distance between laws mu1, mu2 is
     sup { |int f dmu1 - int f dmu2| : Lip(f) + sup|f| <= 1 },
 
 with the Lipschitz constant and the sup norm *jointly* bounded by one.  In
-one dimension the supremum over empirical laws is a finite linear program:
-only the values f_i at the merged sample points matter, the Lipschitz
-constraint reduces to adjacent pairs on the sorted grid, and both the
-constraints and the trade-off parameter enter linearly, so the exact value
-is the optimum of one LP (see ``bl_distance_1d``).  In higher dimension the
-supremum is approximated from below by a family of rescaled ramp functions
-plus the coordinate-marginal exact distances (projections are 1-Lipschitz,
-so marginal distances never exceed the joint distance).
+one dimension the supremum over empirical laws is computed exactly: only the
+values f_i at the merged sample points matter, and the Lipschitz constraint
+reduces to adjacent pairs on the sorted grid.  For a fixed Lipschitz budget
+L the best f comes from a chain dynamic program (the "slope trick"), and its
+value g(L) is concave and piecewise linear in L, so a few tangent-line steps
+find the best trade-off (see ``_bl1d_exact``).  The dual of the same problem
+is the generalized-Wasserstein / flat-norm identity: the distance is the
+minimum over partial transport plans of max(transport cost, unmatched mass)
+(Piccoli & Rossi, ARMA 2014).  In higher dimension the supremum is
+approximated from below by a family of rescaled ramp functions plus the
+coordinate-marginal exact distances (projections are 1-Lipschitz, so
+marginal distances never exceed the joint distance).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from . import sde
 from .errors import StochavgError
@@ -111,47 +114,156 @@ def _merged_support(x1, x2):
     return uniq, w
 
 
+# Solves take 4-11 DP passes in practice; the cap only ends a tangent search
+# that rounding keeps from closing its gap.
+_BL1D_MAX_PASSES = 64
+
+
+def _heap_move(src, dst, rem, x, L, c):
+    """Move slope weight ``rem`` from the innermost breakpoints of ``src`` to
+    ``dst`` (see ``_bl1d_pass`` for the heap layout); past the wall, the wall
+    itself supplies it."""
+    push = heapq.heappush
+    while True:
+        if src:
+            top = src[0]
+            a, b = top[2], top[1] + x
+            p = a + b * L
+            if p > c or (p == c and b >= -1.0):  # at or beyond the wall
+                src.clear()
+        if not src:
+            bs = 1.0 - x
+            push(dst, (-1.0 + bs * L, bs, -1, rem))
+            return
+        bs = -b - x
+        weight = top[3]
+        if weight > rem:
+            src[0] = (top[0], top[1], a, weight - rem)
+            push(dst, (-a + bs * L, bs, -a, rem))
+            return
+        heapq.heappop(src)
+        push(dst, (-a + bs * L, bs, -a, weight))
+        rem -= weight
+        if rem <= 0.0:
+            return
+
+
+def _heap_inner(heap, x, L, c):
+    """(alpha, beta) of the innermost breakpoint of ``heap``, or of the wall."""
+    if heap:
+        top = heap[0]
+        a, b = top[2], top[1] + x
+        p = a + b * L
+        if p < c or (p == c and b < -1.0):
+            return a, b
+        heap.clear()
+    return 1, -1.0
+
+
+def _bl1d_pass(X, w, L):
+    """Maximise sum_i w_i f_i s.t. |f_i| <= 1 - L, |f_{i+1} - f_i| <= L d_i.
+
+    Slope trick on V_i(y), the best partial sum with f_i = y: a concave
+    piecewise-linear function on [-c, c], c = 1 - L.  Its breakpoints left of
+    the maximum sit in one heap and those right of it in another, each with
+    the drop in slope across it.  Adding w_i y moves weight |w_i| across the
+    maximum.  The window max over |f_{i+1} - f_i| <= L d_i pushes the two
+    heaps apart by L d_i, which a lazy offset (the grid coordinate X_i) does
+    for free.  The walls at -c and c absorb whatever crosses them.  The
+    maximiser interval of each V_i is recorded, and a backward pass clips
+    f_{i+1} towards it to recover f_i.
+
+    Every breakpoint is a copy of a wall moved by window shifts, so it sits
+    at alpha + beta L with alpha = +-1.  Both heaps are min-heaps of
+    (alpha + beta_s L, beta_s, alpha, weight) with beta = beta_s + X_i; the
+    left heap stores the mirror image y -> -y, so one routine serves both
+    and each heap's wall sits at (alpha, beta) = (1, -1).  Ties compare
+    (position, beta), which orders them as at L + 0.  f is returned as
+    arrays (alpha, beta): g(L) = w.(alpha + beta L), and w.beta is the slope
+    of g just right of L.
+    """
+    m = len(X)
+    c = 1.0 - L
+    left, right = [], []
+    inner = [None] * m  # per node: maximiser interval of V_i as two (alpha, beta)
+    for i in range(m):
+        x, wi = X[i], w[i]
+        if wi > 0.0:
+            _heap_move(right, left, wi, x, L, c)
+        elif wi < 0.0:
+            _heap_move(left, right, -wi, x, L, c)
+        a, b = _heap_inner(left, x, L, c)
+        inner[i] = (-a, -b) + _heap_inner(right, x, L, c)
+    alpha = [0] * m
+    beta = [0.0] * m
+    a, b = inner[m - 1][:2]
+    alpha[m - 1], beta[m - 1] = a, b
+    for i in range(m - 2, -1, -1):
+        la, lb, ha, hb = inner[i]
+        d = X[i + 1] - X[i]
+        p, pl, ph = a + b * L, la + lb * L, ha + hb * L
+        if p < pl or (p == pl and b < lb):  # maximiser lies to the right
+            bu = b + d
+            pu = a + bu * L
+            if pl > pu or (pl == pu and lb > bu):
+                b = bu
+            else:
+                a, b = la, lb
+        elif p > ph or (p == ph and b > hb):  # maximiser lies to the left
+            bd = b - d
+            pd = a + bd * L
+            if ph < pd or (ph == pd and hb < bd):
+                b = bd
+            else:
+                a, b = ha, hb
+        alpha[i], beta[i] = a, b
+    return np.array(alpha, dtype=float), np.array(beta)
+
+
 def _bl1d_exact(x1, x2):
     """Exact BL distance in 1d plus the optimal potential on the merged grid.
 
-    LP reduction: with x_1 < ... < x_m the merged support and w_i the signed
-    empirical weights, maximize sum_i w_i f_i over the variables
-    (f_1..f_m, L) subject to |f_{i+1} - f_i| <= L (x_{i+1} - x_i),
-    |f_i| <= 1 - L and 0 <= L <= 1.  Adjacent Lipschitz constraints suffice
-    on a sorted grid, and every constraint is linear in (f, L) jointly, so
-    one LP gives the exact supremum including the optimal Lip/sup trade-off.
+    With x_1 < ... < x_m the merged support, w_i the signed empirical weights
+    and d_i = x_{i+1} - x_i, the distance is the maximum over L in [0, 1] of
+
+        g(L) = max sum_i w_i f_i  s.t.  |f_i| <= 1 - L,  |f_{i+1} - f_i| <= L d_i
+
+    (adjacent Lipschitz constraints suffice on a sorted grid).
+    ``_bl1d_pass`` solves the inner problem exactly at one L and also returns
+    the one-sided slope of g there.  g is concave and piecewise linear, so the
+    outer maximisation intersects tangent lines.  It starts from the exact end
+    pieces g = L W1 near L = 0 (W1 = sum_i d_i |S_i|, S the cumulative weight)
+    and g = (1 - L) sum_i |w_i| near L = 1.  Each pass evaluates g where the
+    two current tangents cross and replaces the tangent on the side its slope
+    points away from; each new tangent is a new linear piece of g.  The search
+    stops when g meets the crossing height, which bounds g from above.
     """
     x, w = _merged_support(np.asarray(x1, float).ravel(), np.asarray(x2, float).ravel())
     m = x.size
+    best, fbest = 0.0, np.zeros(m)  # f = 0 is optimal at L = 0 and L = 1
     if m == 1 or not np.any(w):
-        return 0.0, x, np.zeros(m)
-    d = np.diff(x)
-    c = np.concatenate([-w, [0.0]])
-    mm = m - 1
-    rows = np.concatenate([
-        np.repeat(np.arange(mm), 3),
-        np.repeat(np.arange(mm, 2 * mm), 3),
-        np.repeat(np.arange(2 * mm, 2 * mm + m), 2),
-        np.repeat(np.arange(2 * mm + m, 2 * mm + 2 * m), 2),
-    ])
-    idx = np.arange(m)
-    slope_cols = np.column_stack([idx[1:], idx[:-1], np.full(mm, m)]).ravel()
-    box_cols = np.column_stack([idx, np.full(m, m)]).ravel()
-    cols = np.concatenate([slope_cols, slope_cols, box_cols, box_cols])
-    ones = np.ones(mm)
-    vals = np.concatenate([
-        np.column_stack([ones, -ones, -d]).ravel(),
-        np.column_stack([-ones, ones, -d]).ravel(),
-        np.column_stack([np.ones(m), np.ones(m)]).ravel(),
-        np.column_stack([-np.ones(m), np.ones(m)]).ravel(),
-    ])
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(2 * mm + 2 * m, m + 1))
-    rhs = np.concatenate([np.zeros(2 * mm), np.ones(2 * m)])
-    bounds = [(-1.0, 1.0)] * m + [(0.0, 1.0)]
-    res = linprog(c, A_ub=A, b_ub=rhs, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise StochavgError(f"BL distance LP failed: {res.message}")
-    return max(0.0, -res.fun), x, res.x[:m]
+        return best, x, fbest
+    X, wl = (x - x[0]).tolist(), w.tolist()
+    mass = float(np.abs(w).sum())
+    lo = (0.0, 0.0, float(np.diff(x) @ np.abs(np.cumsum(w)[:-1])))
+    hi = (1.0, 0.0, -mass)
+    for _ in range(_BL1D_MAX_PASSES):
+        (l0, g0, s0), (l1, g1, s1) = lo, hi
+        L = (g1 - g0 + s0 * l0 - s1 * l1) / (s0 - s1)
+        if not l0 < L < l1:
+            break
+        alpha, beta = _bl1d_pass(X, wl, L)
+        f = alpha + beta * L
+        g, s = float(w @ f), float(w @ beta)
+        if g > best:
+            best, fbest = g, f
+        if g0 + s0 * (L - l0) - g <= 1e-15 * mass or s == 0.0:
+            break
+        if s > 0.0:
+            lo = (L, g, s)
+        else:
+            hi = (L, g, s)
+    return best, x, fbest
 
 
 def _canonical_pair(p1, p2):
@@ -169,6 +281,8 @@ def _col_means(vals):
 
 
 def _percentile_ci(samples):
+    if not samples.size:
+        return (np.nan, np.nan)
     lo = (1.0 - BOOTSTRAP_CI) / 2.0
     return (
         float(np.quantile(samples, lo)),
@@ -176,14 +290,34 @@ def _percentile_ci(samples):
     )
 
 
+def _bootstrap_gaps(v1, v2, bootstrap, rng):
+    """max_j |mean v1[:, j] - mean v2[:, j]| for each of ``bootstrap``
+    resamples of the rows of v1 and v2.
+
+    Each resample draws ``rng.integers`` for v1, then for v2, in the order a
+    loop of fancy-indexed means would; the draws become rows of counts, and
+    one matrix product gives every resampled mean.
+    """
+    n1, n2 = v1.shape[0], v2.shape[0]
+    c1 = np.empty((bootstrap, n1))
+    c2 = np.empty((bootstrap, n2))
+    for r in range(bootstrap):
+        c1[r] = np.bincount(rng.integers(0, n1, n1), minlength=n1)
+        c2[r] = np.bincount(rng.integers(0, n2, n2), minlength=n2)
+    return np.abs(c1 @ v1 / n1 - c2 @ v2 / n2).max(axis=1)
+
+
 def bl_distance_1d(law1: EmpiricalLaw, law2: EmpiricalLaw,
                    bootstrap=BOOTSTRAP_RESAMPLES, seed=0) -> DistanceReport:
     """Exact dual-Lipschitz distance between one-dimensional empirical laws.
 
-    The point estimate and noise floor solve the LP of ``_bl1d_exact``.  The
-    bootstrap CI resamples the means of the *optimal* potential found on the
-    full samples (a fixed 1-Lipschitz-plus-sup-normalized test function):
-    cheap, and adequate for the trend assertions the CI feeds.
+    The point estimate and the noise floor (the same distance between the
+    odd and even halves of each sample) come from ``_bl1d_exact``: a
+    slope-trick DP at fixed Lipschitz budget inside a tangent-line search
+    over the budget.  The bootstrap CI resamples the means of the *optimal*
+    potential found on the full samples (a fixed 1-Lipschitz-plus-sup-
+    normalized test function): cheap, and adequate for the trend assertions
+    the CI feeds.
     """
     if law1.dim != 1 or law2.dim != 1:
         raise ValueError("bl_distance_1d needs one-dimensional laws")
@@ -193,18 +327,13 @@ def bl_distance_1d(law1: EmpiricalLaw, law2: EmpiricalLaw,
         _bl1d_exact(a[0::2], a[1::2])[0],
         _bl1d_exact(b[0::2], b[1::2])[0],
     )
-    rng = np.random.default_rng(seed)
-    boots = np.empty(bootstrap)
     fa = np.interp(a, grid, fstar)
     fb = np.interp(b, grid, fstar)
-    for r in range(bootstrap):
-        ia = rng.integers(0, a.size, a.size)
-        ib = rng.integers(0, b.size, b.size)
-        boots[r] = abs(fa[ia].mean() - fb[ib].mean())
-    ci = _percentile_ci(boots) if bootstrap else (np.nan, np.nan)
+    rng = np.random.default_rng(seed)
+    ci = _percentile_ci(_bootstrap_gaps(fa[:, None], fb[:, None], bootstrap, rng))
     return DistanceReport(
         estimate=float(est),
-        method="bl1d-exact-lp",
+        method="bl1d-exact",
         bootstrap_ci=ci,
         noise_floor=float(floor),
         lower_bound=False,
@@ -291,14 +420,9 @@ def bl_distance_nd(law1: EmpiricalLaw, law2: EmpiricalLaw, feature_count=256,
         floor = max(floor, fm, mm)
 
     rng = np.random.default_rng(seed + 1)
-    boots = np.empty(bootstrap)
-    all1 = np.concatenate([f1, pots1], axis=1)
-    all2 = np.concatenate([f2, pots2], axis=1)
-    for r in range(bootstrap):
-        i1 = rng.integers(0, all1.shape[0], all1.shape[0])
-        i2 = rng.integers(0, all2.shape[0], all2.shape[0])
-        boots[r] = np.abs(all1[i1].mean(axis=0) - all2[i2].mean(axis=0)).max()
-    ci = _percentile_ci(boots) if bootstrap else (np.nan, np.nan)
+    ci = _percentile_ci(_bootstrap_gaps(np.concatenate([f1, pots1], axis=1),
+                                        np.concatenate([f2, pots2], axis=1),
+                                        bootstrap, rng))
     return DistanceReport(
         estimate=float(estimate),
         method="blnd-ramps+marginals",
@@ -311,7 +435,8 @@ def bl_distance_nd(law1: EmpiricalLaw, law2: EmpiricalLaw, feature_count=256,
 
 
 def bl_distance(law1, law2, **kw) -> DistanceReport:
-    """Dispatch on dimension: exact LP in 1d, lower-bound family otherwise."""
+    """Dispatch on dimension: the exact DP-plus-tangent-search distance in 1d
+    (``bl_distance_1d``), the lower-bound ramp family otherwise."""
     if law1.dim == 1 and law2.dim == 1:
         kw.pop("feature_count", None)
         return bl_distance_1d(law1, law2, **kw)
@@ -357,6 +482,9 @@ def mixing_profile(spec, variant, v1, v2, T, dtau, n_paths, seed, times,
 
 @dataclass(frozen=True)
 class ConvergenceRow:
+    """One row of a distance table (the schema of ``write_distance_csv``):
+    convergence tables and mixing profiles both write them."""
+
     eps: float
     time: float
     estimate: float

@@ -1,9 +1,15 @@
+import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stochavg import cli
+from stochavg import acceptance_system, cli, stats
 from stochavg.cli import EXIT_CONFIG, EXIT_NONFINITE, EXIT_OK, EXIT_STRICT
 
 RESONANT_CONFIG = """\
@@ -165,6 +171,69 @@ def test_couple_demo_artifacts(tmp_path):
     occ = (tmp_path / "occupation.csv").read_text().splitlines()
     assert occ[0] == "delta,k,estimate"
     assert len(occ) == 1 + 2 * 2
+
+
+def _numeric_fields_parse(path, text_columns=()):
+    with open(path, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        for col, val in row.items():
+            if col not in text_columns:
+                float(val)
+
+
+def test_couple_demo_then_plot_data_parses_every_field(tmp_path):
+    rc = cli.main(["couple-demo", "--config", "acceptance", "--out", str(tmp_path),
+                   "--T", "0.2", "--paths", "10", "--delta-list", "0.2,0.1"])
+    assert rc == EXIT_OK
+    _numeric_fields_parse(tmp_path / "segments.csv", text_columns=("kind",))
+    before = (tmp_path / "plotdata.csv").read_bytes()
+    (tmp_path / "plotdata.csv").unlink()
+    assert cli.main(["plot-data", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "plotdata.csv").read_bytes() == before
+    for system, extra in (("effective", []), ("action", ["--i0", "0.5,0.5"])):
+        out = tmp_path / system
+        rc = cli.main(["simulate", "--config", "acceptance", "--out", str(out),
+                       "--system", system, "--T", "0.05", "--dtau", "0.01",
+                       "--paths", "3"] + extra)
+        assert rc == EXIT_OK
+        _numeric_fields_parse(out / "paths.csv")
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, stochavg, stochavg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_mixing_writes_the_distance_csv_schema_bytes(tmp_path):
+    rc = cli.main(["mixing", "--config", "acceptance", "--out", str(tmp_path),
+                   "--v0-a", "1+0j,0.5+0j", "--v0-b", "0.5+0j,1+0j", "--times", "0.1,0.2",
+                   "--T", "0.2", "--dtau", "0.01", "--paths", "40", "--seed", "3"])
+    assert rc == EXIT_OK
+    # the same profile, spelled out the way the mixing command used to write it
+    spec = acceptance_system()
+    times = [0.1, 0.2]
+    reps = stats.mixing_profile(spec, "full", np.array([1 + 0j, 0.5 + 0j]),
+                                np.array([0.5 + 0j, 1 + 0j]), 0.2, 0.01, 40, 3, times)
+    assert any(r.estimate > 0 for r in reps)
+    lines = ["eps,time,metric,estimate,ci_lo,ci_hi,noise_floor\n"]
+    payload = []
+    for t, rep in zip(times, reps):
+        lines.append(f"{spec.epsilon!r},{t!r},bl_state_distance,{rep.estimate!r},"
+                     f"{rep.bootstrap_ci[0]!r},{rep.bootstrap_ci[1]!r},"
+                     f"{rep.noise_floor!r}\n")
+        payload.append({"eps": spec.epsilon, "time": t, "metric": "bl_state_distance",
+                        "estimate": rep.estimate, "ci_lo": rep.bootstrap_ci[0],
+                        "ci_hi": rep.bootstrap_ci[1], "noise_floor": rep.noise_floor})
+    assert (tmp_path / "mixing.csv").read_text(encoding="utf-8") == "".join(lines)
+    assert (tmp_path / "mixing.json").read_text() == json.dumps(payload, indent=2,
+                                                                 sort_keys=True)
 
 
 def test_mixing_artifacts_and_zero_profile(tmp_path, capsys):

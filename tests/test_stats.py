@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from stochavg import (
     EmpiricalLaw,
@@ -14,11 +16,64 @@ from stochavg import (
     simulate_effective,
 )
 from stochavg.model import Frequencies, SystemSpec
-from stochavg.stats import _bl1d_exact
+from stochavg.stats import _bl1d_exact, _bootstrap_gaps, _merged_support
 
 
 def law(points, **kw):
     return EmpiricalLaw(points=np.asarray(points, dtype=float), **kw)
+
+
+def _bl1d_lp(x1, x2):
+    """Oracle for ``_bl1d_exact``: the whole problem as one HiGHS LP.
+
+    Variables (f_1..f_m, L): maximize sum_i w_i f_i subject to
+    |f_{i+1} - f_i| <= L (x_{i+1} - x_i), |f_i| <= 1 - L and 0 <= L <= 1.
+    Every constraint is linear in (f, L) jointly, so one LP gives the exact
+    supremum including the optimal Lip/sup trade-off.
+    """
+    x, w = _merged_support(np.asarray(x1, float).ravel(), np.asarray(x2, float).ravel())
+    m = x.size
+    if m == 1 or not np.any(w):
+        return 0.0, x, np.zeros(m)
+    d = np.diff(x)
+    c = np.concatenate([-w, [0.0]])
+    mm = m - 1
+    rows = np.concatenate([
+        np.repeat(np.arange(mm), 3),
+        np.repeat(np.arange(mm, 2 * mm), 3),
+        np.repeat(np.arange(2 * mm, 2 * mm + m), 2),
+        np.repeat(np.arange(2 * mm + m, 2 * mm + 2 * m), 2),
+    ])
+    idx = np.arange(m)
+    slope_cols = np.column_stack([idx[1:], idx[:-1], np.full(mm, m)]).ravel()
+    box_cols = np.column_stack([idx, np.full(m, m)]).ravel()
+    cols = np.concatenate([slope_cols, slope_cols, box_cols, box_cols])
+    ones = np.ones(mm)
+    vals = np.concatenate([
+        np.column_stack([ones, -ones, -d]).ravel(),
+        np.column_stack([-ones, ones, -d]).ravel(),
+        np.column_stack([np.ones(m), np.ones(m)]).ravel(),
+        np.column_stack([-np.ones(m), np.ones(m)]).ravel(),
+    ])
+    A = sp.csc_matrix((vals, (rows, cols)), shape=(2 * mm + 2 * m, m + 1))
+    rhs = np.concatenate([np.zeros(2 * mm), np.ones(2 * m)])
+    bounds = [(-1.0, 1.0)] * m + [(0.0, 1.0)]
+    res = linprog(c, A_ub=A, b_ub=rhs, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return max(0.0, -res.fun), x, res.x[:m]
+
+
+def _random_support(rng, k):
+    """Two samples of unequal random sizes at a random scale in [0.01, 5];
+    every other case is rounded to a coarse lattice so that points tie
+    within and across the samples."""
+    n1, n2 = (int(n) for n in rng.integers(2, 90, 2))
+    scale = float(np.exp(rng.uniform(np.log(0.01), np.log(5.0))))
+    x1 = rng.normal(size=n1)
+    x2 = rng.normal(size=n2) * rng.uniform(0.5, 2.0) + rng.normal()
+    if k % 2:
+        x1, x2 = np.round(3 * x1) / 3, np.round(3 * x2) / 3
+    return x1 * scale, x2 * scale
 
 
 # -- exact 1d distance ---------------------------------------------------------
@@ -87,6 +142,57 @@ def test_bl1d_lp_against_dense_profile_search():
             best = max(best, abs(f1.mean() - f2.mean()))
     assert exact >= best - 1e-12
     assert exact <= best * 1.35 + 1e-6  # ramp family is near-optimal in 1d
+
+
+def test_bl1d_dp_matches_lp_oracle_on_random_supports():
+    rng = np.random.default_rng(10)
+    for k in range(240):
+        x1, x2 = _random_support(rng, k)
+        dp, grid, _ = _bl1d_exact(x1, x2)
+        lp, lp_grid, _ = _bl1d_lp(x1, x2)
+        np.testing.assert_array_equal(grid, lp_grid)
+        assert abs(dp - lp) <= 1e-12, (k, dp, lp)
+
+
+def test_bl1d_dp_matches_lp_oracle_at_1000_points():
+    rng = np.random.default_rng(11)
+    x1 = rng.normal(size=1000)
+    x2 = rng.normal(size=1000) * 1.1 + 0.1
+    dp = _bl1d_exact(x1, x2)[0]
+    assert dp > 0.01
+    assert abs(dp - _bl1d_lp(x1, x2)[0]) <= 1e-12
+
+
+def test_bl1d_potential_is_a_certificate():
+    # the returned potential is feasible for the budget L* = 1 - max|f| (the
+    # largest budget its sup norm allows; at the optimum the box is tight)
+    # and attains the estimate, so the estimate is a certified lower bound
+    # and the oracle match above makes it the supremum
+    rng = np.random.default_rng(12)
+    for k in range(200):
+        x1, x2 = _random_support(rng, k)
+        est, grid, f = _bl1d_exact(x1, x2)
+        _, w = _merged_support(x1, x2)
+        Lstar = 1.0 - np.abs(f).max()
+        assert -1e-12 <= Lstar <= 1.0
+        assert np.all(np.abs(f) <= 1.0 - Lstar)
+        assert np.all(np.abs(np.diff(f)) <= Lstar * np.diff(grid) + 1e-12)
+        assert abs(float(w @ f) - est) <= 1e-15
+
+
+def test_bootstrap_counts_match_indexed_resample_loop():
+    rng = np.random.default_rng(13)
+    for v1, v2 in ((rng.normal(size=(300, 1)), rng.normal(size=(250, 1))),
+                   (rng.normal(size=(400, 7)), rng.normal(size=(380, 7)) + 0.1)):
+        loop_rng = np.random.default_rng(5)
+        want = np.empty(60)
+        for r in range(want.size):
+            i1 = loop_rng.integers(0, v1.shape[0], v1.shape[0])
+            i2 = loop_rng.integers(0, v2.shape[0], v2.shape[0])
+            want[r] = np.abs(v1[i1].mean(axis=0) - v2[i2].mean(axis=0)).max()
+        got = _bootstrap_gaps(v1, v2, want.size, np.random.default_rng(5))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert _bootstrap_gaps(v1, v2, 0, rng).shape == (0,)
 
 
 def test_bl1d_rejects_multidimensional():
