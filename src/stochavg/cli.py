@@ -5,13 +5,14 @@ acceptance, plus check-hamiltonian (residual scan) and plot-data (re-emit
 plot-ready CSV from a finished run directory).
 
 Every run writes a ``manifest.json`` capturing the resolved system text, a
-content hash, the package version, seed and all numeric parameters;
-``run_from_manifest`` reruns a manifest and reproduces all numeric artifacts
-bit-exactly in single-threaded reference mode.
+content hash, the package version, seed and the command line (argv, less
+--config and --out); ``run_from_manifest`` replays that command line against
+the recorded system text and reproduces all numeric artifacts bit-exactly in
+single-threaded reference mode.
 
 Exit codes: 0 success, 2 configuration or schema violation (including
-missing artifacts), 3 a simulated path left the finite range, 4 an
-assertion-style acceptance failure under ``--strict``.
+invalid option values and missing artifacts), 3 a simulated path left the
+finite range, 4 an assertion-style acceptance failure under ``--strict``.
 """
 
 from __future__ import annotations
@@ -82,17 +83,32 @@ def _out_dir(args):
     return out
 
 
-def _write_manifest(out, command, config_text, args, params):
+def _portable_argv(argv):
+    """argv without --config and --out: the manifest records the system text
+    itself, and a replay names both anew, so the manifest does not depend on
+    where a run reads or writes its files."""
+    kept, skip = [], False
+    for tok in argv:
+        if skip:
+            skip = False
+        elif tok in ("--config", "--out"):
+            skip = True
+        elif not tok.startswith(("--config=", "--out=")):
+            kept.append(tok)
+    return kept
+
+
+def _write_manifest(out, config_text, args):
     manifest = {
         "format": 1,
         "package_version": __version__,
-        "command": command,
+        "command": args.command,
         "config_text": config_text,
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "master_seed": args.seed,
         "threads": args.threads,
         "strict": bool(getattr(args, "strict", False)),
-        "params": params,
+        "argv": _portable_argv(args.argv),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
@@ -145,9 +161,7 @@ def cmd_check(args):
         pts = random_states(spec.n, 64, 3.0, rng)
         worst = max(float(np.abs(orthogonality_residual(ham, v)).max()) for v in pts)
         report["hamiltonian_max_orthogonality_residual"] = worst
-    _write_manifest(out, "check", text, args,
-                    {"order_bound": args.order_bound, "tol": args.tol,
-                     "samples": args.samples})
+    _write_manifest(out, text, args)
     _write_json(out / "check_report.json", report)
     flag = "RESONANT" if nonres.resonant else "non-resonant"
     wit = f" witness={nonres.witness}" if nonres.resonant else ""
@@ -217,7 +231,7 @@ def cmd_average(args):
             lines.append(f"component {k} at a = {complex(v):.12g}")
     for line in lines:
         print(line)
-    _write_manifest(out, "average", text, args, {"at": args.at})
+    _write_manifest(out, text, args)
     _write_json(out / "average.json", payload)
     return EXIT_OK
 
@@ -244,11 +258,7 @@ def cmd_simulate(args):
                                          args.paths, args.seed,
                                          record_times=record, threads=args.threads)
     sde.export_ensemble_csv(ens, out / "paths.csv")
-    _write_manifest(out, "simulate", text, args, {
-        "system": args.system, "T": args.T, "dtau": args.dtau,
-        "paths": args.paths, "record_times": record,
-        "v0": args.v0, "i0": args.i0,
-    })
+    _write_manifest(out, text, args)
     print(f"wrote {out / 'paths.csv'} ({ens.n_paths} paths, {ens.times.size} nodes)")
     return EXIT_OK
 
@@ -265,10 +275,7 @@ def cmd_compare(args):
     _write_json(out / "convergence.json", stats.distance_rows_json(rows))
     series = [(f"tau={r.time:g}", r.eps, r.estimate, r.ci_lo, r.ci_hi) for r in rows]
     _write_plotdata(out, series)
-    _write_manifest(out, "compare", text, args, {
-        "eps_list": eps_list, "times": times, "T": args.T, "paths": args.paths,
-        "v0": args.v0,
-    })
+    _write_manifest(out, text, args)
     for r in rows:
         print(f"eps={r.eps:g} tau={r.time:g}: distance={r.estimate:.5f} "
               f"ci=({r.ci_lo:.5f},{r.ci_hi:.5f}) floor={r.noise_floor:.5f}")
@@ -293,14 +300,10 @@ def cmd_couple_demo(args):
                                     args.R, args.paths, args.seed,
                                     threads=args.threads)
     coupling.export_segments_csv(result, out / "segments.csv")
-    cut = sde.simulate_cutoff_effective(spec, "full", v0, args.T, args.dtau,
-                                        args.paths, args.seed, args.R,
-                                        threads=args.threads)
-    acts = cut.actions()
-    occ_rows = []
-    for d in delta_list:
-        for k in range(spec.n):
-            occ_rows.append((d, k + 1, coupling.occupation_time(acts, d, k, cut.tau_R)))
+    # the reference half of the coupling is the cut-off effective run
+    occ_rows = [(d, k + 1, coupling.occupation_time(result.reference_actions, d, k,
+                                                    result.tau_R_ref))
+                for d in delta_list for k in range(spec.n)]
     with open(out / "occupation.csv", "w", encoding="utf-8") as fh:
         fh.write("delta,k,estimate\n")
         for d, k, est in occ_rows:
@@ -313,10 +316,7 @@ def cmd_couple_demo(args):
         for p, segs in enumerate(result.schedules) for s in segs
     ]
     _write_plotdata(out, series)
-    _write_manifest(out, "couple-demo", text, args, {
-        "T": args.T, "dtau": args.dtau, "paths": args.paths, "delta": args.delta,
-        "delta_list": delta_list, "R": args.R, "v0": args.v0,
-    })
+    _write_manifest(out, text, args)
     print(f"coupled {result.n_paths} paths: {result.segment_count()} segments, "
           f"{result.overshoots} boundary overshoots")
     for d, k, est in occ_rows:
@@ -341,10 +341,7 @@ def cmd_mixing(args):
     _write_json(out / "mixing.json",
                 stats.distance_rows_json(rows, metric="bl_state_distance"))
     _write_plotdata(out, [("mixing", r.time, r.estimate, r.ci_lo, r.ci_hi) for r in rows])
-    _write_manifest(out, "mixing", text, args, {
-        "v0_a": args.v0_a, "v0_b": args.v0_b, "times": times, "T": args.T,
-        "dtau": args.dtau, "paths": args.paths, "variant": args.variant,
-    })
+    _write_manifest(out, text, args)
     for r in rows:
         print(f"tau={r.time:g}: distance={r.estimate:.5f} floor={r.noise_floor:.5f}")
     return EXIT_OK
@@ -355,6 +352,9 @@ def cmd_acceptance(args):
     wanted = None
     if args.criteria:
         wanted = {int(x) for x in args.criteria.split(",")}
+        unknown = sorted(wanted - set(acceptance_mod.CRITERIA))
+        if unknown:
+            raise ConfigError(f"unknown criteria {unknown}; known: {sorted(acceptance_mod.CRITERIA)}")
     results = acceptance_mod.run_criteria(
         wanted=wanted, n_paths=args.paths, seed=args.seed, threads=args.threads)
     payload = []
@@ -365,9 +365,7 @@ def cmd_acceptance(args):
         all_pass &= r.passed
         payload.append({"index": r.index, "name": r.name, "passed": r.passed,
                         "detail": r.detail})
-    _write_manifest(out, "acceptance", system_to_text(acceptance_system()), args,
-                    {"criteria": sorted(wanted) if wanted else "all",
-                     "paths": args.paths})
+    _write_manifest(out, system_to_text(acceptance_system()), args)
     _write_json(out / "acceptance_report.json", payload)
     if args.strict and not all_pass:
         return EXIT_STRICT
@@ -419,45 +417,15 @@ def emit_plot_data(run_dir):
 
 def run_from_manifest(manifest_path, out_dir):
     """Re-run a recorded experiment; reference mode reproduces artifacts
-    bit-exactly."""
+    bit-exactly.  The recorded argv is replayed with --out ``out_dir`` and,
+    except for acceptance, --config pointing at the recorded system text."""
     manifest = json.loads(Path(manifest_path).read_text())
-    command = manifest["command"]
-    params = manifest["params"]
-    cfg_path = Path(out_dir) / "_manifest_system.cfg"
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    cfg_path.write_text(manifest["config_text"])
-    argv = [command, "--config", str(cfg_path), "--out", str(out_dir),
-            "--seed", str(manifest["master_seed"]),
-            "--threads", str(manifest["threads"])]
-    if command == "compare":
-        argv += ["--eps-list", ",".join(repr(e) for e in params["eps_list"]),
-                 "--times", ",".join(repr(t) for t in params["times"]),
-                 "--T", repr(params["T"]), "--paths", str(params["paths"])]
-        if params.get("v0"):
-            argv += ["--v0", params["v0"]]
-    elif command == "simulate":
-        argv += ["--system", params["system"], "--T", repr(params["T"]),
-                 "--dtau", repr(params["dtau"]), "--paths", str(params["paths"])]
-        if params.get("record_times"):
-            argv += ["--record-times", ",".join(repr(t) for t in params["record_times"])]
-        if params.get("v0"):
-            argv += ["--v0", params["v0"]]
-        if params.get("i0"):
-            argv += ["--i0", params["i0"]]
-    elif command == "couple-demo":
-        argv += ["--T", repr(params["T"]), "--dtau", repr(params["dtau"]),
-                 "--paths", str(params["paths"]), "--delta", repr(params["delta"]),
-                 "--delta-list", ",".join(repr(d) for d in params["delta_list"]),
-                 "--R", repr(params["R"])]
-        if params.get("v0"):
-            argv += ["--v0", params["v0"]]
-    elif command == "mixing":
-        argv += ["--v0-a", params["v0_a"], "--v0-b", params["v0_b"],
-                 "--times", ",".join(repr(t) for t in params["times"]),
-                 "--T", repr(params["T"]), "--dtau", repr(params["dtau"]),
-                 "--paths", str(params["paths"]), "--variant", params["variant"]]
-    else:
-        raise ConfigError(f"manifest replay not supported for {command!r}")
+    argv = manifest["argv"] + ["--out", str(out_dir)]
+    if manifest["command"] != "acceptance":
+        cfg_path = Path(out_dir) / "_manifest_system.cfg"
+        cfg_path.write_text(manifest["config_text"])
+        argv += ["--config", str(cfg_path)]
     return main(argv)
 
 
@@ -556,8 +524,9 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -566,7 +535,7 @@ def main(argv=None):
     except NonFiniteError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
-    except StochavgError as exc:
+    except (StochavgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

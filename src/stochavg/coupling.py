@@ -1,14 +1,18 @@
 """Coupled construction transferring action laws between the effective and
 modified effective dynamics.
 
-Per path, two processes run on one grid: a reference following the cut-off
-effective equation, and a coupled process that alternates between
+Per path, two processes run on one grid, as one step of the integration
+driver in ``sde`` over the stacked state (a_ref, a_cpl):
 
-* Lambda-segments, where it follows the cut-off modified effective equation
-  driven by the same Wiener increments as the reference, and
-* Delta-segments, where it is a rotated copy ``Phi_theta a_ref`` of the
-  reference, entered when its smallest action dips to ``delta`` and left when
-  the copied smallest action recovers to ``2 delta``.
+* the reference follows the cut-off effective equation; its half of the
+  step is the step of ``sde.simulate_cutoff_effective``, so with the same
+  seed its states, actions and stopping times equal that run's bit for bit;
+* the coupled process alternates between Lambda-segments, where it follows
+  the cut-off modified effective equation driven by the same Wiener
+  increments as the reference, and Delta-segments, where it is a rotated
+  copy ``Phi_theta a_ref`` of the reference, entered when its smallest
+  action dips to ``delta`` and left when the copied smallest action
+  recovers to ``2 delta``.
 
 At each entry node the matching angles theta are chosen so the rotated
 reference agrees with the incoming path in phase; moduli are copied exactly,
@@ -23,23 +27,21 @@ distributional closeness elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .averaging import actions_of
 from .config import spec_hash
-from .errors import NonFiniteError
 from .model import SystemSpec, validate_state
 from .sde import (
     STATE_STREAM,
-    NoisePath,
     PathEnsemble,
-    _chunks,
-    _DispersionSolver,
-    _effective_drift_polys,
+    _cutoff_step,
+    _effective_rule,
     _grid,
-    _run_chunks,
+    _integrate,
+    _mark_stops,
 )
 
 LAMBDA = "lambda"
@@ -67,8 +69,8 @@ class CoupledResult:
     times: np.ndarray
     coupled_actions: PathEnsemble
     reference_actions: PathEnsemble
-    coupled_states: Optional[PathEnsemble]
-    reference_states: Optional[PathEnsemble]
+    coupled_states: PathEnsemble
+    reference_states: PathEnsemble
     schedules: List[List[Segment]]
     rotations: List[List[RotationEvent]]
     tau_R_ref: np.ndarray
@@ -86,7 +88,7 @@ class CoupledResult:
 
 
 def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
-                  record_states=True, threads=1) -> CoupledResult:
+                  threads=1) -> CoupledResult:
     """Construct the coupled process against a cut-off effective reference.
 
     Requires min_k I_k(v0) > delta and R > |v0|^2.  Both processes are
@@ -107,130 +109,76 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
     if not R > float((np.abs(v0) ** 2).sum()):
         raise ValueError("R must exceed |v0|^2")
     M = _grid(T, dtau)
-    times = np.arange(M + 1) * dtau
     n = spec.n
-    drift_full = _effective_drift_polys(spec, "full")
-    drift_mod = _effective_drift_polys(spec, "modified")
-    disp = _DispersionSolver(spec)
-
-    I_ref = np.empty((n_paths, M + 1, n))
-    I_cpl = np.empty((n_paths, M + 1, n))
-    states_ref = np.empty((n_paths, M + 1, n), dtype=complex) if record_states else None
-    states_cpl = np.empty_like(states_ref) if record_states else None
+    stop_ref = np.zeros(n_paths, dtype=bool)
+    stop_cpl = np.zeros(n_paths, dtype=bool)
     tau_R_ref = np.full(n_paths, M * dtau)
     tau_R_cpl = np.full(n_paths, M * dtau)
+    ref_step = _cutoff_step(_effective_rule(spec, "full", dtau), dtau, R, stop_ref, tau_R_ref)
+    modified = _effective_rule(spec, "modified", dtau)
+    in_delta = np.zeros(n_paths, dtype=bool)
+    theta = np.zeros((n_paths, n))
+    seg_start = np.zeros(n_paths, dtype=int)
+    I_cpl = np.empty((n_paths, M + 1, n))
+    I_cpl[:, 0] = I0
     schedules: List[List[Segment]] = [[] for _ in range(n_paths)]
     rotations: List[List[RotationEvent]] = [[] for _ in range(n_paths)]
     overshoot_counts = np.zeros(n_paths, dtype=int)
 
-    def worker(bounds):
-        lo, hi = bounds
-        count = hi - lo
-        noise_ref = np.empty((count, M, n), dtype=complex)
-        for p in range(count):
-            noise_ref[p] = NoisePath(seed, lo + p, STATE_STREAM, dtau).complex_increments(M, n)
-        a_ref = np.broadcast_to(v0, (count, n)).copy()
-        a_cpl = np.broadcast_to(v0, (count, n)).copy()
-        in_delta = np.zeros(count, dtype=bool)
-        theta = np.zeros((count, n))
-        stop_ref = np.zeros(count, dtype=bool)
-        stop_cpl = np.zeros(count, dtype=bool)
-        seg_start = np.zeros(count, dtype=int)
-        I_ref[lo:hi, 0] = actions_of(a_ref)
-        I_cpl[lo:hi, 0] = I_ref[lo:hi, 0]
-        if record_states:
-            states_ref[lo:hi, 0] = a_ref
-            states_cpl[lo:hi, 0] = a_cpl
+    def step(x, db, m, sl):
+        a_ref = ref_step(x[:, :n], db, m, sl)
+        I_ref = actions_of(a_ref)
+        # coupled: modified dynamics on Lambda, rotated copy on Delta, driven
+        # by the same Wiener increments as the reference
+        evolved = modified(x[:, n:], db, stop_cpl[sl])
+        d = in_delta[sl]
+        a_cpl = np.where(d[:, None], np.exp(1j * theta[sl]) * a_ref, evolved)
+        I_new = np.where(d[:, None], I_ref, actions_of(a_cpl))
+        _mark_stops(2.0 * I_new.sum(axis=1) >= R, stop_cpl, tau_R_cpl, (m + 1) * dtau, sl)
 
-        for m in range(M):
-            # reference: cut-off effective dynamics
-            db_ref = noise_ref[:, m]
-            step = a_ref + np.stack(
-                [drift_full[k].evaluate(a_ref) for k in range(n)], axis=-1
-            ) * dtau + disp.apply(a_ref, db_ref)
-            a_ref = np.where(stop_ref[:, None], a_ref + db_ref, step)
-            if not np.isfinite(a_ref.view(np.float64)).all():
-                bad = int(np.argmin(np.isfinite(a_ref.view(np.float64)).reshape(count, -1).all(axis=1)))
-                raise NonFiniteError("reference path became non-finite",
-                                     path_index=lo + bad, time=float(times[m + 1]))
-            I_ref_new = actions_of(a_ref)
-            newly = (~stop_ref) & (2.0 * I_ref_new.sum(axis=1) >= R)
-            if newly.any():
-                tau_R_ref[lo:hi][newly] = times[m + 1]
-                stop_ref |= newly
+        # segment switching at node m+1; on Delta-segments the coupled
+        # actions are the copied reference actions, so the up-crossing is
+        # read off the shared values
+        min_I = I_new.min(axis=1)
+        down = ~d & (min_I <= delta)
+        up = d & (min_I >= 2.0 * delta)
+        for p in np.where(down)[0]:
+            q = sl.start + p
+            th = np.angle(a_cpl[p]) - np.angle(a_ref[p])
+            rotations[q].append(RotationEvent(node=m + 1, theta=th.copy(),
+                                              pre_jump=a_cpl[p].copy()))
+            schedules[q].append(Segment(LAMBDA, int(seg_start[q]), m + 1))
+            seg_start[q] = m + 1
+            theta[q] = th
+            a_cpl[p] = np.exp(1j * th) * a_ref[p]
+            I_new[p] = I_ref[p]
+            if I_ref[p].min() > 2.0 * delta:
+                overshoot_counts[q] += 1
+        for q in sl.start + np.where(up)[0]:
+            schedules[q].append(Segment(DELTA, int(seg_start[q]), m + 1))
+            seg_start[q] = m + 1
+        in_delta[sl] = (d | down) & ~up
+        I_cpl[sl, m + 1] = I_new
+        return np.concatenate([a_ref, a_cpl], axis=1)
 
-            # coupled: modified dynamics on Lambda, rotated copy on Delta,
-            # driven by the same Wiener increments as the reference
-            db_cpl = db_ref
-            step = a_cpl + np.stack(
-                [drift_mod[k].evaluate(a_cpl) for k in range(n)], axis=-1
-            ) * dtau + disp.apply(a_cpl, db_cpl)
-            evolved = np.where(stop_cpl[:, None], a_cpl + db_cpl, step)
-            a_cpl = np.where(in_delta[:, None], np.exp(1j * theta) * a_ref, evolved)
-            I_new = np.where(in_delta[:, None], I_ref_new, actions_of(a_cpl))
-            if not np.isfinite(a_cpl.view(np.float64)).all():
-                bad = int(np.argmin(np.isfinite(a_cpl.view(np.float64)).reshape(count, -1).all(axis=1)))
-                raise NonFiniteError("coupled path became non-finite",
-                                     path_index=lo + bad, time=float(times[m + 1]))
-            newly = (~stop_cpl) & (2.0 * I_new.sum(axis=1) >= R)
-            if newly.any():
-                tau_R_cpl[lo:hi][newly] = times[m + 1]
-                stop_cpl |= newly
+    states = _integrate(np.concatenate([v0, v0]), n, T, dtau, None, n_paths, seed,
+                        STATE_STREAM, step, threads, "coupled")
+    for p in range(n_paths):
+        if seg_start[p] < M:
+            schedules[p].append(Segment(DELTA if in_delta[p] else LAMBDA, int(seg_start[p]), M))
 
-            # segment switching at node m+1; on Delta-segments the coupled
-            # actions are the copied reference actions, so the up-crossing is
-            # read off the shared values
-            min_I = I_new.min(axis=1)
-            down = (~in_delta) & (min_I <= delta)
-            up = in_delta & (min_I >= 2.0 * delta)
-            for p in np.where(down)[0]:
-                th = np.angle(a_cpl[p]) - np.angle(a_ref[p])
-                rotations[lo + p].append(RotationEvent(
-                    node=m + 1, theta=th.copy(), pre_jump=a_cpl[p].copy()))
-                schedules[lo + p].append(Segment(LAMBDA, int(seg_start[p]), m + 1))
-                seg_start[p] = m + 1
-                theta[p] = th
-                a_cpl[p] = np.exp(1j * th) * a_ref[p]
-                I_new[p] = I_ref_new[p]
-                if I_ref_new[p].min() > 2.0 * delta:
-                    overshoot_counts[lo + p] += 1
-            in_delta |= down
-            for p in np.where(up)[0]:
-                schedules[lo + p].append(Segment(DELTA, int(seg_start[p]), m + 1))
-                seg_start[p] = m + 1
-            in_delta &= ~up
-
-            I_ref[lo:hi, m + 1] = I_ref_new
-            I_cpl[lo:hi, m + 1] = I_new
-            if record_states:
-                states_ref[lo:hi, m + 1] = a_ref
-                states_cpl[lo:hi, m + 1] = a_cpl
-
-        for p in range(count):
-            if seg_start[p] < M:
-                kind = DELTA if in_delta[p] else LAMBDA
-                schedules[lo + p].append(Segment(kind, int(seg_start[p]), M))
-
-    _run_chunks(_chunks(n_paths, M, 2 * n), worker, threads)
-
-    meta = {
-        "system": spec_hash(spec),
-        "integrator": "coupled-segment-gluing",
-        "dtau": dtau,
-        "T": M * dtau,
-        "master_seed": seed,
-        "n_paths": n_paths,
-        "delta": delta,
-        "R": R,
-    }
+    times = states.times
+    meta = {**states.meta, "system": spec_hash(spec), "integrator": "coupled-segment-gluing",
+            "delta": delta, "R": R}
     mk = lambda vals, kind, tag: PathEnsemble(
         times=times, values=vals, kind=kind, meta={**meta, "process": tag})
+    ref = states.values[:, :, :n]
     return CoupledResult(
         times=times,
         coupled_actions=mk(I_cpl, "action", "coupled"),
-        reference_actions=mk(I_ref, "action", "reference"),
-        coupled_states=mk(states_cpl, "state", "coupled") if record_states else None,
-        reference_states=mk(states_ref, "state", "reference") if record_states else None,
+        reference_actions=mk(actions_of(ref), "action", "reference"),
+        coupled_states=mk(states.values[:, :, n:], "state", "coupled"),
+        reference_states=mk(ref, "state", "reference"),
         schedules=schedules,
         rotations=rotations,
         tau_R_ref=tau_R_ref,

@@ -1,19 +1,31 @@
 """Path simulation for the perturbed system and its averaged companions.
 
-Five systems are integrated on a shared slow-time grid:
+Every process runs through one driver, ``_integrate``.  It owns the grid
+and the recorded nodes, draws each path's noise up front, fans chunks of
+paths out to threads, silences overflow warnings and raises
+``NonFiniteError`` at the first step where a path leaves the finite range.
+A process is a step function ``step(x, dW, m, sl)`` that advances the states
+``x`` of the paths ``sl`` from node m to node m + 1; per-path counters
+(stops, clamp events, ...) live in arrays over all paths that the step
+indexes with ``sl``.  The steps:
 
 * the perturbed system, by a splitting scheme whose fast rotation factor
   e^{-i Lambda dtau / eps} is applied exactly after an explicit step of the
   perturbation (plain Euler on the stiff rotation is unstable at usable
-  steps);
-* its interaction representation a_k = e^{i tau lambda_k / eps} v_k, recorded
-  alongside (the rotation preserves moduli, so actions are read off v);
+  steps); its interaction representation a_k = e^{i tau lambda_k / eps} v_k
+  is recorded alongside (the rotation preserves moduli, so actions are read
+  off v);
 * the effective equation da = <<P>> dtau + B(a) dbeta and the modified
   effective equation with <<P1>> in place of <<P>> (Euler-Maruyama);
+* cut-off variants that switch to the trivial system da_k = dbeta_k after
+  the first grid node with |a|^2 >= R;
 * the averaged action equation dI = F(I) dtau + K(I) dW, clamped at the
   boundary of the positive cone;
-* cut-off variants that switch to the trivial system da_k = dbeta_k after
-  the first grid node with |a|^2 >= R.
+* the pathwise action identity check, which carries the integrated action
+  increments beside one perturbed path.
+
+The coupled construction in ``coupling`` is one more step over the stacked
+(reference, coupled) state.
 
 Each path owns an independent noise stream derived from
 (master_seed, path_index, stream_id), so ensembles are bit-reproducible
@@ -159,43 +171,101 @@ def _record_indices(M, dtau, record_times):
     return np.unique(np.asarray(idx, dtype=int))
 
 
-def _chunks(n_paths, M, width):
-    size = max(_MIN_CHUNK, int(_CHUNK_BYTES / max(1, M * width * 16)))
-    size = min(size, n_paths)
-    return [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-
-
-def _run_chunks(chunks, worker, threads):
-    if threads <= 1 or len(chunks) <= 1:
-        for c in chunks:
-            worker(c)
+def _check_finite(x, lo, t, what):
+    if np.isfinite(x.view(np.float64)).all():  # complex entries as float pairs
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(worker, chunks))
+    bad = lo + int(np.argmin(np.isfinite(x).all(axis=1)))
+    raise NonFiniteError(f"{what} path {bad} became non-finite at tau={t:.6g}",
+                         path_index=bad, time=t)
 
 
-def _check_finite(a, lo, times, m, what):
-    finite = np.isfinite(a.view(np.float64) if np.iscomplexobj(a) else a)
-    finite = finite.reshape(a.shape[0], -1).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise NonFiniteError(
-            f"{what} path {lo + bad} became non-finite at tau={times[m]:.6g}",
-            path_index=lo + bad,
-            time=float(times[m]),
-        )
+def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
+               threads=1, what="path"):
+    """Run ``step`` from x0 over the grid of M = T/dtau steps for n_paths paths.
+
+    Path p draws its (M, width) noise block from NoisePath(seed, p, stream):
+    real increments on ACTION_STREAM, complex ones otherwise.  Paths go in
+    chunks sized by the noise budget, on up to ``threads`` threads.
+    ``step(x, dW, m, sl)`` gets the states x, of shape (len(sl), k), of the
+    paths in slice ``sl`` at node m and their increments dW, and returns
+    their states at node m + 1.  Returns the states at the recorded nodes as
+    a PathEnsemble whose meta holds the run's grid, seed and stream.
+    """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    M = _grid(T, dtau)
+    rec = _record_indices(M, dtau, record_times)
+    slot = {int(i): j for j, i in enumerate(rec)}
+    x0 = np.asarray(x0)
+    out = np.empty((n_paths, rec.size, x0.size), dtype=x0.dtype)
+    real = stream == ACTION_STREAM
+    draw = "real_increments" if real else "complex_increments"
+
+    def run(sl):
+        noise = np.empty((sl.stop - sl.start, M, width), dtype=float if real else complex)
+        for p in range(sl.start, sl.stop):
+            noise[p - sl.start] = getattr(NoisePath(seed, p, stream, dtau), draw)(M, width)
+        x = np.broadcast_to(x0, (sl.stop - sl.start, x0.size)).copy()
+        if 0 in slot:
+            out[sl, slot[0]] = x
+        # non-finite states are raised as NonFiniteError; the warnings are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(M):
+                x = step(x, noise[:, m], m, sl)
+                _check_finite(x, sl.start, (m + 1) * dtau, what)
+                j = slot.get(m + 1)
+                if j is not None:
+                    out[sl, j] = x
+
+    size = max(_MIN_CHUNK, int(_CHUNK_BYTES / max(1, M * width * 16)))
+    chunks = [slice(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    if threads <= 1 or len(chunks) <= 1:
+        for sl in chunks:
+            run(sl)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, chunks))
+    meta = {
+        "dtau": dtau,
+        "T": M * dtau,
+        "master_seed": seed,
+        "n_paths": n_paths,
+        "stream": stream,
+        "record": None if record_times is None else list(map(float, record_times)),
+    }
+    return PathEnsemble(times=rec * dtau, values=out, meta=meta,
+                        kind="action" if real else "state")
 
 
-def _quiet_range(M):
-    """Step iterator with overflow warnings silenced: non-finite states are
-    detected and raised as NonFiniteError, the warnings are just noise."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        yield from range(M)
+def _field(polys, x):
+    """Evaluate one polynomial per component at states x of shape (p, n)."""
+    return np.stack([q.evaluate(x) for q in polys], axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # perturbed system
 # ---------------------------------------------------------------------------
+
+
+def _check_resolution(spec, dtau):
+    if dtau > spec.epsilon / 5 + 1e-15:
+        raise StepTooLargeError(f"dtau={dtau} exceeds epsilon/5={spec.epsilon / 5:.6g}")
+
+
+def _perturbed_parts(spec, dtau):
+    """Fast rotation factor of one splitting step, and Psi as a function of
+    the states (the constant matrix when Psi is constant)."""
+    lam = spec.freqs.as_array()
+    rot = np.exp(-1j * lam * dtau / spec.epsilon)
+    if spec.psi_is_constant:
+        const_psi = spec.psi_constant_matrix()
+        return rot, lambda v: const_psi
+    return rot, spec.psi_at
+
+
+def _kick(psi, db):
+    """Psi dbeta per path, for one constant Psi or a batch of them."""
+    return db @ psi.T if psi.ndim == 2 else np.einsum("pkl,pl->pk", psi, db)
 
 
 def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
@@ -207,68 +277,27 @@ def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
     The guard dtau <= eps/5 keeps several steps per fast period so that the
     averaged behaviour can emerge.
     """
-    if dtau > spec.epsilon / 5 + 1e-15:
-        raise StepTooLargeError(
-            f"dtau={dtau} exceeds epsilon/5={spec.epsilon / 5:.6g}"
-        )
+    _check_resolution(spec, dtau)
     v0 = validate_state(v0, spec.n, "v0")
-    M = _grid(T, dtau)
-    rec = _record_indices(M, dtau, record_times)
-    times = rec * dtau
-    lam = spec.freqs.as_array()
-    rot = np.exp(-1j * lam * dtau / spec.epsilon)
+    rot, psi = _perturbed_parts(spec, dtau)
     drift = spec.drift_polys
-    const_psi = spec.psi_constant_matrix().T if spec.psi_is_constant else None
 
-    v_out = np.empty((n_paths, rec.size, spec.n), dtype=complex)
-    a_out = np.empty_like(v_out)
+    def step(v, db, m, sl):
+        return rot * (v + _field(drift, v) * dtau + _kick(psi(v), db))
+
+    v_ens = _integrate(v0, spec.n1, T, dtau, record_times, n_paths, seed,
+                       STATE_STREAM, step, threads, "perturbed")
+    v_ens.meta.update(system=spec_hash(spec), integrator="rotating-splitting-euler",
+                      epsilon=spec.epsilon, variable="v")
     # interaction phases at recorded nodes
-    phases = np.exp(1j * np.outer(times, lam) / spec.epsilon)
-
-    def worker(bounds):
-        lo, hi = bounds
-        count = hi - lo
-        noise = np.empty((count, M, spec.n1), dtype=complex)
-        for p in range(count):
-            noise[p] = NoisePath(seed, lo + p, STATE_STREAM, dtau).complex_increments(M, spec.n1)
-        v = np.broadcast_to(v0, (count, spec.n)).copy()
-        rec_pos = {int(i): j for j, i in enumerate(rec)}
-        full_times = np.arange(M + 1) * dtau
-        if 0 in rec_pos:
-            v_out[lo:hi, rec_pos[0]] = v
-        for m in _quiet_range(M):
-            pv = np.stack([drift[k].evaluate(v) for k in range(spec.n)], axis=-1)
-            if const_psi is not None:
-                kick = noise[:, m, :] @ const_psi
-            else:
-                kick = np.einsum("pkl,pl->pk", spec.psi_at(v), noise[:, m, :])
-            v = rot * (v + pv * dtau + kick)
-            _check_finite(v, lo, full_times, m + 1, "perturbed")
-            j = rec_pos.get(m + 1)
-            if j is not None:
-                v_out[lo:hi, j] = v
-
-    _run_chunks(_chunks(n_paths, M, spec.n1), worker, threads)
-    a_out[:] = phases[None, :, :] * v_out
-
-    meta = {
-        "system": spec_hash(spec),
-        "integrator": "rotating-splitting-euler",
-        "dtau": dtau,
-        "T": M * dtau,
-        "epsilon": spec.epsilon,
-        "master_seed": seed,
-        "n_paths": n_paths,
-        "stream": STATE_STREAM,
-        "record": None if record_times is None else list(map(float, record_times)),
-    }
-    v_ens = PathEnsemble(times=times, values=v_out, kind="state", meta={**meta, "variable": "v"})
-    a_ens = PathEnsemble(times=times, values=a_out, kind="state", meta={**meta, "variable": "a"})
+    phases = np.exp(1j * np.outer(v_ens.times, spec.freqs.as_array()) / spec.epsilon)
+    a_ens = PathEnsemble(times=v_ens.times, values=phases[None, :, :] * v_ens.values,
+                         kind="state", meta={**v_ens.meta, "variable": "a"})
     return PerturbedEnsemble(v=v_ens, a=a_ens)
 
 
 # ---------------------------------------------------------------------------
-# effective / modified effective equations
+# effective / modified effective equations and their cut-off variants
 # ---------------------------------------------------------------------------
 
 
@@ -279,129 +308,93 @@ def _effective_drift_polys(spec, variant):
     return averaging.averaged_field_polys(source, spec.n)
 
 
-class _DispersionSolver:
-    """Per-step averaged dispersion B(a) = sqrt(A(a)).
+def _effective_rule(spec, variant, dtau):
+    """One Euler-Maruyama step a + <<P>>(a) dtau + B(a) dbeta of the
+    (modified) effective equation; rows flagged in ``stop`` take the trivial
+    step a + dbeta instead.
 
     Constant dispersion uses the closed form B = diag{b_k}; otherwise the
-    symbolic averaged diffusion entries are evaluated per path and square
-    roots taken batched.
+    symbolic averaged diffusion entries are evaluated per path and the
+    principal square roots B(a) = sqrt(A(a)) taken batched.
     """
+    drift = _effective_drift_polys(spec, variant)
+    if spec.psi_is_constant:
+        B = np.diag(averaging.constant_psi_b(spec)).astype(complex)
+    else:
+        entries = averaging.averaged_diffusion_polys(spec.psi_polys)
 
-    def __init__(self, spec):
-        self.constant = spec.psi_is_constant
-        if self.constant:
-            self.B = np.diag(averaging.constant_psi_b(spec)).astype(complex)
-        else:
-            self.entries = averaging.averaged_diffusion_polys(spec.psi_polys)
-            self.n = spec.n
-
-    def apply(self, a, dbeta):
-        if self.constant:
-            return dbeta @ self.B.T
-        A = np.empty((a.shape[0], self.n, self.n), dtype=complex)
-        for k in range(self.n):
-            for l in range(self.n):
-                A[:, k, l] = self.entries[k][l].evaluate(a)
+    def dispersion(a, db):
+        if spec.psi_is_constant:
+            return db @ B.T
+        A = np.stack([_field(row, a) for row in entries], axis=1)
         A = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
-        B = averaging.principal_sqrt_batched(A)
-        return np.einsum("pkl,pl->pk", B, dbeta)
+        return np.einsum("pkl,pl->pk", averaging.principal_sqrt_batched(A), db)
+
+    def rule(a, db, stop=None):
+        nxt = a + _field(drift, a) * dtau + dispersion(a, db)
+        if stop is not None and stop.any():
+            nxt = np.where(stop[:, None], a + db, nxt)
+        return nxt
+
+    return rule
+
+
+def _mark_stops(hit, stopped, tau_R, t, sl):
+    """Stop the not yet stopped paths of ``sl`` where ``hit`` holds, at time t."""
+    newly = ~stopped[sl] & hit
+    if newly.any():
+        tau_R[sl][newly] = t
+        stopped[sl] |= newly
+
+
+def _cutoff_step(rule, dtau, R, stopped, tau_R):
+    """Step of the cut-off dynamics: ``rule`` until the first node with
+    |a|^2 >= R, the trivial system from there on."""
+
+    def step(a, db, m, sl):
+        a = rule(a, db, stopped[sl])
+        _mark_stops((a.real**2 + a.imag**2).sum(axis=1) >= R, stopped, tau_R,
+                    (m + 1) * dtau, sl)
+        return a
+
+    return step
 
 
 def simulate_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths, seed,
-                       averaging_method="symbolic", record_times=None,
-                       threads=1) -> PathEnsemble:
+                       record_times=None, threads=1) -> PathEnsemble:
     """Euler-Maruyama for the (modified) effective equation.
 
     ``variant="full"`` uses the averaged full drift <<P1 + P2>>;
     ``variant="modified"`` averages only the non-hamiltonian part P1.
     """
-    return _simulate_effective_impl(spec, variant, v0, T, dtau, n_paths, seed,
-                                    averaging_method, record_times, threads,
-                                    R=None)[0]
+    v0 = validate_state(v0, spec.n, "v0")
+    rule = _effective_rule(spec, variant, dtau)
+    ens = _integrate(v0, spec.n, T, dtau, record_times, n_paths, seed, STATE_STREAM,
+                     lambda a, db, m, sl: rule(a, db), threads, variant)
+    ens.meta.update(system=spec_hash(spec), integrator="euler-maruyama", variant=variant)
+    return ens
 
 
 def simulate_cutoff_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths,
-                              seed, R, averaging_method="symbolic",
-                              record_times=None, threads=1) -> CutoffEnsemble:
+                              seed, R, record_times=None, threads=1) -> CutoffEnsemble:
     """Effective dynamics switched to the trivial system da_k = dbeta_k from
     the first grid node with |a|^2 >= R onward.
 
     With the same seed and an R that never triggers, the output matches
     ``simulate_effective`` bit-exactly.
     """
-    if not R > float(np.sum(np.abs(np.asarray(v0)) ** 2)):
-        raise ValueError("R must exceed |v0|^2")
-    ens, tau_R = _simulate_effective_impl(spec, variant, v0, T, dtau, n_paths,
-                                          seed, averaging_method, record_times,
-                                          threads, R=R)
-    return CutoffEnsemble(paths=ens, tau_R=tau_R, R=float(R))
-
-
-def _simulate_effective_impl(spec, variant, v0, T, dtau, n_paths, seed,
-                             averaging_method, record_times, threads, R):
-    if averaging_method not in ("symbolic",):
-        # quadrature inside integrators is supported through the symbolic
-        # entries being exact for polynomials; reject anything else loudly
-        raise ValueError("integrators use the symbolic averaging backend")
     v0 = validate_state(v0, spec.n, "v0")
-    M = _grid(T, dtau)
-    rec = _record_indices(M, dtau, record_times)
-    times = rec * dtau
-    drift = _effective_drift_polys(spec, variant)
-    disp = _DispersionSolver(spec)
-
-    out = np.empty((n_paths, rec.size, spec.n), dtype=complex)
-    tau_R = np.full(n_paths, M * dtau)
-    stopped_any = np.zeros(n_paths, dtype=bool)
-
-    def worker(bounds):
-        lo, hi = bounds
-        count = hi - lo
-        noise = np.empty((count, M, spec.n), dtype=complex)
-        for p in range(count):
-            noise[p] = NoisePath(seed, lo + p, STATE_STREAM, dtau).complex_increments(M, spec.n)
-        a = np.broadcast_to(v0, (count, spec.n)).copy()
-        stopped = np.zeros(count, dtype=bool)
-        rec_pos = {int(i): j for j, i in enumerate(rec)}
-        full_times = np.arange(M + 1) * dtau
-        if 0 in rec_pos:
-            out[lo:hi, rec_pos[0]] = a
-        for m in _quiet_range(M):
-            dbeta = noise[:, m, :]
-            pa = np.stack([drift[k].evaluate(a) for k in range(spec.n)], axis=-1)
-            stepped = a + pa * dtau + disp.apply(a, dbeta)
-            if R is not None and stopped.any():
-                a = np.where(stopped[:, None], a + dbeta, stepped)
-            else:
-                a = stepped
-            _check_finite(a, lo, full_times, m + 1, variant)
-            if R is not None:
-                norms = (a.real**2 + a.imag**2).sum(axis=1)
-                newly = (~stopped) & (norms >= R)
-                if newly.any():
-                    tau_R[lo:hi][newly] = (m + 1) * dtau
-                    stopped |= newly
-            j = rec_pos.get(m + 1)
-            if j is not None:
-                out[lo:hi, j] = a
-        stopped_any[lo:hi] = stopped
-
-    _run_chunks(_chunks(n_paths, M, spec.n), worker, threads)
-    meta = {
-        "system": spec_hash(spec),
-        "integrator": "euler-maruyama",
-        "variant": variant,
-        "dtau": dtau,
-        "T": M * dtau,
-        "master_seed": seed,
-        "n_paths": n_paths,
-        "stream": STATE_STREAM,
-        "R": R,
-        "record": None if record_times is None else list(map(float, record_times)),
-    }
-    ens = PathEnsemble(times=times, values=out, kind="state", meta=meta)
-    ens.extras["stopped"] = stopped_any
-    return ens, tau_R
+    if not R > float(np.sum(np.abs(v0) ** 2)):
+        raise ValueError("R must exceed |v0|^2")
+    stopped = np.zeros(n_paths, dtype=bool)
+    tau_R = np.full(n_paths, _grid(T, dtau) * dtau)
+    step = _cutoff_step(_effective_rule(spec, variant, dtau), dtau, R, stopped, tau_R)
+    ens = _integrate(v0, spec.n, T, dtau, record_times, n_paths, seed, STATE_STREAM,
+                     step, threads, variant)
+    ens.meta.update(system=spec_hash(spec), integrator="euler-maruyama",
+                    variant=variant, R=R)
+    ens.extras["stopped"] = stopped
+    return CutoffEnsemble(paths=ens, tau_R=tau_R, R=float(R))
 
 
 # ---------------------------------------------------------------------------
@@ -410,78 +403,39 @@ def _simulate_effective_impl(spec, variant, v0, T, dtau, n_paths, seed,
 
 
 def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
-                        averaging_method="symbolic", record_times=None,
-                        threads=1) -> PathEnsemble:
+                        record_times=None, threads=1) -> PathEnsemble:
     """Euler-Maruyama for dI = F(I) dtau + K(I) dW on the positive cone.
 
-    Steps are clamped componentwise at zero (reflecting boundary to leading
-    order); clamp events are counted per path in ``extras["clamp_counts"]``.
+    Finite negative components are clamped at zero (reflecting boundary to
+    leading order); clamp events are counted per path in
+    ``extras["clamp_counts"]``.  An overflow to -inf is not clamped: it is
+    raised as NonFiniteError like any other non-finite step.
     """
-    if averaging_method not in ("symbolic",):
-        raise ValueError("integrators use the symbolic averaging backend")
     I0 = np.asarray(I0, dtype=float)
     if I0.shape != (spec.n,) or (I0 < 0).any():
         raise ValueError("I0 must be a nonnegative action vector")
-    M = _grid(T, dtau)
-    rec = _record_indices(M, dtau, record_times)
-    times = rec * dtau
     F = averaging.action_drift_polys(spec)
-    const = spec.psi_is_constant
-    if const:
+    if spec.psi_is_constant:
         b = averaging.constant_psi_b(spec)
     else:
         S_entries = averaging.action_diffusion_polys(spec)
-
-    out = np.empty((n_paths, rec.size, spec.n), dtype=float)
     clamp_counts = np.zeros(n_paths, dtype=int)
 
-    def worker(bounds):
-        lo, hi = bounds
-        count = hi - lo
-        noise = np.empty((count, M, spec.n))
-        for p in range(count):
-            noise[p] = NoisePath(seed, lo + p, ACTION_STREAM, dtau).real_increments(M, spec.n)
-        I = np.broadcast_to(I0, (count, spec.n)).copy()
-        clamps = np.zeros(count, dtype=int)
-        rec_pos = {int(i): j for j, i in enumerate(rec)}
-        full_times = np.arange(M + 1) * dtau
-        if 0 in rec_pos:
-            out[lo:hi, rec_pos[0]] = I
-        for m in _quiet_range(M):
-            dW = noise[:, m, :]
-            FI = np.stack([F[k].evaluate(I) for k in range(spec.n)], axis=-1)
-            if const:
-                kick = b * np.sqrt(2.0 * I) * dW
-            else:
-                S = np.empty((count, spec.n, spec.n))
-                for k in range(spec.n):
-                    for j in range(spec.n):
-                        S[:, k, j] = S_entries[k][j].evaluate(I)
-                S = 0.5 * (S + np.swapaxes(S, 1, 2))
-                K = averaging.principal_sqrt_batched(S)
-                kick = np.einsum("pkj,pj->pk", K, dW)
-            I = I + FI * dtau + kick
-            neg = I < 0
-            clamps += neg.sum(axis=1)
-            I = np.where(neg, 0.0, I)
-            _check_finite(I, lo, full_times, m + 1, "action")
-            j = rec_pos.get(m + 1)
-            if j is not None:
-                out[lo:hi, j] = I
-        clamp_counts[lo:hi] = clamps
+    def step(I, dW, m, sl):
+        if spec.psi_is_constant:
+            kick = b * np.sqrt(2.0 * I) * dW
+        else:
+            S = np.stack([_field(row, I) for row in S_entries], axis=1)
+            S = 0.5 * (S + np.swapaxes(S, 1, 2))
+            kick = np.einsum("pkj,pj->pk", averaging.principal_sqrt_batched(S), dW)
+        I = I + _field(F, I) * dtau + kick
+        neg = (I < 0) & (I > -np.inf)
+        clamp_counts[sl] += neg.sum(axis=1)
+        return np.where(neg, 0.0, I)
 
-    _run_chunks(_chunks(n_paths, M, spec.n), worker, threads)
-    meta = {
-        "system": spec_hash(spec),
-        "integrator": "euler-maruyama-clamped",
-        "dtau": dtau,
-        "T": M * dtau,
-        "master_seed": seed,
-        "n_paths": n_paths,
-        "stream": ACTION_STREAM,
-        "record": None if record_times is None else list(map(float, record_times)),
-    }
-    ens = PathEnsemble(times=times, values=out, kind="action", meta=meta)
+    ens = _integrate(I0, spec.n, T, dtau, record_times, n_paths, seed, ACTION_STREAM,
+                     step, threads, "action")
+    ens.meta.update(system=spec_hash(spec), integrator="euler-maruyama-clamped")
     ens.extras["clamp_counts"] = clamp_counts
     return ens
 
@@ -505,34 +459,29 @@ def ito_action_consistency(spec: SystemSpec, v0, T, dtau, seed) -> ItoReport:
     + sum_l |Psi_kl|^2 dtau, driven by the same noise.
 
     The gap is the left-endpoint discretization error of the action
-    increments and shrinks like sqrt(dtau).
+    increments and shrinks like sqrt(dtau).  A path that leaves the finite
+    range raises NonFiniteError.
     """
-    if dtau > spec.epsilon / 5 + 1e-15:
-        raise StepTooLargeError(f"dtau={dtau} exceeds epsilon/5={spec.epsilon / 5:.6g}")
+    _check_resolution(spec, dtau)
     v0 = validate_state(v0, spec.n, "v0")
-    M = _grid(T, dtau)
-    lam = spec.freqs.as_array()
-    rot = np.exp(-1j * lam * dtau / spec.epsilon)
+    rot, psi = _perturbed_parts(spec, dtau)
     drift = spec.drift_polys
-    const_psi = spec.psi_constant_matrix() if spec.psi_is_constant else None
-    noise = NoisePath(seed, 0, STATE_STREAM, dtau).complex_increments(M, spec.n1)
+    I_int = actions_of(v0)[None, :]
+    sup_err = np.zeros(1)
 
-    v = v0.copy()
-    I_int = actions_of(v0).astype(float)
-    sup_err = 0.0
-    for m in range(M):
-        pv = np.array([drift[k].evaluate(v) for k in range(spec.n)])
-        psi = const_psi if const_psi is not None else spec.psi_at(v)
-        kick = psi @ noise[m]
+    def step(v, db, m, sl):
+        pv = _field(drift, v)
+        P = psi(v)
+        dv = _kick(P, db)
         # integrated action increment, left-endpoint rule
-        I_int = I_int + (
-            (v * np.conj(pv)).real * dtau
-            + (v * np.conj(kick)).real
-            + (np.abs(psi) ** 2).sum(axis=1) * dtau
-        )
-        v = rot * (v + pv * dtau + kick)
-        sup_err = max(sup_err, float(np.abs(actions_of(v) - I_int).max()))
-    return ItoReport(sup_error=sup_err, dtau=dtau, T=M * dtau, seed=seed)
+        I_int[sl] += ((v * np.conj(pv)).real * dtau + (v * np.conj(dv)).real
+                      + (np.abs(P) ** 2).sum(axis=-1) * dtau)
+        v = rot * (v + pv * dtau + dv)
+        sup_err[sl] = np.maximum(sup_err[sl], np.abs(actions_of(v) - I_int[sl]).max(axis=1))
+        return v
+
+    ens = _integrate(v0, spec.n1, T, dtau, (), 1, seed, STATE_STREAM, step, what="ito")
+    return ItoReport(sup_error=float(sup_err[0]), dtau=dtau, T=ens.meta["T"], seed=seed)
 
 
 def ito_refinement_study(spec, v0, T, dtaus, seeds):

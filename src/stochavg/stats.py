@@ -42,7 +42,6 @@ class EmpiricalLaw:
 
     points: np.ndarray
     time_tag: float = 0.0
-    source: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -74,8 +73,7 @@ def law_from_ensemble(ens, time) -> EmpiricalLaw:
         pts = np.stack([vals.real, vals.imag], axis=-1).reshape(vals.shape[0], -1)
     else:
         pts = np.asarray(vals, dtype=float)
-    source = hashlib.sha256(repr(sorted(ens.meta.items())).encode()).hexdigest()[:12]
-    return EmpiricalLaw(points=pts, time_tag=float(time), source=source)
+    return EmpiricalLaw(points=pts, time_tag=float(time))
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,55 @@ def test_manifest_reproduces_run_bit_exactly(tmp_path, resonant_cfg):
     assert filecmp.cmp(first / "plotdata.csv", replay / "plotdata.csv", shallow=False)
 
 
+REPLAY_ARGV = {
+    "check": ["check", "--samples", "16", "--seed", "3"],
+    "average": ["average", "--at", "1+0j,2+0j"],
+    "simulate": ["simulate", "--system", "action", "--T", "0.05", "--dtau", "0.01",
+                 "--paths", "3", "--i0", "0.5,0.25", "--seed", "4"],
+    "compare": ["compare", "--eps-list", "0.5,0.1", "--times", "0.25", "--T", "0.25",
+                "--paths", "30", "--seed", "11"],
+    "couple-demo": ["couple-demo", "--config", "acceptance", "--T", "0.1", "--paths", "10",
+                    "--delta-list", "0.2,0.1", "--seed", "2"],
+    "mixing": ["mixing", "--config", "acceptance", "--v0-a", "1+0j,0.5+0j",
+               "--v0-b", "0.5+0j,1+0j", "--times", "0.1", "--T", "0.1",
+               "--dtau", "0.01", "--paths", "20"],
+    "acceptance": ["acceptance", "--criteria", "1,3", "--paths", "50"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAY_ARGV))
+def test_manifest_replays_each_command_bit_exactly(tmp_path, resonant_cfg, command):
+    argv = REPLAY_ARGV[command]
+    if command != "acceptance" and "--config" not in argv:
+        argv = argv + ["--config", str(resonant_cfg)]
+    first = tmp_path / "first"
+    assert cli.main(argv + ["--out", str(first)]) == EXIT_OK
+    replay = tmp_path / "replay"
+    assert cli.run_from_manifest(first / "manifest.json", replay) == EXIT_OK
+    # the manifest too: it names neither the config path nor the output dir
+    artifacts = sorted(p.name for p in first.iterdir())
+    assert "manifest.json" in artifacts and len(artifacts) > 1
+    for name in artifacts:
+        assert filecmp.cmp(first / name, replay / name, shallow=False), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["acceptance", "--strict", "--criteria", "42"],
+    ["acceptance", "--criteria", "1,x"],
+    ["compare", "--config", "acceptance", "--eps-list", "0.2,abc"],
+    ["simulate", "--config", "acceptance", "--paths", "0"],
+    ["simulate", "--config", "acceptance", "--paths", "-3"],
+    ["simulate", "--config", "acceptance", "--system", "action", "--i0", "1,-2"],
+    ["couple-demo", "--config", "acceptance", "--delta", "0.9"],
+    ["simulate", "--config", "acceptance", "--record-times", "0.0005"],
+])
+def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_threaded_run_matches_reference(tmp_path, resonant_cfg):
     ref = tmp_path / "ref"
     thr = tmp_path / "thr"

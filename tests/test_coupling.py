@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochavg import acceptance_system, bl_distance_nd, law_from_ensemble, parse_field_expr
+from stochavg import acceptance_system, bl_distance_nd, law_from_ensemble, parse_field_expr, sde
 from stochavg.coupling import DELTA, LAMBDA, build_coupled, occupation_time
 from stochavg.model import Frequencies, SystemSpec
 from stochavg.sde import simulate_cutoff_effective
@@ -176,6 +176,25 @@ def test_delta_shrinking_distance_trend():
         width = (earlier.bootstrap_ci[1] - earlier.bootstrap_ci[0]) + \
                 (later.bootstrap_ci[1] - later.bootstrap_ci[0])
         assert later.estimate <= earlier.estimate + width
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("R", [16.0, 2.3])
+def test_reference_half_is_the_cutoff_run_bitwise(monkeypatch, R, threads):
+    # couple-demo reads occupation times off the reference half instead of
+    # re-running the cut-off effective equation; small chunks put the
+    # paths on several threads
+    monkeypatch.setattr(sde, "_CHUNK_BYTES", 1 << 20)
+    spec = acceptance_system()
+    res = build_coupled(spec, V0, T=1.0, dtau=1e-3, delta=0.1, R=R, n_paths=200,
+                        seed=(4, 1), threads=threads)
+    cut = simulate_cutoff_effective(spec, "full", V0, T=1.0, dtau=1e-3, n_paths=200,
+                                    seed=(4, 1), R=R, threads=threads)
+    np.testing.assert_array_equal(res.reference_states.values, cut.paths.values)
+    np.testing.assert_array_equal(res.reference_actions.values, cut.actions().values)
+    np.testing.assert_array_equal(res.tau_R_ref, cut.tau_R)
+    stopped = cut.paths.extras["stopped"].mean()
+    assert stopped > 0.9 if R < 16.0 else stopped < 0.1
 
 
 # -- occupation time ---------------------------------------------------------------

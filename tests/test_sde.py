@@ -196,6 +196,15 @@ def test_action_sde_zero_start_linear_growth():
     assert ens.extras["clamp_counts"].sum() > 0  # boundary is actually visited
 
 
+def test_action_sde_overflow_is_raised_not_clamped():
+    # the step overflows to -inf; clamping it to 0 would censor the divergence
+    spec = make_spec(1, ["-100*abs2(v1)*v1"], [["0"]])
+    with pytest.raises(NonFiniteError) as info:
+        simulate_action_sde(spec, np.array([1e160]), T=0.01, dtau=1e-3, n_paths=1, seed=0)
+    assert info.value.path_index == 0
+    assert info.value.time == 0.001
+
+
 # -- pathwise action consistency -----------------------------------------------------
 
 def test_ito_consistency_deterministic():
@@ -206,6 +215,12 @@ def test_ito_consistency_deterministic():
     assert rep.sup_error <= 5e-5
     finer = ito_action_consistency(spec, V0_1, T=1.0, dtau=1e-5, seed=0)
     assert finer.sup_error <= 5e-6
+
+
+def test_ito_consistency_diverging_path_raises():
+    spec = make_spec(1, ["100*abs2(v1)*v1"], [["0"]], epsilon=1.0)
+    with pytest.raises(NonFiniteError):
+        ito_action_consistency(spec, np.array([10 + 0j]), T=1.0, dtau=0.01, seed=0)
 
 
 def test_ito_consistency_strong_half_order():
