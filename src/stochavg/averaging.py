@@ -209,17 +209,87 @@ def principal_sqrt(A, return_clamp_count=False):
     return B
 
 
+def _psd_gate(lam_min):
+    """Raise NotPSDError naming the first row (C order over the batch axes)
+    whose smallest eigenvalue is below -FAIL_TOL."""
+    bad = (lam_min < -FAIL_TOL).reshape(-1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        lam = float(lam_min.reshape(-1)[row])
+        raise NotPSDError(f"batched matrix not PSD: row {row} has min eigenvalue {lam:.3e}",
+                          row=row, min_eigenvalue=lam)
+
+
+def _sqrt_eigh(A):
+    """Batched principal square roots by eigendecomposition, any n."""
+    eigvals, eigvecs = np.linalg.eigh(A)
+    _psd_gate(eigvals[..., 0])
+    eigvals = np.clip(eigvals, 0.0, None)
+    return np.einsum("...ij,...j,...kj->...ik", eigvecs, np.sqrt(eigvals), np.conj(eigvecs))
+
+
+def _sqrt_2x2(A):
+    """Batched principal square roots of 2x2 Hermitian PSD matrices in closed
+    form (Higham, Functions of Matrices, 2008, sec. 6).
+
+    With m = (a+d)/2 and r = hypot((a-d)/2, |b|) the eigenvalues are
+    m +- r.  Clamped dust is removed first, A' = A - lam_- P_- with the
+    eigenprojector P_- = (lam_+ I - A) / (2r); then sqrt(A) =
+    (A' + sqrt(lam_+ lam_-) I) / (sqrt(lam_+) + sqrt(lam_-)), and 0 where
+    that trace vanishes.  Reads the lower triangle, as ``eigh`` does.  The
+    arithmetic runs in place on a few batch-sized buffers, since it runs
+    once per integrator step.
+    """
+    a = A[..., 0, 0].real
+    d = A[..., 1, 1].real
+    c = A[..., 1, 0]
+    r = np.subtract(a, d)
+    r *= 0.5
+    np.hypot(r, np.abs(c), out=r)
+    lam_m = np.add(a, d)
+    lam_m *= 0.5
+    lam_p = lam_m + r
+    lam_m -= r
+    if (lam_m < 0).any():
+        _psd_gate(lam_m)
+        dust = np.minimum(lam_m, 0.0)
+        g = dust / np.where(r > 0, 2.0 * r, 1.0)
+        a = a + g * (a - lam_p)
+        d = d + g * (d - lam_p)
+        c = c + g * c
+        np.maximum(lam_p, 0.0, out=lam_p)
+        lam_m -= dust
+    s_p = np.sqrt(lam_p, out=lam_p)
+    s_m = np.sqrt(lam_m, out=lam_m)
+    inv = s_p + s_m  # the trace of sqrt(A), then its reciprocal where nonzero
+    np.divide(1.0, inv, out=inv, where=inv > 0)
+    q = np.multiply(s_p, s_m, out=s_m)
+    B = np.empty(A.shape, dtype=np.result_type(A.dtype, float))
+    for i, diag in ((0, a), (1, d)):
+        out = B[..., i, i]
+        np.add(diag, q, out=out)
+        out *= inv
+    np.multiply(c, inv, out=B[..., 1, 0])
+    np.conj(B[..., 1, 0], out=B[..., 0, 1])
+    return B
+
+
 def principal_sqrt_batched(A):
     """Principal square roots over a batch (..., n, n); dust clamped quietly.
 
     Used inside integrators where A comes from averaged polynomials and is
-    Hermitian by construction.
+    Hermitian by construction (only the lower triangle is read).  Batches
+    of 2x2 matrices get their roots in closed form from the two eigenvalues,
+    elementwise over the batch, with no eigendecomposition; other n (and a
+    single unbatched matrix) go through ``eigh``.
+    Both paths clamp eigenvalue dust in (-FAIL_TOL, 0) to zero and raise
+    NotPSDError, naming the first offending row, below -FAIL_TOL.  Real
+    input gives real output.
     """
-    eigvals, eigvecs = np.linalg.eigh(A)
-    if eigvals.min() < -FAIL_TOL:
-        raise NotPSDError(f"batched matrix not PSD: min eigenvalue {eigvals.min():.3e}")
-    eigvals = np.clip(eigvals, 0.0, None)
-    return np.einsum("...ij,...j,...kj->...ik", eigvecs, np.sqrt(eigvals), np.conj(eigvecs))
+    A = np.asarray(A)
+    if A.ndim > 2 and A.shape[-2:] == (2, 2):
+        return _sqrt_2x2(A)
+    return _sqrt_eigh(A)
 
 
 # ---------------------------------------------------------------------------

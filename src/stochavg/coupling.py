@@ -37,6 +37,7 @@ from .model import SystemSpec, validate_state
 from .sde import (
     STATE_STREAM,
     PathEnsemble,
+    _check_paths,
     _cutoff_step,
     _effective_rule,
     _grid,
@@ -109,6 +110,7 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
     if not R > float((np.abs(v0) ** 2).sum()):
         raise ValueError("R must exceed |v0|^2")
     M = _grid(T, dtau)
+    _check_paths(n_paths)
     n = spec.n
     stop_ref = np.zeros(n_paths, dtype=bool)
     stop_cpl = np.zeros(n_paths, dtype=bool)

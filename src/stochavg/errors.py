@@ -18,7 +18,20 @@ class NonPolynomialError(StochavgError):
 
 
 class NotPSDError(StochavgError):
-    """A matrix expected to be positive semi-definite is not (beyond tolerance)."""
+    """A matrix expected to be positive semi-definite is not (beyond tolerance).
+
+    A batched square root names the first offending ``row`` of its batch and
+    that row's ``min_eigenvalue``; raised inside an integrator, the error also
+    carries the ``path_index`` and the ``time`` of the state that gave the
+    matrix.
+    """
+
+    def __init__(self, message, row=None, min_eigenvalue=None, path_index=None, time=None):
+        super().__init__(message)
+        self.row = row
+        self.min_eigenvalue = min_eigenvalue
+        self.path_index = path_index
+        self.time = time
 
 
 class StepTooLargeError(StochavgError):

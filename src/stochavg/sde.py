@@ -34,6 +34,7 @@ regardless of chunking or thread count.
 
 from __future__ import annotations
 
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -42,7 +43,7 @@ import numpy as np
 from . import averaging
 from .averaging import actions_of
 from .config import spec_hash
-from .errors import NonFiniteError, StepTooLargeError
+from .errors import NonFiniteError, NotPSDError, StepTooLargeError
 from .model import SystemSpec, validate_state
 
 STATE_STREAM = 0
@@ -179,6 +180,27 @@ def _check_finite(x, lo, t, what):
                          path_index=bad, time=t)
 
 
+def _noise_block(shape, dtype):
+    """Uninitialised array for a chunk's noise in its own private anonymous
+    mapping (huge pages advised, as numpy does for large arrays), unmapped
+    when the array is freed.  From the malloc heap, a freed block of tens of
+    MB can be split by later small allocations, and the next block then
+    lands beside it, so two blocks stay resident."""
+    dtype = np.dtype(dtype)
+    if not hasattr(mmap, "MAP_ANONYMOUS"):
+        return np.empty(shape, dtype)
+    buf = mmap.mmap(-1, dtype.itemsize * int(np.prod(shape)),
+                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype).reshape(shape)
+
+
+def _check_paths(n_paths):
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+
+
 def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
                threads=1, what="path"):
     """Run ``step`` from x0 over the grid of M = T/dtau steps for n_paths paths.
@@ -189,10 +211,12 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
     ``step(x, dW, m, sl)`` gets the states x, of shape (len(sl), k), of the
     paths in slice ``sl`` at node m and their increments dW, and returns
     their states at node m + 1.  Returns the states at the recorded nodes as
-    a PathEnsemble whose meta holds the run's grid, seed and stream.
+    a PathEnsemble whose meta holds the run's grid, seed and stream.  A
+    NotPSDError from the batched square root (whose batch rows are the paths
+    of ``sl``) is raised again with the path index and the time of the state
+    that gave the matrix.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    _check_paths(n_paths)
     M = _grid(T, dtau)
     rec = _record_indices(M, dtau, record_times)
     slot = {int(i): j for j, i in enumerate(rec)}
@@ -202,7 +226,7 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
     draw = "real_increments" if real else "complex_increments"
 
     def run(sl):
-        noise = np.empty((sl.stop - sl.start, M, width), dtype=float if real else complex)
+        noise = _noise_block((sl.stop - sl.start, M, width), float if real else complex)
         for p in range(sl.start, sl.stop):
             noise[p - sl.start] = getattr(NoisePath(seed, p, stream, dtau), draw)(M, width)
         x = np.broadcast_to(x0, (sl.stop - sl.start, x0.size)).copy()
@@ -211,7 +235,16 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
         # non-finite states are raised as NonFiniteError; the warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(M):
-                x = step(x, noise[:, m], m, sl)
+                try:
+                    x = step(x, noise[:, m], m, sl)
+                except NotPSDError as err:
+                    if err.row is None:
+                        raise
+                    bad, t = sl.start + err.row, m * dtau
+                    raise NotPSDError(
+                        f"{what} path {bad}: dispersion matrix not PSD at tau={t:.6g} "
+                        f"(min eigenvalue {err.min_eigenvalue:.3e})", row=err.row,
+                        min_eigenvalue=err.min_eigenvalue, path_index=bad, time=t) from err
                 _check_finite(x, sl.start, (m + 1) * dtau, what)
                 j = slot.get(m + 1)
                 if j is not None:
@@ -386,6 +419,7 @@ def simulate_cutoff_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths,
     v0 = validate_state(v0, spec.n, "v0")
     if not R > float(np.sum(np.abs(v0) ** 2)):
         raise ValueError("R must exceed |v0|^2")
+    _check_paths(n_paths)
     stopped = np.zeros(n_paths, dtype=bool)
     tau_R = np.full(n_paths, _grid(T, dtau) * dtau)
     step = _cutoff_step(_effective_rule(spec, variant, dtau), dtau, R, stopped, tau_R)
@@ -419,6 +453,7 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
         b = averaging.constant_psi_b(spec)
     else:
         S_entries = averaging.action_diffusion_polys(spec)
+    _check_paths(n_paths)
     clamp_counts = np.zeros(n_paths, dtype=int)
 
     def step(I, dW, m, sl):

@@ -14,9 +14,12 @@ from stochavg import (
     rotate,
 )
 from stochavg.averaging import (
+    FAIL_TOL,
+    _sqrt_eigh,
     actions_of,
     averaged_field_polys,
     canonical_angles,
+    principal_sqrt_batched,
 )
 from stochavg.model import Frequencies, SystemSpec
 from stochavg.poly import from_expr
@@ -305,3 +308,93 @@ def test_averaged_field_polys_match_pointwise_averaging():
         direct = average_field(spec.drift_polys, a)
         via_polys = np.array([p.evaluate(a) for p in polys])
         np.testing.assert_allclose(via_polys, direct, rtol=1e-12, atol=1e-12)
+
+
+# -- batched square roots: 2x2 closed form against the eigh path --------------
+
+def _psd_batch(rng, k, complex_):
+    """Random Hermitian PSD 2x2 batch: full-rank, rank-one, zero and diagonal
+    rows at scales 1e-6 .. 1e6, and rank-one rows with an eigenvalue in
+    (-1e-6, 0) (dust).  Returns the batch and the mask of dust rows."""
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_ else z
+
+    X = draw(k, 2, 2)
+    A = X @ np.conj(np.swapaxes(X, 1, 2))
+    q = k // 8
+    u = draw(3 * q, 2)
+    A[:3 * q] = u[:, :, None] * np.conj(u[:, None, :])  # rank one
+    A[3 * q] = 0.0
+    A[3 * q + 1:4 * q] = np.eye(2) * rng.random((q - 1, 1, 2)) * (rng.random((q - 1, 1, 2)) > 0.3)
+    A *= (10.0 ** rng.uniform(-6, 6, k))[:, None, None]
+    # dust: minus a tiny multiple of the projector orthogonal to u
+    w = np.stack([-np.conj(u[2 * q:, 1]), np.conj(u[2 * q:, 0])], axis=1)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    lam = -10.0 ** rng.uniform(-12, np.log10(0.9e-6), q)
+    A[2 * q:3 * q] += lam[:, None, None] * w[:, :, None] * np.conj(w[:, None, :])
+    dust = np.zeros(k, dtype=bool)
+    dust[2 * q:3 * q] = True
+    return A, dust
+
+
+def _rel(X, A):
+    return np.abs(X).max(axis=(-2, -1)) / (1.0 + np.abs(A).max(axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("complex_", [True, False])
+def test_sqrt_2x2_closed_form_matches_eigh(complex_):
+    rng = np.random.default_rng(17 + complex_)
+    A, dust = _psd_batch(rng, 4000, complex_)
+    B = principal_sqrt_batched(A)
+    ref = _sqrt_eigh(A)
+    assert B.dtype == ref.dtype == (complex if complex_ else float)
+    np.testing.assert_array_equal(B, np.conj(np.swapaxes(B, 1, 2)))
+    # B squares to A; on dust rows, to A with the dust eigenvalue clamped
+    target = np.where(dust[:, None, None], ref @ ref, A)
+    assert _rel(B @ B - target, A).max() <= 1e-9
+    # agreement wherever the root is well conditioned: well away from a zero
+    # eigenvalue, or with dust clearly above rounding, which both clamp
+    lam = np.linalg.eigvalsh(A)
+    clamped = dust & (lam[:, 0] < -1e-12 * (1.0 + np.abs(A).max(axis=(1, 2))))
+    well = (lam[:, 0] >= 1e-3 * lam[:, 1]) | clamped
+    assert clamped.sum() > 200
+    assert well.sum() > 2000
+    assert _rel(B - ref, A)[well].max() <= 1e-12
+
+
+@pytest.mark.parametrize("complex_", [True, False])
+def test_sqrt_2x2_psd_gate_matches_eigh(complex_):
+    rng = np.random.default_rng(5 + complex_)
+    A, _ = _psd_batch(rng, 400, complex_)
+    # shift rows by multiples of the identity around the gate at -FAIL_TOL
+    A = A + np.eye(2) * rng.uniform(-1e-5, 1e-6, (400, 1, 1))
+    lam_min = np.linalg.eigvalsh(A)[:, 0]
+    scale = 1.0 + np.abs(A).max(axis=(1, 2))
+    clear = np.abs(lam_min + FAIL_TOL) > 1e-12 * scale
+    assert (lam_min[clear] < -FAIL_TOL).sum() > 50 and (lam_min[clear] > -FAIL_TOL).sum() > 50
+    for row in A[clear]:
+        outcomes = []
+        for root in (principal_sqrt_batched, _sqrt_eigh):
+            try:
+                root(row[None])
+                outcomes.append(False)
+            except NotPSDError:
+                outcomes.append(True)
+        assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sqrt_batched_names_first_offending_row(n):
+    A = np.broadcast_to(np.eye(n), (6, n, n)).copy()
+    A[3, 1, 1] = -0.5
+    A[5, 0, 0] = -2.0
+    with pytest.raises(NotPSDError) as err:
+        principal_sqrt_batched(A)
+    assert err.value.row == 3
+    assert err.value.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
+    assert "row 3" in str(err.value)
+    # the row counts over all batch axes in C order
+    with pytest.raises(NotPSDError) as err:
+        principal_sqrt_batched(A.reshape(2, 3, n, n))
+    assert err.value.row == 3

@@ -317,11 +317,15 @@ def test_manifest_replays_each_command_bit_exactly(tmp_path, resonant_cfg, comma
     ["simulate", "--config", "acceptance", "--system", "action", "--i0", "1,-2"],
     ["couple-demo", "--config", "acceptance", "--delta", "0.9"],
     ["simulate", "--config", "acceptance", "--record-times", "0.0005"],
+    ["couple-demo", "--config", "acceptance", "--paths", "-3"],
+    ["simulate", "--config", "acceptance", "--system", "action", "--paths", "-3"],
 ])
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
+    if "--paths" in argv:
+        assert "n_paths" in err, err
     assert not (tmp_path / "manifest.json").exists()
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from stochavg import (
     NonFiniteError,
+    NotPSDError,
     StepTooLargeError,
     acceptance_system,
     ito_action_consistency,
@@ -14,6 +15,8 @@ from stochavg import (
     simulate_effective,
     simulate_perturbed,
 )
+from stochavg import averaging, sde
+from stochavg.coupling import build_coupled
 from stochavg.model import Frequencies, SystemSpec
 from stochavg.sde import NoisePath, ito_refinement_study
 
@@ -94,12 +97,81 @@ def test_perturbed_modulus_identity():
     np.testing.assert_array_equal(ens.actions().values, ens.v.actions().values)
 
 
-def test_perturbed_seed_determinism_across_threads():
+def _assert_thread_invariant(monkeypatch, run):
+    """``run(threads)`` gives bitwise the same ensemble on 1 and 2 threads
+    with the paths split into chunks of at most 8."""
+    monkeypatch.setattr(sde, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(sde, "_MIN_CHUNK", 8)
+    starts = set()
+    check = sde._check_finite
+
+    def spy(x, lo, t, what):
+        starts.add(lo)
+        return check(x, lo, t, what)
+
+    monkeypatch.setattr(sde, "_check_finite", spy)
+    one = run(1)
+    assert len(starts) == 8  # 64 paths in chunks of 8
+    for a, b in zip(one, run(2)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_perturbed_seed_determinism_across_threads(monkeypatch):
     spec = acceptance_system(epsilon=0.2)
     v0 = np.array([1 + 0j, 1 + 0j])
-    one = simulate_perturbed(spec, v0, T=0.3, dtau=1e-3, n_paths=64, seed=9)
-    two = simulate_perturbed(spec, v0, T=0.3, dtau=1e-3, n_paths=64, seed=9, threads=4)
-    np.testing.assert_array_equal(one.v.values, two.v.values)
+    _assert_thread_invariant(monkeypatch, lambda threads: [simulate_perturbed(
+        spec, v0, T=0.3, dtau=1e-3, n_paths=64, seed=9, threads=threads).v.values])
+
+
+def _cross_psi_spec():
+    # the cv1*v2 entry makes both A(a) and S(I) non-diagonal
+    return make_spec(2, ["-v1", "-v2"], [["1", "0.5*v1"], ["0.5*cv1*v2", "1"]],
+                     psi_kind="smooth")
+
+
+def _smooth_run(system, threads):
+    spec = _cross_psi_spec()
+    if system == "effective":
+        return [simulate_effective(spec, "full", np.array([1 + 0j, 0.5j]), T=0.3, dtau=1e-3,
+                                   n_paths=64, seed=9, threads=threads).values]
+    ens = simulate_action_sde(spec, np.array([0.5, 0.1]), T=0.3, dtau=1e-3, n_paths=64,
+                              seed=9, threads=threads)
+    return [ens.values, ens.extras["clamp_counts"]]
+
+
+@pytest.mark.parametrize("system", ["effective", "action"])
+def test_smooth_psi_seed_determinism_across_threads(monkeypatch, system):
+    _assert_thread_invariant(monkeypatch, lambda threads: _smooth_run(system, threads))
+
+
+@pytest.mark.parametrize("system", ["effective", "action"])
+def test_smooth_psi_closed_form_sqrt_matches_eigh_path(monkeypatch, system):
+    fast = _smooth_run(system, 1)
+    monkeypatch.setattr(averaging, "principal_sqrt_batched", averaging._sqrt_eigh)
+    slow = _smooth_run(system, 1)
+    np.testing.assert_allclose(fast[0], slow[0], rtol=0, atol=1e-12)
+    if system == "action":
+        np.testing.assert_array_equal(fast[1], slow[1])
+
+
+def test_not_psd_inside_integrator_names_path_and_time(monkeypatch):
+    # chunks of 3 paths: path 5 is row 2 of the second chunk
+    monkeypatch.setattr(sde, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(sde, "_MIN_CHUNK", 3)
+
+    def step(x, db, m, sl):
+        A = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
+        if m == 4 and sl.start <= 5 < sl.stop:
+            A[5 - sl.start] = np.diag([1.0, -0.25])
+        return x + np.einsum("pkl,pl->pk", averaging.principal_sqrt_batched(A), db)
+
+    with pytest.raises(NotPSDError) as err:
+        sde._integrate(np.zeros(2, dtype=complex), 2, T=0.01, dtau=1e-3, record_times=None,
+                       n_paths=8, seed=0, stream=sde.STATE_STREAM, step=step, what="probe")
+    assert err.value.path_index == 5
+    assert err.value.time == pytest.approx(4e-3)
+    assert err.value.min_eigenvalue == pytest.approx(-0.25)
+    assert "probe path 5" in str(err.value) and "tau=0.004" in str(err.value)
 
 
 def test_perturbed_nonfinite_reports_path_index():
@@ -295,3 +367,16 @@ def test_moment_diagnostic_finite_and_stable():
     assert rep.order == 5
     assert np.isfinite(rep.sup_moment)
     assert 0.5 <= rep.doubling_ratio <= 2.0
+
+
+def test_negative_path_count_is_named_before_any_allocation():
+    spec = acceptance_system(epsilon=0.2)
+    v0 = np.array([1 + 0j, 1 + 0j])
+    runs = [
+        lambda: simulate_cutoff_effective(spec, "full", v0, 0.1, 1e-3, -3, 0, R=16.0),
+        lambda: simulate_action_sde(spec, np.array([0.5, 0.5]), 0.1, 1e-3, -3, 0),
+        lambda: build_coupled(spec, v0, 0.1, 1e-3, 0.1, 16.0, -3, 0),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            run()
