@@ -25,7 +25,7 @@ print("== parsing and canonical form ==")
 drift = parse_field_expr("-v1 + 1.8*v2 + i*v1*abs2(v2)", n)
 print(f"expression : {drift}")
 print(f"monomials  : {from_expr(drift, n)}")
-print(f"value at a : {drift.evaluate(a):.6f}")
+print(f"value at a : {from_expr(drift, n).evaluate(a):.6f}")
 
 print()
 print("== scalar averaging: only matched exponents survive ==")

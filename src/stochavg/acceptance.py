@@ -20,6 +20,7 @@ import numpy as np
 
 from . import averaging, coupling, sde, stats
 from .averaging import action_drift_F, averaged_diffusion, principal_sqrt
+from .expr import parse_field_expr
 from .hamiltonian import HamiltonianSpec, orthogonality_residual
 from .model import Frequencies, SystemSpec
 from .poly import Polynomial
@@ -117,15 +118,15 @@ def criterion_3(n_paths, seed, threads):
     for _ in range(64):
         n = int(rng.integers(1, 4))
         q = _random_monomial_poly(rng, n, degree=4, terms=3)
-        h = HamiltonianSpec(h=(q + q.conj()).to_expr(), n=n)
+        h = HamiltonianSpec(h=q + q.conj(), n=n)
         v = _rand_state(rng, n)
         worst_res = max(worst_res, float(np.abs(orthogonality_residual(h, v)).max()))
 
     n = 2
     base = dict(
         freqs=Frequencies((1.0, np.sqrt(2.0))), epsilon=0.5,
-        psi=((Polynomial.const(1.0, n).to_expr(), Polynomial.const(0.0, n).to_expr()),
-             (Polynomial.const(0.0, n).to_expr(), Polynomial.const(1.0, n).to_expr())),
+        psi=((parse_field_expr("1", n), parse_field_expr("0", n)),
+             (parse_field_expr("0", n), parse_field_expr("1", n))),
         psi_kind="constant",
     )
     spec_h = acceptance_system()

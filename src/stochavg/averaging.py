@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPSDError
-from .poly import Polynomial, as_poly
+from .poly import Polynomial, as_poly, evaluate_entries, monomial_sum
 
 DEFAULT_GRID = 64
 
@@ -71,15 +71,12 @@ def average_with_phase(field, shift, a, method="symbolic", *, grid_per_dim=DEFAU
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1]
+    p = as_poly(field, n)
     if method == "symbolic":
-        p = as_poly(field, n)
         return complex(p.keep_resonant(shift).evaluate(a))
     angles = _angle_samples(n, method, grid_per_dim, mc_samples, seed)
     states = np.exp(-1j * angles) * a
-    if isinstance(field, Polynomial):
-        vals = field.evaluate(states)
-    else:
-        vals = np.asarray(field.evaluate(states), dtype=complex)
+    vals = p.evaluate(states)
     shift = np.asarray(shift, dtype=float)
     if np.any(shift):
         vals = vals * np.exp(1j * (angles @ shift))
@@ -153,16 +150,11 @@ def averaged_diffusion(psi, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID,
         raise ValueError(f"dispersion needs {n} rows, got {len(psi)}")
     psi_polys = tuple(tuple(as_poly(e, n) for e in row) for row in psi)
     if method == "symbolic":
-        entries = averaged_diffusion_polys(psi_polys)
-        A = np.array([[p.evaluate(a) for p in row] for row in entries], dtype=complex)
+        A = evaluate_entries(averaged_diffusion_polys(psi_polys), a)
         return 0.5 * (A + A.conj().T)
     angles = _angle_samples(n, method, grid_per_dim, mc_samples, seed)
     states = np.exp(-1j * angles) * a
-    vals = np.empty((angles.shape[0], n, len(psi_polys[0])), dtype=complex)
-    for k, row in enumerate(psi_polys):
-        for l, p in enumerate(row):
-            vals[:, k, l] = p.evaluate(states)
-    rotated = np.exp(1j * angles)[:, :, None] * vals
+    rotated = np.exp(1j * angles)[:, :, None] * evaluate_entries(psi_polys, states)
     A = np.einsum("gkl,gml->km", rotated, rotated.conj()) / angles.shape[0]
     return 0.5 * (A + A.conj().T)
 
@@ -329,21 +321,7 @@ class ActionPolynomial:
     def evaluate(self, actions):
         """Evaluate at actions of shape (..., n); broadcasts over leading axes."""
         x = 2.0 * np.asarray(actions, dtype=float)
-        out = np.zeros(x.shape[:-1], dtype=float)
-        maxe = self.expos.max(axis=0) if len(self.coeffs) else np.zeros(self.n, int)
-        powers = []
-        for j in range(self.n):
-            col = [np.ones(x.shape[:-1])]
-            for _ in range(int(maxe[j])):
-                col.append(col[-1] * x[..., j])
-            powers.append(col)
-        for c, e in zip(self.coeffs, self.expos):
-            t = c
-            for j in range(self.n):
-                if e[j]:
-                    t = t * powers[j][e[j]]
-            out = out + t
-        return out
+        return monomial_sum(self.expos, self.coeffs, lambda j: x[..., j], np.zeros(x.shape[:-1]))
 
 
 def action_drift_polys(spec):
@@ -399,18 +377,14 @@ def action_drift_F(spec, actions, method="symbolic", *, grid_per_dim=DEFAULT_GRI
     actions = np.asarray(actions, dtype=float)
     if (actions < 0).any():
         raise ValueError("actions must be nonnegative")
-    n = spec.n
     if method == "symbolic":
-        return np.array([p.evaluate(actions) for p in action_drift_polys(spec)])
-    angles = _angle_samples(n, method, grid_per_dim, mc_samples, seed)
+        return evaluate_entries(action_drift_polys(spec), actions)
+    angles = _angle_samples(spec.n, method, grid_per_dim, mc_samples, seed)
     v = _angle_states(actions, angles)
-    psi = spec.psi_at(v)
-    out = np.empty(n, dtype=float)
-    for k in range(n):
-        pk = spec.drift_polys[k].evaluate(v)
-        integrand = (v[:, k] * np.conj(pk)).real + (np.abs(psi[:, k, :]) ** 2).sum(axis=1)
-        out[k] = integrand.mean()
-    return out
+    P = evaluate_entries(spec.drift_polys, v)
+    integrand = (v * np.conj(P)).real + (np.abs(spec.psi_at(v)) ** 2).sum(axis=2)
+    # column by column: a 1-d mean sums pairwise, a mean over axis 0 does not
+    return np.array([col.mean() for col in integrand.T])
 
 
 def action_diffusion_SK(spec, actions, method="symbolic", *, grid_per_dim=DEFAULT_GRID,
@@ -425,8 +399,7 @@ def action_diffusion_SK(spec, actions, method="symbolic", *, grid_per_dim=DEFAUL
         raise ValueError("actions must be nonnegative")
     n = spec.n
     if method == "symbolic":
-        entries = action_diffusion_polys(spec)
-        S = np.array([[entries[k][j].evaluate(actions) for j in range(n)] for k in range(n)])
+        S = evaluate_entries(action_diffusion_polys(spec), actions)
     else:
         angles = _angle_samples(n, method, grid_per_dim, mc_samples, seed)
         v = _angle_states(actions, angles)

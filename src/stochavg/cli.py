@@ -31,6 +31,7 @@ from .config import parse_system_text, system_to_text
 from .errors import ConfigError, NonFiniteError, StochavgError
 from .hamiltonian import HamiltonianSpec, orthogonality_residual
 from .model import check_ellipticity, check_nonresonance, estimate_growth, random_states
+from .poly import evaluate_entries
 from .systems import ACCEPTANCE_V0, acceptance_system
 
 EXIT_OK = 0
@@ -137,7 +138,7 @@ def cmd_check(args):
     ellip = check_ellipticity(spec, args.samples, args.seed)
     growth = [
         estimate_growth(p, spec.m0, [1.0, 4.0, 10.0], args.seed + k).c_m0_estimate
-        for k, p in enumerate(spec.p1)
+        for k, p in enumerate(spec.p1_polys)
     ]
     report = {
         "nonresonance": {
@@ -156,7 +157,7 @@ def cmd_check(args):
         "growth_c_estimates": growth,
     }
     if spec.h is not None:
-        ham = HamiltonianSpec(h=spec.h, n=spec.n)
+        ham = HamiltonianSpec(h=spec.h_poly, n=spec.n)
         rng = np.random.default_rng(args.seed)
         pts = random_states(spec.n, 64, 3.0, rng)
         worst = max(float(np.abs(orthogonality_residual(ham, v)).max()) for v in pts)
@@ -179,7 +180,7 @@ def cmd_check_hamiltonian(args):
     spec, _, _ = _resolve_system(args)
     if spec.h is None:
         raise ConfigError("the system has no hamiltonian section")
-    ham = HamiltonianSpec(h=spec.h, n=spec.n)
+    ham = HamiltonianSpec(h=spec.h_poly, n=spec.n)
     rng = np.random.default_rng(args.seed)
     pts = random_states(spec.n, args.samples, 3.0, rng)
     worst = max(float(np.abs(orthogonality_residual(ham, v)).max()) for v in pts)
@@ -224,7 +225,7 @@ def cmd_average(args):
     payload = {"averaged_drift": list(lines)}
     if args.at:
         a = _parse_v0(args.at, spec.n)
-        vals = np.array([p.evaluate(a) for p in polys], dtype=complex)
+        vals = evaluate_entries(polys, a)
         payload["at"] = args.at
         payload["values"] = [[v.real, v.imag] for v in vals]
         for k, v in enumerate(vals, start=1):

@@ -13,13 +13,16 @@ imaginary unit, ``abs2(v3)`` the squared modulus ``v3*cv3``.  Numbers are
 nonnegative real literals (scientific notation allowed); negative constants
 are written with the unary minus.  Every expression this grammar produces is
 a polynomial in the variables and their conjugates.
+
+The parse tree is for parsing and printing only: ``str()`` prints a node
+back in this grammar (system files and their hashes are built from that
+text), and :func:`stochavg.poly.from_expr` lowers it to the ``Polynomial``
+that is evaluated at runtime.
 """
 
 from __future__ import annotations
 
 import re
-
-import numpy as np
 
 from .errors import ParseError
 
@@ -27,16 +30,9 @@ from .errors import ParseError
 class FieldExpr:
     """Base class for expression AST nodes.
 
-    Nodes are immutable; ``evaluate`` accepts a complex array of shape
-    ``(..., n)`` and broadcasts over the leading axes.
+    Nodes are immutable.  They print through ``str()``; to evaluate one,
+    lower it with :func:`stochavg.poly.from_expr`.
     """
-
-    def evaluate(self, v):
-        raise NotImplementedError
-
-    def max_index(self):
-        """Largest 1-based variable index referenced (0 if none)."""
-        raise NotImplementedError
 
     def __str__(self):
         return self._fmt(_PREC_EXPR)
@@ -61,12 +57,6 @@ class Var(FieldExpr):
     def __init__(self, k):
         self.k = k
 
-    def evaluate(self, v):
-        return np.asarray(v, dtype=complex)[..., self.k - 1]
-
-    def max_index(self):
-        return self.k
-
     def _fmt(self, prec):
         return f"v{self.k}"
 
@@ -75,24 +65,11 @@ class ConjVar(FieldExpr):
     def __init__(self, k):
         self.k = k
 
-    def evaluate(self, v):
-        return np.conj(np.asarray(v, dtype=complex)[..., self.k - 1])
-
-    def max_index(self):
-        return self.k
-
     def _fmt(self, prec):
         return f"cv{self.k}"
 
 
 class Imag(FieldExpr):
-    def evaluate(self, v):
-        base = np.asarray(v, dtype=complex)[..., 0]
-        return np.full_like(base, 1j)
-
-    def max_index(self):
-        return 0
-
     def _fmt(self, prec):
         return "i"
 
@@ -100,13 +77,6 @@ class Imag(FieldExpr):
 class Num(FieldExpr):
     def __init__(self, value):
         self.value = float(value)
-
-    def evaluate(self, v):
-        base = np.asarray(v, dtype=complex)[..., 0]
-        return np.full_like(base, complex(self.value))
-
-    def max_index(self):
-        return 0
 
     def _fmt(self, prec):
         return repr(self.value)
@@ -118,13 +88,6 @@ class Abs2(FieldExpr):
     def __init__(self, k):
         self.k = k
 
-    def evaluate(self, v):
-        z = np.asarray(v, dtype=complex)[..., self.k - 1]
-        return (z.real**2 + z.imag**2).astype(complex)
-
-    def max_index(self):
-        return self.k
-
     def _fmt(self, prec):
         return f"abs2(v{self.k})"
 
@@ -132,12 +95,6 @@ class Abs2(FieldExpr):
 class Add(FieldExpr):
     def __init__(self, left, right):
         self.left, self.right = left, right
-
-    def evaluate(self, v):
-        return self.left.evaluate(v) + self.right.evaluate(v)
-
-    def max_index(self):
-        return max(self.left.max_index(), self.right.max_index())
 
     def _fmt(self, prec):
         return f"{_paren(self.left, _PREC_EXPR, _PREC_EXPR)} + {_paren(self.right, _PREC_TERM, _infer(self.right))}"
@@ -147,12 +104,6 @@ class Sub(FieldExpr):
     def __init__(self, left, right):
         self.left, self.right = left, right
 
-    def evaluate(self, v):
-        return self.left.evaluate(v) - self.right.evaluate(v)
-
-    def max_index(self):
-        return max(self.left.max_index(), self.right.max_index())
-
     def _fmt(self, prec):
         return f"{_paren(self.left, _PREC_EXPR, _infer(self.left))} - {_paren(self.right, _PREC_TERM, _infer(self.right))}"
 
@@ -160,12 +111,6 @@ class Sub(FieldExpr):
 class Mul(FieldExpr):
     def __init__(self, left, right):
         self.left, self.right = left, right
-
-    def evaluate(self, v):
-        return self.left.evaluate(v) * self.right.evaluate(v)
-
-    def max_index(self):
-        return max(self.left.max_index(), self.right.max_index())
 
     def _fmt(self, prec):
         return f"{_paren(self.left, _PREC_TERM, _infer(self.left))}*{_paren(self.right, _PREC_FACTOR, _infer(self.right))}"
@@ -175,12 +120,6 @@ class Neg(FieldExpr):
     def __init__(self, operand):
         self.operand = operand
 
-    def evaluate(self, v):
-        return -self.operand.evaluate(v)
-
-    def max_index(self):
-        return self.operand.max_index()
-
     def _fmt(self, prec):
         # '-' base: operand must print at base level
         return f"-{_paren(self.operand, _PREC_BASE, _infer(self.operand))}"
@@ -189,12 +128,6 @@ class Neg(FieldExpr):
 class Pow(FieldExpr):
     def __init__(self, base, exponent):
         self.base, self.exponent = base, int(exponent)
-
-    def evaluate(self, v):
-        return self.base.evaluate(v) ** self.exponent
-
-    def max_index(self):
-        return self.base.max_index()
 
     def _fmt(self, prec):
         return f"{_paren(self.base, _PREC_BASE, _infer(self.base))}^{self.exponent}"
@@ -350,16 +283,3 @@ def parse_field_expr(text: str, n: int) -> FieldExpr:
         raise ValueError("n must be >= 1")
     return _Parser(text, n).parse()
 
-
-def constant(value) -> FieldExpr:
-    """Expression node for a (possibly complex) constant."""
-    value = complex(value)
-    if value.imag == 0.0:
-        return Num(value.real) if value.real >= 0 else Neg(Num(-value.real))
-    node_im = Mul(Num(abs(value.imag)), Imag())
-    if value.imag < 0:
-        node_im = Neg(node_im)
-    if value.real == 0.0:
-        return node_im
-    re_node = Num(value.real) if value.real >= 0 else Neg(Num(-value.real))
-    return Add(re_node, node_im)

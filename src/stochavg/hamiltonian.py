@@ -11,37 +11,34 @@ hamiltonian drift parts leave the action dynamics untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import averaging
 from .errors import ConfigError
 from .expr import FieldExpr
-from .model import random_states, _REALNESS_RTOL, _REALNESS_SAMPLES, _VALIDATION_SEED
-from .poly import as_poly
+from .model import check_real
+from .poly import Polynomial, as_poly
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """A real-valued Hamiltonian over n complex modes.
 
-    Real-valuedness is validated by sampling, matching the system-spec check.
+    ``h`` is a parse tree or a Polynomial; it is lowered once to ``poly``,
+    whose coefficients are checked for realness as in ``SystemSpec``.
     """
 
-    h: FieldExpr
+    h: FieldExpr | Polynomial
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("n must be >= 1")
-        rng = np.random.default_rng(_VALIDATION_SEED)
-        pts = random_states(self.n, _REALNESS_SAMPLES, 3.0, rng)
-        vals = np.asarray(self.h.evaluate(pts))
-        bad = np.abs(vals.imag) > _REALNESS_RTOL * (1.0 + np.abs(vals))
-        if bad.any():
-            raise ConfigError("hamiltonian is not real-valued at sample points")
+        check_real(self.poly)
 
-    @property
+    @cached_property
     def poly(self):
         return as_poly(self.h, self.n)
 
@@ -61,20 +58,21 @@ def wirtinger_dbar(ham: HamiltonianSpec, v, method="symbolic", step=1e-5):
         raise ValueError(f"unknown method {method!r}")
     if not (0.0 < step <= 1e-3):
         raise ValueError("finite-difference step must lie in (0, 1e-3]")
+    h = ham.poly.evaluate
     out = np.empty(ham.n, dtype=complex)
     for k in range(ham.n):
         ek = np.zeros(ham.n, dtype=complex)
         ek[k] = 1.0
-        dx = (ham.h.evaluate(v + step * ek) - ham.h.evaluate(v - step * ek)) / (2 * step)
-        dy = (ham.h.evaluate(v + 1j * step * ek) - ham.h.evaluate(v - 1j * step * ek)) / (2 * step)
+        dx = (h(v + step * ek) - h(v - step * ek)) / (2 * step)
+        dy = (h(v + 1j * step * ek) - h(v - 1j * step * ek)) / (2 * step)
         out[k] = 0.5 * (dx + 1j * dy)
     return out
 
 
 def hamiltonian_field(ham: HamiltonianSpec):
-    """The field with components i * dh/dconj(v_k), as expression ASTs."""
+    """The field with components i * dh/dconj(v_k), as Polynomials."""
     p = ham.poly
-    return tuple((1j * p.dvbar(k)).to_expr() for k in range(1, ham.n + 1))
+    return tuple(1j * p.dvbar(k) for k in range(1, ham.n + 1))
 
 
 def averaged_hamiltonian(ham: HamiltonianSpec, a, method="symbolic", **kw) -> float:

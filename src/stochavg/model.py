@@ -23,14 +23,24 @@ import numpy as np
 
 from .errors import ConfigError
 from .expr import FieldExpr
-from .poly import Polynomial, as_poly
+from .poly import Polynomial, as_poly, evaluate_entries, monomial_text
 
 PSI_KINDS = ("constant", "elliptic", "smooth")
 
-# fixed internal seed for validation sampling: construction must be deterministic
-_VALIDATION_SEED = 0x5EED
-_REALNESS_SAMPLES = 64
 _REALNESS_RTOL = 1e-10
+
+
+def check_real(poly):
+    """Raise ConfigError unless ``poly`` is real-valued, read off its
+    coefficients: c[alpha, beta] must equal conj c[beta, alpha] to within
+    _REALNESS_RTOL * (1 + |c[alpha, beta]|) for every monomial."""
+    for (a, b), c in poly.sorted_terms():
+        partner = poly.terms.get((b, a), 0j)
+        if abs(c - np.conj(partner)) > _REALNESS_RTOL * (1.0 + abs(c)):
+            raise ConfigError(
+                f"hamiltonian is not real-valued: the coefficient {c:g} of {monomial_text(a, b)} "
+                f"is not the conjugate of the coefficient {partner:g} of {monomial_text(b, a)}"
+            )
 
 
 def random_states(n, count, radius, rng):
@@ -72,11 +82,14 @@ class SystemSpec:
     """One perturbed system: frequencies, scale, drift split, and dispersion.
 
     ``p1`` holds the non-hamiltonian drift components; ``h`` an optional real
-    Hamiltonian whose field enters the full drift as i*dh/dconj(v_k).  ``psi``
+    Hamiltonian whose field enters the full drift as i*dh/dconj(v_k); its
+    realness is checked exactly on the coefficients.  ``psi``
     is the n x n1 dispersion matrix of expressions.  ``psi_kind`` mirrors the
     dispersion assumption: constant entries, uniformly elliptic with constant
     ``alpha``, or merely smooth.  ``m0`` is the declared polynomial growth
-    degree used by the growth diagnostic.
+    degree used by the growth diagnostic.  Expressions are lowered once to
+    the Polynomials ``p1_polys``, ``h_poly`` and ``psi_polys``, which are
+    what gets evaluated; the parse trees stay for ``system_to_text``.
     """
 
     freqs: Frequencies
@@ -109,25 +122,14 @@ class SystemSpec:
         object.__setattr__(self, "p1", tuple(self.p1))
         object.__setattr__(self, "psi", tuple(tuple(row) for row in self.psi))
         if self.psi_kind == "constant":
-            for k, row in enumerate(self.psi):
+            for k, row in enumerate(self.psi_polys):
                 for l, entry in enumerate(row):
-                    if not as_poly(entry, n).is_constant():
+                    if not entry.is_constant():
                         raise ConfigError(
                             f"psi_kind=constant but psi[{k+1}][{l+1}] depends on the state"
                         )
         if self.h is not None:
-            self._check_h_real()
-
-    def _check_h_real(self):
-        rng = np.random.default_rng(_VALIDATION_SEED)
-        pts = random_states(self.n, _REALNESS_SAMPLES, 3.0, rng)
-        vals = np.asarray(self.h.evaluate(pts))
-        bad = np.abs(vals.imag) > _REALNESS_RTOL * (1.0 + np.abs(vals))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ConfigError(
-                f"hamiltonian is not real-valued: Im h = {vals.imag[i]:.3e} at a sample point"
-            )
+            check_real(self.h_poly)
 
     @property
     def n(self):
@@ -182,12 +184,7 @@ class SystemSpec:
 
         Returns an array of shape (..., n, n1).
         """
-        v = np.asarray(v, dtype=complex)
-        out = np.empty(v.shape[:-1] + (self.n, self.n1), dtype=complex)
-        for k, row in enumerate(self.psi_polys):
-            for l, p in enumerate(row):
-                out[..., k, l] = p.evaluate(v)
-        return out
+        return evaluate_entries(self.psi_polys, v)
 
 
 def validate_state(v, n, name="state"):
@@ -321,8 +318,9 @@ class GrowthReport:
     samples_per_radius: int
 
 
-def estimate_growth(expr, m0: float, radii, seed: int, samples_per_radius: int = 48) -> GrowthReport:
-    """Monte Carlo estimate of the weighted Lipschitz-plus-sup growth constant.
+def estimate_growth(poly, m0: float, radii, seed: int, samples_per_radius: int = 48) -> GrowthReport:
+    """Monte Carlo estimate of the weighted Lipschitz-plus-sup growth constant
+    of the Polynomial ``poly``, sampled in its ``poly.n`` variables.
 
     For each radius R the Lipschitz constant on the R-ball is estimated by
     pairwise difference quotients of sampled points and the sup norm by the
@@ -334,12 +332,11 @@ def estimate_growth(expr, m0: float, radii, seed: int, samples_per_radius: int =
         raise ValueError("radii must be nonempty")
     if any(r < 1 for r in radii):
         raise ValueError("radii must be >= 1")
-    n = max(expr.max_index(), 1) if hasattr(expr, "max_index") else 1
     rng = np.random.default_rng(seed)
     best = 0.0
     for r in radii:
-        pts = random_states(n, samples_per_radius, r, rng)
-        vals = np.asarray(expr.evaluate(pts))
+        pts = random_states(poly.n, samples_per_radius, r, rng)
+        vals = poly.evaluate(pts)
         sup_est = float(np.abs(vals).max())
         diff = np.abs(vals[:, None] - vals[None, :])
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)

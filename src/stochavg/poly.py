@@ -5,6 +5,11 @@ prod_j conj(v_j)^beta_j`` keyed by the exponent pair ``(alpha, beta)``.
 This form makes torus averaging exact: rotating ``v_j -> e^{-i w_j} v_j``
 multiplies a monomial by ``e^{i (beta - alpha) . w}``, so averaging against
 a phase ``e^{i d . w}`` keeps exactly the monomials with ``alpha - beta = d``.
+
+It is also the one runtime form of a polynomial field: parsed expressions
+are lowered here once (``from_expr``), and every field, dispersion entry and
+Hamiltonian is evaluated through ``Polynomial.evaluate``.  The parse tree of
+:mod:`stochavg.expr` is kept only to print a system back to text.
 """
 
 from __future__ import annotations
@@ -15,14 +20,43 @@ from . import expr as ex
 from .errors import NonPolynomialError
 
 
+def monomial_sum(expos, coeffs, column, zero):
+    """Sum over terms t of ``coeffs[t] * prod_j x_j ** expos[t, j]``.
+
+    ``expos`` is an int array of shape (terms, m).  ``column(j)`` returns the
+    array x_j; it is called only for the columns that some term raises to a
+    positive power.  ``zero`` is the zero array the sum starts from, which
+    fixes the shape and dtype of the result.  A per-call table holds the
+    powers x_j^e = x_j^(e-1) * x_j up to the largest exponent of each
+    column; each term multiplies its powers in column order, then scales the
+    product by its coefficient.
+    """
+    out = zero
+    rows = expos.tolist()
+    powers = []
+    for j, top in enumerate(map(max, zip(*rows))):
+        col = [None, column(j)] if top else None
+        for _ in range(top - 1):
+            col.append(col[-1] * col[1])
+        powers.append(col)
+    for row, c in zip(rows, coeffs):
+        t = None
+        for j, e in enumerate(row):
+            if e:
+                t = powers[j][e] if t is None else t * powers[j][e]
+        out = out + (c if t is None else c * t)
+    return out
+
+
 class Polynomial:
     """Immutable-by-convention polynomial over n complex variables."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_lowered")
 
     def __init__(self, n, terms=None):
         self.n = int(n)
         self.terms = dict(terms) if terms else {}
+        self._lowered = None  # (exponent array, coefficients), built on first evaluate
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -181,57 +215,16 @@ class Polynomial:
     def evaluate(self, v):
         """Evaluate at ``v`` of shape (..., n); broadcasts over leading axes."""
         v = np.asarray(v, dtype=complex)
-        out = np.zeros(v.shape[:-1], dtype=complex)
-        cache = {}
-
-        def power(j, e, conjugate):
-            key = (j, e, conjugate)
-            got = cache.get(key)
-            if got is not None:
-                return got
-            if e == 1:
-                val = np.conj(v[..., j]) if conjugate else v[..., j]
-            else:
-                val = power(j, e - 1, conjugate) * power(j, 1, conjugate)
-            cache[key] = val
-            return val
-
-        for (a, b), c in self.terms.items():
-            t = None
-            for j, e in enumerate(a):
-                if e:
-                    p = power(j, e, False)
-                    t = p if t is None else t * p
-            for j, e in enumerate(b):
-                if e:
-                    p = power(j, e, True)
-                    t = p if t is None else t * p
-            out = out + (c if t is None else c * t)
-        return out
-
-    def to_expr(self):
-        """Rebuild a FieldExpr whose evaluation matches this polynomial."""
-        node = None
-        for (a, b), c in self.sorted_terms():
-            factors = []
-            for j, e in enumerate(a):
-                if e == 1:
-                    factors.append(ex.Var(j + 1))
-                elif e > 1:
-                    factors.append(ex.Pow(ex.Var(j + 1), e))
-            for j, e in enumerate(b):
-                if e == 1:
-                    factors.append(ex.ConjVar(j + 1))
-                elif e > 1:
-                    factors.append(ex.Pow(ex.ConjVar(j + 1), e))
-            term = ex.constant(c)
-            if factors and c == 1:
-                term = factors[0]
-                factors = factors[1:]
-            for f in factors:
-                term = ex.Mul(term, f)
-            node = term if node is None else ex.Add(node, term)
-        return node if node is not None else ex.Num(0.0)
+        if v.shape[-1] != self.n:
+            raise ValueError(f"state has {v.shape[-1]} components, polynomial has {self.n}")
+        if self._lowered is None:
+            expos = np.array([a + b for a, b in self.terms], dtype=int)
+            self._lowered = (expos.reshape(len(self.terms), 2 * self.n), list(self.terms.values()))
+        expos, coeffs = self._lowered  # columns v_1..v_n, then cv_1..cv_n
+        n = self.n
+        return monomial_sum(expos, coeffs,
+                            lambda j: v[..., j] if j < n else np.conj(v[..., j - n]),
+                            np.zeros(v.shape[:-1], dtype=complex))
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.n == other.n and self.terms == other.terms
@@ -244,12 +237,30 @@ class Polynomial:
             return "Polynomial(0)"
         bits = []
         for (a, b), c in self.sorted_terms():
-            mono = "".join(
-                [f"v{j+1}^{e}" if e > 1 else f"v{j+1}" for j, e in enumerate(a) if e]
-                + [f"cv{j+1}^{e}" if e > 1 else f"cv{j+1}" for j, e in enumerate(b) if e]
-            )
-            bits.append(f"({c:g}){mono}" if mono else f"({c:g})")
+            mono = monomial_text(a, b)
+            bits.append(f"({c:g})" if mono == "1" else f"({c:g}){mono}")
         return "Polynomial(" + " + ".join(bits) + ")"
+
+
+def monomial_text(alpha, beta):
+    """The monomial v^alpha cv^beta in the expression grammar, e.g. ``v1^2*cv2``;
+    ``1`` for the constant monomial."""
+    return "*".join(
+        [f"v{j+1}^{e}" if e > 1 else f"v{j+1}" for j, e in enumerate(alpha) if e]
+        + [f"cv{j+1}^{e}" if e > 1 else f"cv{j+1}" for j, e in enumerate(beta) if e]
+    ) or "1"
+
+
+def evaluate_entries(polys, x):
+    """Evaluate a nested sequence of polynomials (or action polynomials) at
+    points x of shape (..., m).
+
+    The result has shape x.shape[:-1] + the nesting shape: (..., n) for a
+    field, (..., n, n1) for a matrix of entries.
+    """
+    if hasattr(polys, "evaluate"):
+        return polys.evaluate(x)
+    return np.stack([evaluate_entries(p, x) for p in polys], axis=np.ndim(x) - 1)
 
 
 def from_expr(expr, n: int) -> Polynomial:
@@ -260,7 +271,7 @@ def from_expr(expr, n: int) -> Polynomial:
     """
     if isinstance(expr, Polynomial):
         if expr.n != n:
-            raise ValueError("polynomial has wrong state dimension")
+            raise ValueError(f"polynomial is over {expr.n} variables, expected {n}")
         return expr
     if isinstance(expr, ex.Var):
         return Polynomial.var(expr.k, n)
@@ -286,9 +297,8 @@ def from_expr(expr, n: int) -> Polynomial:
 
 
 def as_poly(field, n: int) -> Polynomial:
-    """Accept a FieldExpr, Polynomial, or numeric constant."""
-    if isinstance(field, Polynomial):
-        return field
+    """Accept a FieldExpr, Polynomial, or numeric constant over n variables;
+    a Polynomial over another number of variables is a ValueError."""
     if isinstance(field, (int, float, complex)):
         return Polynomial.const(field, n)
     return from_expr(field, n)

@@ -45,6 +45,7 @@ from .averaging import actions_of
 from .config import spec_hash
 from .errors import NonFiniteError, NotPSDError, StepTooLargeError
 from .model import SystemSpec, validate_state
+from .poly import evaluate_entries
 
 STATE_STREAM = 0
 ACTION_STREAM = 1
@@ -270,11 +271,6 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
                         kind="action" if real else "state")
 
 
-def _field(polys, x):
-    """Evaluate one polynomial per component at states x of shape (p, n)."""
-    return np.stack([q.evaluate(x) for q in polys], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # perturbed system
 # ---------------------------------------------------------------------------
@@ -316,7 +312,7 @@ def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
     drift = spec.drift_polys
 
     def step(v, db, m, sl):
-        return rot * (v + _field(drift, v) * dtau + _kick(psi(v), db))
+        return rot * (v + evaluate_entries(drift, v) * dtau + _kick(psi(v), db))
 
     v_ens = _integrate(v0, spec.n1, T, dtau, record_times, n_paths, seed,
                        STATE_STREAM, step, threads, "perturbed")
@@ -359,12 +355,12 @@ def _effective_rule(spec, variant, dtau):
     def dispersion(a, db):
         if spec.psi_is_constant:
             return db @ B.T
-        A = np.stack([_field(row, a) for row in entries], axis=1)
+        A = evaluate_entries(entries, a)
         A = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
         return np.einsum("pkl,pl->pk", averaging.principal_sqrt_batched(A), db)
 
     def rule(a, db, stop=None):
-        nxt = a + _field(drift, a) * dtau + dispersion(a, db)
+        nxt = a + evaluate_entries(drift, a) * dtau + dispersion(a, db)
         if stop is not None and stop.any():
             nxt = np.where(stop[:, None], a + db, nxt)
         return nxt
@@ -460,10 +456,10 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
         if spec.psi_is_constant:
             kick = b * np.sqrt(2.0 * I) * dW
         else:
-            S = np.stack([_field(row, I) for row in S_entries], axis=1)
+            S = evaluate_entries(S_entries, I)
             S = 0.5 * (S + np.swapaxes(S, 1, 2))
             kick = np.einsum("pkj,pj->pk", averaging.principal_sqrt_batched(S), dW)
-        I = I + _field(F, I) * dtau + kick
+        I = I + evaluate_entries(F, I) * dtau + kick
         neg = (I < 0) & (I > -np.inf)
         clamp_counts[sl] += neg.sum(axis=1)
         return np.where(neg, 0.0, I)
@@ -505,7 +501,7 @@ def ito_action_consistency(spec: SystemSpec, v0, T, dtau, seed) -> ItoReport:
     sup_err = np.zeros(1)
 
     def step(v, db, m, sl):
-        pv = _field(drift, v)
+        pv = evaluate_entries(drift, v)
         P = psi(v)
         dv = _kick(P, db)
         # integrated action increment, left-endpoint rule

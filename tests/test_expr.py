@@ -1,21 +1,54 @@
 import numpy as np
 import pytest
 
-from stochavg import parse_field_expr, ParseError
+from stochavg import averaging, parse_field_expr, ParseError
+from stochavg import expr as ex
 from stochavg.errors import NonPolynomialError
-from stochavg.poly import Polynomial, from_expr
+from stochavg.poly import Polynomial, as_poly, from_expr
 
 
 def rand_points(rng, count, n):
     return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
 
 
-def test_parse_basic_arithmetic():
-    e = parse_field_expr("i*v1*abs2(v2)", 2)
-    assert e.evaluate(np.array([1 + 0j, 2 + 0j])) == pytest.approx(4j)
+def _eval_ast(e, v):
+    """Walk the parse tree at states v of shape (..., n): the oracle that the
+    lowering to Polynomial is checked against."""
+    v = np.asarray(v, dtype=complex)
+    if isinstance(e, ex.Var):
+        return v[..., e.k - 1]
+    if isinstance(e, ex.ConjVar):
+        return np.conj(v[..., e.k - 1])
+    if isinstance(e, ex.Abs2):
+        z = v[..., e.k - 1]
+        return (z.real**2 + z.imag**2).astype(complex)
+    if isinstance(e, ex.Num):
+        return np.full(v.shape[:-1], complex(e.value))
+    if isinstance(e, ex.Imag):
+        return np.full(v.shape[:-1], 1j)
+    if isinstance(e, ex.Add):
+        return _eval_ast(e.left, v) + _eval_ast(e.right, v)
+    if isinstance(e, ex.Sub):
+        return _eval_ast(e.left, v) - _eval_ast(e.right, v)
+    if isinstance(e, ex.Mul):
+        return _eval_ast(e.left, v) * _eval_ast(e.right, v)
+    if isinstance(e, ex.Neg):
+        return -_eval_ast(e.operand, v)
+    if isinstance(e, ex.Pow):
+        return _eval_ast(e.base, v) ** e.exponent
+    raise TypeError(f"unknown node {type(e).__name__}")
 
-    e = parse_field_expr("v1 + cv1", 1)
-    assert e.evaluate(np.array([3 + 4j])) == pytest.approx(6.0)
+
+def lowered(text, n):
+    return from_expr(parse_field_expr(text, n), n)
+
+
+def test_parse_basic_arithmetic():
+    p = lowered("i*v1*abs2(v2)", 2)
+    assert p.evaluate(np.array([1 + 0j, 2 + 0j])) == pytest.approx(4j)
+
+    p = lowered("v1 + cv1", 1)
+    assert p.evaluate(np.array([3 + 4j])) == pytest.approx(6.0)
 
 
 def test_parse_index_out_of_range():
@@ -35,16 +68,16 @@ def test_parse_unknown_identifier():
 
 
 def test_parse_powers_and_parens():
-    e = parse_field_expr("(v1 + cv2)^2", 2)
+    p = lowered("(v1 + cv2)^2", 2)
     v = np.array([1 + 1j, 2 - 1j])
     expected = (v[0] + np.conj(v[1])) ** 2
-    assert e.evaluate(v) == pytest.approx(expected)
+    assert p.evaluate(v) == pytest.approx(expected)
 
 
 def test_parse_unary_minus_and_numbers():
-    e = parse_field_expr("-v1*2.5 + 1e-2", 1)
+    p = lowered("-v1*2.5 + 1e-2", 1)
     v = np.array([2 + 0j])
-    assert e.evaluate(v) == pytest.approx(-5.0 + 0.01)
+    assert p.evaluate(v) == pytest.approx(-5.0 + 0.01)
 
 
 @pytest.mark.parametrize("text,n", [
@@ -56,13 +89,14 @@ def test_parse_unary_minus_and_numbers():
     ("1.5e-3*v1^4 + cv3^2*v2", 3),
 ])
 def test_print_reparse_roundtrip(text, n):
-    # printing then re-parsing must reproduce the evaluation exactly
+    # printing then re-parsing must reproduce the polynomial exactly
     rng = np.random.default_rng(42)
     e1 = parse_field_expr(text, n)
     e2 = parse_field_expr(str(e1), n)
+    assert from_expr(e2, n).terms == from_expr(e1, n).terms
     pts = rand_points(rng, 64, n)
-    a, b = e1.evaluate(pts), e2.evaluate(pts)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(from_expr(e2, n).evaluate(pts), _eval_ast(e1, pts),
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_to_polynomial_abs2_times_var():
@@ -85,7 +119,7 @@ def test_to_polynomial_square_expansion():
     assert p.terms[((0, 0), (0, 2))] == pytest.approx(1.0)
     rng = np.random.default_rng(0)
     pts = rand_points(rng, 64, 2)
-    np.testing.assert_allclose(p.evaluate(pts), e.evaluate(pts), rtol=1e-10)
+    np.testing.assert_allclose(p.evaluate(pts), _eval_ast(e, pts), rtol=1e-10)
 
 
 @pytest.mark.parametrize("text,n", [
@@ -99,7 +133,7 @@ def test_to_polynomial_matches_ast_at_random_points(text, n):
     rng = np.random.default_rng(7)
     pts = rand_points(rng, 64, n)
     pa = p.evaluate(pts)
-    ea = e.evaluate(pts)
+    ea = _eval_ast(e, pts)
     np.testing.assert_allclose(pa, ea, rtol=1e-10, atol=1e-12)
 
 
@@ -129,9 +163,29 @@ def test_polynomial_conj_swaps_exponents():
     np.testing.assert_allclose(q.evaluate(pts), np.conj(p.evaluate(pts)), rtol=1e-12)
 
 
-def test_poly_to_expr_roundtrip():
-    rng = np.random.default_rng(11)
-    p = from_expr(parse_field_expr("(v1+2*cv2)^3 - i*v2*abs2(v1)", 2), 2)
-    e = p.to_expr()
-    pts = rand_points(rng, 32, 2)
-    np.testing.assert_allclose(e.evaluate(pts), p.evaluate(pts), rtol=1e-10, atol=1e-12)
+def test_as_poly_rejects_other_dimension():
+    p = lowered("v1*cv1 + v2", 2)
+    assert as_poly(p, 2) is p
+    with pytest.raises(ValueError, match="over 2 variables, expected 3"):
+        as_poly(p, 3)
+    with pytest.raises(ValueError):
+        averaging.average_function(p, [1, 1, 1])
+
+
+def test_polynomial_evaluate_rejects_other_dimension():
+    p = lowered("v1 + v2", 2)
+    with pytest.raises(ValueError):
+        p.evaluate(np.ones((4, 3), dtype=complex))
+    with pytest.raises(ValueError):
+        p.evaluate(np.ones(1, dtype=complex))
+
+
+def test_polynomial_evaluate_shapes_and_zero():
+    p = lowered("2*v1*cv2 - i", 2)
+    rng = np.random.default_rng(5)
+    pts = rand_points(rng, 12, 2).reshape(3, 4, 2)
+    out = p.evaluate(pts)
+    assert out.shape == (3, 4)
+    np.testing.assert_array_equal(out, 2 * pts[..., 0] * np.conj(pts[..., 1]) - 1j)
+    zero = Polynomial.zero(2).evaluate(pts)
+    assert zero.shape == (3, 4) and zero.dtype == complex and not zero.any()

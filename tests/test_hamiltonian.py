@@ -42,12 +42,18 @@ def random_real_hamiltonian(rng, n, degree=4):
         terms.append("*".join(bits))
     text = " + ".join(terms) if terms else "abs2(v1)"
     q = from_expr(parse_field_expr(text, n), n)
-    return HamiltonianSpec(h=(q + q.conj()).to_expr(), n=n)
+    return HamiltonianSpec(h=q + q.conj(), n=n)
 
 
 def test_hamiltonian_requires_real_values():
     with pytest.raises(ConfigError):
         ham("v1", 1)
+
+
+def test_hamiltonian_is_lowered_once():
+    h = ham("abs2(v1)*abs2(v2)", 2)
+    assert h.poly is h.poly
+    assert h.poly == from_expr(h.h, 2)
 
 
 def test_wirtinger_power_rule():

@@ -10,7 +10,10 @@ from stochavg import (
     estimate_growth,
     parse_field_expr,
 )
+from stochavg.acceptance import _rand_state, _random_monomial_poly
 from stochavg.config import load_system, parse_system_text, spec_hash, system_to_text
+from stochavg.hamiltonian import HamiltonianSpec
+from stochavg.poly import Polynomial, from_expr
 from stochavg.systems import acceptance_system
 
 
@@ -56,12 +59,55 @@ def test_spec_rejects_complex_hamiltonian():
         make_spec(h="v1*v2")  # not real-valued
 
 
+def test_realness_error_names_the_monomial():
+    with pytest.raises(ConfigError, match=r"of v1\*v2 is not the conjugate .* of cv1\*cv2"):
+        make_spec(h="v1*v2")
+    with pytest.raises(ConfigError, match=r"of v1 is not the conjugate .* of cv1"):
+        HamiltonianSpec(h=expr("abs2(v1) + v1", 1), n=1)
+    with pytest.raises(ConfigError, match=r"of 1 is not"):
+        HamiltonianSpec(h=expr("i", 1), n=1)
+
+
+def test_realness_is_read_off_the_coefficients():
+    def h(c_conj):
+        return Polynomial(1, {((1,), (0,)): 1.0 + 2j, ((0,), (1,)): c_conj})
+
+    HamiltonianSpec(h=h(1.0 - 2j + 1e-12), n=1)  # within the 1e-10 tolerance
+    with pytest.raises(ConfigError):
+        HamiltonianSpec(h=h(1.0 - 2j + 1e-6), n=1)
+    with pytest.raises(ConfigError):
+        HamiltonianSpec(h=h(1.0 + 2j), n=1)
+
+
 def test_spec_accepts_real_hamiltonian_and_imag_vanishes():
     spec = make_spec(h="abs2(v1)*abs2(v2) + v1*v2*cv1*cv2")
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
-    vals = spec.h.evaluate(pts)
+    vals = spec.h_poly.evaluate(pts)
     assert np.abs(vals.imag).max() <= 1e-10 * (1 + np.abs(vals).max())
+
+
+@pytest.mark.parametrize("text", ["(v1 + cv1)^2", "abs2(v1)*abs2(v2)"])
+def test_real_hamiltonians_are_accepted(text):
+    spec = make_spec(h=text)
+    ham = HamiltonianSpec(h=spec.h, n=2)
+    assert ham.poly == spec.h_poly
+
+
+def test_criterion_3_hamiltonians_are_accepted():
+    # the 64 random q + conj(q) of acceptance criterion 3, drawn as it draws them
+    rng = np.random.default_rng(2024 + 3)
+    for _ in range(64):
+        n = int(rng.integers(1, 4))
+        q = _random_monomial_poly(rng, n, degree=4, terms=3)
+        h = q + q.conj()
+        HamiltonianSpec(h=h, n=n)
+        one, zero = Polynomial.const(1.0, n), Polynomial.zero(n)
+        SystemSpec(freqs=Frequencies(tuple(range(1, n + 1))), epsilon=0.5,
+                   p1=(zero,) * n, h=h, psi_kind="constant",
+                   psi=tuple(tuple(one if k == l else zero for l in range(n))
+                             for k in range(n)))
+        _rand_state(rng, n)
 
 
 def test_spec_drift_includes_hamiltonian_part():
@@ -133,22 +179,34 @@ def test_ellipticity_unit_determinant_shear():
     assert eigs.min() > 0
 
 
+def growth_poly(text, n=1):
+    return from_expr(expr(text, n), n)
+
+
 def test_growth_linear_map():
-    rep = estimate_growth(expr("v1", 1), m0=1.0, radii=[1.0, 4.0, 10.0], seed=0)
+    rep = estimate_growth(growth_poly("v1"), m0=1.0, radii=[1.0, 4.0, 10.0], seed=0)
     assert rep.c_m0_estimate <= 2.0 + 0.1
 
 
 def test_growth_constant():
-    rep = estimate_growth(expr("5", 1), m0=0.0, radii=[1.0, 2.0], seed=0)
+    rep = estimate_growth(growth_poly("5"), m0=0.0, radii=[1.0, 2.0], seed=0)
     assert rep.c_m0_estimate == pytest.approx(5.0, rel=1e-6)
 
 
 def test_growth_cubic_bounded_in_radius():
     # |v|^2 v grows like R^3, so the m0=3 weighted estimate stays O(1) in R
-    rep_small = estimate_growth(expr("abs2(v1)*v1", 1), m0=3.0, radii=[2.0], seed=1)
-    rep_large = estimate_growth(expr("abs2(v1)*v1", 1), m0=3.0, radii=[2.0, 8.0, 16.0], seed=1)
+    rep_small = estimate_growth(growth_poly("abs2(v1)*v1"), m0=3.0, radii=[2.0], seed=1)
+    rep_large = estimate_growth(growth_poly("abs2(v1)*v1"), m0=3.0, radii=[2.0, 8.0, 16.0], seed=1)
     assert np.isfinite(rep_large.c_m0_estimate)
     assert rep_large.c_m0_estimate <= 4.0 * max(rep_small.c_m0_estimate, 1.0)
+
+
+def test_growth_samples_in_the_polynomial_dimension():
+    # a v2 term needs states in C^2; v2 + v1/2 has Lipschitz constant
+    # sqrt(5)/2 and sup sqrt(5)/2 R over the R-ball, so the m0 = 1 weighted
+    # estimate stays below sqrt(5)/2
+    rep = estimate_growth(growth_poly("v2 + 0.5*v1", 2), m0=1.0, radii=[1.0, 4.0], seed=0)
+    assert 0.5 < rep.c_m0_estimate <= np.sqrt(5.0) / 2 + 1e-12
 
 
 # -- config round trip -------------------------------------------------------
