@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPSDError
-from .poly import Polynomial, as_poly, evaluate_entries, monomial_sum
+from .poly import Polynomial, PowerTable, as_poly, evaluate_entries, lower_monomials
 
 DEFAULT_GRID = 64
 
@@ -298,12 +298,13 @@ class ActionPolynomial:
     null terms and drop exactly).
     """
 
-    __slots__ = ("n", "coeffs", "expos")
+    __slots__ = ("n", "coeffs", "expos", "_monomials")
 
     def __init__(self, n, coeffs, expos):
         self.n = n
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.expos = np.asarray(expos, dtype=int).reshape(len(self.coeffs), n)
+        self._monomials = lower_monomials(self.expos.tolist())
 
     @classmethod
     def from_resonant_poly(cls, p):
@@ -318,10 +319,21 @@ class ActionPolynomial:
             coeffs, expos = [0.0], [(0,) * p.n]
         return cls(p.n, coeffs, expos)
 
-    def evaluate(self, actions):
-        """Evaluate at actions of shape (..., n); broadcasts over leading axes."""
+    @staticmethod
+    def power_table(actions):
+        """PowerTable of the points 2 I for actions I of shape (..., n)."""
         x = 2.0 * np.asarray(actions, dtype=float)
-        return monomial_sum(self.expos, self.coeffs, lambda j: x[..., j], np.zeros(x.shape[:-1]))
+        return PowerTable(lambda j: x[..., j], np.zeros(x.shape[:-1]))
+
+    def evaluate(self, actions, table=None):
+        """Evaluate at actions of shape (..., n); broadcasts over leading axes.
+
+        ``table`` is ``power_table(actions)`` when several action polynomials
+        are evaluated at the same points (``evaluate_entries``).
+        """
+        if table is None:
+            table = self.power_table(actions)
+        return table.sum(self._monomials, self.coeffs)
 
 
 def action_drift_polys(spec):

@@ -18,10 +18,15 @@ At each entry node the matching angles theta are chosen so the rotated
 reference agrees with the incoming path in phase; moduli are copied exactly,
 so on Delta-segments the coupled actions equal the reference actions
 bit-for-bit (the action rows are assigned, not recomputed through
-transcendentals).  On Lambda-segments the equality of action laws holds only
-in distribution (weak uniqueness of the action equation away from the
+transcendentals); each path keeps e^{i theta} from its entry node to the
+end of the segment.  On Lambda-segments the equality of action laws holds
+only in distribution (weak uniqueness of the action equation away from the
 boundary); the artifact asserts exact equality on Delta-segments and
 distributional closeness elsewhere.
+
+Like the ensembles of ``sde``, the state and action ensembles of a
+``CoupledResult`` are (paths, nodes, k) views of node-major arrays, not
+C-contiguous.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .sde import (
     _grid,
     _integrate,
     _mark_stops,
+    _row_reduce,
 )
 
 LAMBDA = "lambda"
@@ -119,10 +125,10 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
     ref_step = _cutoff_step(_effective_rule(spec, "full", dtau), dtau, R, stop_ref, tau_R_ref)
     modified = _effective_rule(spec, "modified", dtau)
     in_delta = np.zeros(n_paths, dtype=bool)
-    theta = np.zeros((n_paths, n))
+    rot = np.zeros((n_paths, n), dtype=complex)  # e^{i theta} of the current Delta-segment
     seg_start = np.zeros(n_paths, dtype=int)
-    I_cpl = np.empty((n_paths, M + 1, n))
-    I_cpl[:, 0] = I0
+    I_cpl = np.empty((M + 1, n_paths, n))  # node-major, like the recorded states
+    I_cpl[0] = I0
     schedules: List[List[Segment]] = [[] for _ in range(n_paths)]
     rotations: List[List[RotationEvent]] = [[] for _ in range(n_paths)]
     overshoot_counts = np.zeros(n_paths, dtype=int)
@@ -134,34 +140,38 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
         # by the same Wiener increments as the reference
         evolved = modified(x[:, n:], db, stop_cpl[sl])
         d = in_delta[sl]
-        a_cpl = np.where(d[:, None], np.exp(1j * theta[sl]) * a_ref, evolved)
+        a_cpl = np.where(d[:, None], rot[sl] * a_ref, evolved)
         I_new = np.where(d[:, None], I_ref, actions_of(a_cpl))
-        _mark_stops(2.0 * I_new.sum(axis=1) >= R, stop_cpl, tau_R_cpl, (m + 1) * dtau, sl)
+        _mark_stops(2.0 * _row_reduce(np.add, I_new) >= R, stop_cpl, tau_R_cpl,
+                    (m + 1) * dtau, sl)
 
         # segment switching at node m+1; on Delta-segments the coupled
         # actions are the copied reference actions, so the up-crossing is
         # read off the shared values
-        min_I = I_new.min(axis=1)
+        min_I = _row_reduce(np.minimum, I_new)
         down = ~d & (min_I <= delta)
         up = d & (min_I >= 2.0 * delta)
-        for p in np.where(down)[0]:
+        if down.any():
+            p = np.flatnonzero(down)
             q = sl.start + p
-            th = np.angle(a_cpl[p]) - np.angle(a_ref[p])
-            rotations[q].append(RotationEvent(node=m + 1, theta=th.copy(),
-                                              pre_jump=a_cpl[p].copy()))
-            schedules[q].append(Segment(LAMBDA, int(seg_start[q]), m + 1))
-            seg_start[q] = m + 1
-            theta[q] = th
-            a_cpl[p] = np.exp(1j * th) * a_ref[p]
+            pre_jump = a_cpl[p]
+            theta = np.angle(pre_jump) - np.angle(a_ref[p])
+            rot[q] = np.exp(1j * theta)
+            a_cpl[p] = rot[q] * a_ref[p]
             I_new[p] = I_ref[p]
-            if I_ref[p].min() > 2.0 * delta:
-                overshoot_counts[q] += 1
-        for q in sl.start + np.where(up)[0]:
-            schedules[q].append(Segment(DELTA, int(seg_start[q]), m + 1))
+            overshoot_counts[q] += _row_reduce(np.minimum, I_ref[p]) > 2.0 * delta
+            for r, th, pre in zip(q.tolist(), theta, pre_jump):
+                rotations[r].append(RotationEvent(node=m + 1, theta=th, pre_jump=pre))
+                schedules[r].append(Segment(LAMBDA, int(seg_start[r]), m + 1))
             seg_start[q] = m + 1
+        for r in (sl.start + np.flatnonzero(up)).tolist():
+            schedules[r].append(Segment(DELTA, int(seg_start[r]), m + 1))
+            seg_start[r] = m + 1
         in_delta[sl] = (d | down) & ~up
-        I_cpl[sl, m + 1] = I_new
-        return np.concatenate([a_ref, a_cpl], axis=1)
+        I_cpl[m + 1, sl] = I_new
+        x[:, :n] = a_ref
+        x[:, n:] = a_cpl
+        return x
 
     states = _integrate(np.concatenate([v0, v0]), n, T, dtau, None, n_paths, seed,
                         STATE_STREAM, step, threads, "coupled")
@@ -177,7 +187,7 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
     ref = states.values[:, :, :n]
     return CoupledResult(
         times=times,
-        coupled_actions=mk(I_cpl, "action", "coupled"),
+        coupled_actions=mk(I_cpl.transpose(1, 0, 2), "action", "coupled"),
         reference_actions=mk(actions_of(ref), "action", "reference"),
         coupled_states=mk(states.values[:, :, n:], "state", "coupled"),
         reference_states=mk(ref, "state", "reference"),

@@ -20,32 +20,49 @@ from . import expr as ex
 from .errors import NonPolynomialError
 
 
-def monomial_sum(expos, coeffs, column, zero):
-    """Sum over terms t of ``coeffs[t] * prod_j x_j ** expos[t, j]``.
+class PowerTable:
+    """Products of powers of the columns x_j of one set of points, memoised
+    so that every entry of a field evaluated there shares them.
 
-    ``expos`` is an int array of shape (terms, m).  ``column(j)`` returns the
-    array x_j; it is called only for the columns that some term raises to a
-    positive power.  ``zero`` is the zero array the sum starts from, which
-    fixes the shape and dtype of the result.  A per-call table holds the
-    powers x_j^e = x_j^(e-1) * x_j up to the largest exponent of each
-    column; each term multiplies its powers in column order, then scales the
-    product by its coefficient.
+    ``column(j)`` returns x_j; it is called at most once per column.  A
+    monomial is the tuple of its (column, exponent) pairs with positive
+    exponent, in column order; its product multiplies left to right, with
+    x_j^e = x_j^(e-1) * x_j.  ``zero``, the array every sum starts from,
+    fixes the shape and dtype of the results.
     """
-    out = zero
-    rows = expos.tolist()
-    powers = []
-    for j, top in enumerate(map(max, zip(*rows))):
-        col = [None, column(j)] if top else None
-        for _ in range(top - 1):
-            col.append(col[-1] * col[1])
-        powers.append(col)
-    for row, c in zip(rows, coeffs):
-        t = None
-        for j, e in enumerate(row):
-            if e:
-                t = powers[j][e] if t is None else t * powers[j][e]
-        out = out + (c if t is None else c * t)
-    return out
+
+    __slots__ = ("column", "zero", "_products")
+
+    def __init__(self, column, zero):
+        self.column = column
+        self.zero = zero
+        self._products = {}
+
+    def product(self, monomial):
+        t = self._products.get(monomial)
+        if t is None:
+            (j, e) = monomial[-1]
+            if len(monomial) > 1:
+                t = self.product(monomial[:-1]) * self.product(monomial[-1:])
+            elif e > 1:
+                t = self.product(((j, e - 1),)) * self.product(((j, 1),))
+            else:
+                t = self.column(j)
+            self._products[monomial] = t
+        return t
+
+    def sum(self, monomials, coeffs):
+        """Sum over terms of ``coeffs[t] * product(monomials[t])``, in term order."""
+        out = self.zero
+        for mono, c in zip(monomials, coeffs):
+            out = out + (c * self.product(mono) if mono else c)
+        return out
+
+
+def lower_monomials(expos):
+    """(column, exponent) tuples of the rows of an exponent array, for
+    ``PowerTable.sum``."""
+    return [tuple((j, e) for j, e in enumerate(row) if e) for row in expos]
 
 
 class Polynomial:
@@ -56,7 +73,7 @@ class Polynomial:
     def __init__(self, n, terms=None):
         self.n = int(n)
         self.terms = dict(terms) if terms else {}
-        self._lowered = None  # (exponent array, coefficients), built on first evaluate
+        self._lowered = None  # (monomials, coefficients), built on first evaluate
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -212,19 +229,30 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     # -- evaluation ------------------------------------------------------
-    def evaluate(self, v):
-        """Evaluate at ``v`` of shape (..., n); broadcasts over leading axes."""
+    def power_table(self, v):
+        """PowerTable of the points ``v`` of shape (..., n): columns
+        v_1..v_n, then cv_1..cv_n."""
         v = np.asarray(v, dtype=complex)
         if v.shape[-1] != self.n:
             raise ValueError(f"state has {v.shape[-1]} components, polynomial has {self.n}")
-        if self._lowered is None:
-            expos = np.array([a + b for a, b in self.terms], dtype=int)
-            self._lowered = (expos.reshape(len(self.terms), 2 * self.n), list(self.terms.values()))
-        expos, coeffs = self._lowered  # columns v_1..v_n, then cv_1..cv_n
         n = self.n
-        return monomial_sum(expos, coeffs,
-                            lambda j: v[..., j] if j < n else np.conj(v[..., j - n]),
-                            np.zeros(v.shape[:-1], dtype=complex))
+        # conjugate per column: a 0-d column conjugates to a numpy scalar,
+        # whose products round differently from those of a 0-d array
+        return PowerTable(lambda j: v[..., j] if j < n else np.conj(v[..., j - n]),
+                          np.zeros(v.shape[:-1], dtype=complex))
+
+    def evaluate(self, v, table=None):
+        """Evaluate at ``v`` of shape (..., n); broadcasts over leading axes.
+
+        ``table`` is ``power_table(v)`` when several polynomials are
+        evaluated at the same points (``evaluate_entries``).
+        """
+        if table is None:
+            table = self.power_table(v)
+        if self._lowered is None:
+            self._lowered = (lower_monomials(a + b for a, b in self.terms),
+                             list(self.terms.values()))
+        return table.sum(*self._lowered)
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.n == other.n and self.terms == other.terms
@@ -256,11 +284,21 @@ def evaluate_entries(polys, x):
     points x of shape (..., m).
 
     The result has shape x.shape[:-1] + the nesting shape: (..., n) for a
-    field, (..., n, n1) for a matrix of entries.
+    field, (..., n, n1) for a matrix of entries.  All entries share one
+    PowerTable of x.
     """
     if hasattr(polys, "evaluate"):
         return polys.evaluate(x)
-    return np.stack([evaluate_entries(p, x) for p in polys], axis=np.ndim(x) - 1)
+    shape, leaves = [], [polys]
+    while not hasattr(leaves[0], "evaluate"):
+        shape.append(len(leaves[0]))
+        leaves = [p for row in leaves for p in row]
+    table = leaves[0].power_table(x)
+    lead = table.zero.shape
+    out = np.empty((*lead, len(leaves)), dtype=table.zero.dtype)
+    for i, p in enumerate(leaves):
+        out[..., i] = p.evaluate(x, table)
+    return out.reshape(*lead, *shape)
 
 
 def from_expr(expr, n: int) -> Polynomial:

@@ -29,7 +29,9 @@ The coupled construction in ``coupling`` is one more step over the stacked
 
 Each path owns an independent noise stream derived from
 (master_seed, path_index, stream_id), so ensembles are bit-reproducible
-regardless of chunking or thread count.
+regardless of chunking or thread count.  The driver records the states node
+by node; ``PathEnsemble.values`` is the (paths, nodes, k) view of that
+node-major array and is not C-contiguous.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,14 +75,21 @@ class NoisePath:
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(path_index, stream_id))
         self._rng = np.random.default_rng(seq)
 
-    def complex_increments(self, steps, n1):
+    def complex_increments(self, steps, n1, out=None):
+        """Complex increments of shape (steps, n1), written into ``out`` if given."""
         z = self._rng.standard_normal((steps, 2 * n1))
+        if out is None:
+            out = np.empty((steps, n1), dtype=complex)
         scale = np.sqrt(self.dtau)
-        return scale * (z[:, :n1] + 1j * z[:, n1:])
+        np.multiply(scale, z[:, :n1], out=out.real)
+        np.multiply(scale, z[:, n1:], out=out.imag)
+        return out
 
-    def real_increments(self, steps, n):
-        z = self._rng.standard_normal((steps, n))
-        return np.sqrt(self.dtau) * z
+    def real_increments(self, steps, n, out=None):
+        """Real increments of shape (steps, n), written into ``out`` if given."""
+        out = self._rng.standard_normal((steps, n), out=out)
+        out *= np.sqrt(self.dtau)
+        return out
 
 
 @dataclass
@@ -87,7 +97,9 @@ class PathEnsemble:
     """Sample paths on a shared recorded grid.
 
     ``values`` has shape (n_paths, len(times), n); complex for state
-    ensembles, float for action ensembles.  ``meta`` carries everything needed
+    ensembles, float for action ensembles.  The integrators record node by
+    node, so ``values`` is a transposed view of a node-major (len(times),
+    n_paths, n) array and is not C-contiguous.  ``meta`` carries everything needed
     to regenerate the ensemble bit-exactly in single-threaded reference mode.
     """
 
@@ -128,7 +140,8 @@ class PathEnsemble:
 
 @dataclass
 class PerturbedEnsemble:
-    """Paths of the perturbed system: v-paths plus interaction representation.
+    """Paths of the perturbed system: v-paths, and their interaction
+    representation ``a``, computed on first access.
 
     The a-values differ from v only by the deterministic unit rotation
     e^{i tau Lambda / eps}; actions are computed from v, which makes the
@@ -136,7 +149,14 @@ class PerturbedEnsemble:
     """
 
     v: PathEnsemble
-    a: PathEnsemble
+    freqs: np.ndarray
+    epsilon: float
+
+    @cached_property
+    def a(self):
+        phases = np.exp(1j * np.outer(self.v.times, self.freqs) / self.epsilon)
+        return PathEnsemble(times=self.v.times, values=phases[None, :, :] * self.v.values,
+                            kind="state", meta={**self.v.meta, "variable": "a"})
 
     def actions(self):
         return self.v.actions()
@@ -197,6 +217,23 @@ def _noise_block(shape, dtype):
     return np.frombuffer(buf, dtype).reshape(shape)
 
 
+# numpy reduces a row of fewer than 8 elements left to right, and longer
+# rows in pairwise blocks of 8
+_FOLD_MAX = 7
+
+
+def _row_reduce(ufunc, x):
+    """``ufunc.reduce(x, axis=1)`` of a (paths, k) array, bit for bit.  Up
+    to 7 columns it folds the columns left to right, which at a few modes
+    costs a fraction of the reduction's fixed overhead."""
+    if x.shape[1] > _FOLD_MAX:
+        return ufunc.reduce(x, axis=1)
+    out = x[:, 0]
+    for j in range(1, x.shape[1]):
+        out = ufunc(out, x[:, j])
+    return out
+
+
 def _check_paths(n_paths):
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
@@ -211,8 +248,10 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
     chunks sized by the noise budget, on up to ``threads`` threads.
     ``step(x, dW, m, sl)`` gets the states x, of shape (len(sl), k), of the
     paths in slice ``sl`` at node m and their increments dW, and returns
-    their states at node m + 1.  Returns the states at the recorded nodes as
-    a PathEnsemble whose meta holds the run's grid, seed and stream.  A
+    their states at node m + 1 (it may reuse x for them).  Returns the
+    states at the recorded nodes as a PathEnsemble whose meta holds the
+    run's grid, seed and stream; they are recorded into a node-major array,
+    and ``values`` is its (paths, nodes, k) transpose.  A
     NotPSDError from the batched square root (whose batch rows are the paths
     of ``sl``) is raised again with the path index and the time of the state
     that gave the matrix.
@@ -222,17 +261,17 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
     rec = _record_indices(M, dtau, record_times)
     slot = {int(i): j for j, i in enumerate(rec)}
     x0 = np.asarray(x0)
-    out = np.empty((n_paths, rec.size, x0.size), dtype=x0.dtype)
+    out = np.empty((rec.size, n_paths, x0.size), dtype=x0.dtype)
     real = stream == ACTION_STREAM
     draw = "real_increments" if real else "complex_increments"
 
     def run(sl):
         noise = _noise_block((sl.stop - sl.start, M, width), float if real else complex)
         for p in range(sl.start, sl.stop):
-            noise[p - sl.start] = getattr(NoisePath(seed, p, stream, dtau), draw)(M, width)
+            getattr(NoisePath(seed, p, stream, dtau), draw)(M, width, out=noise[p - sl.start])
         x = np.broadcast_to(x0, (sl.stop - sl.start, x0.size)).copy()
         if 0 in slot:
-            out[sl, slot[0]] = x
+            out[slot[0], sl] = x
         # non-finite states are raised as NonFiniteError; the warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(M):
@@ -249,7 +288,7 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
                 _check_finite(x, sl.start, (m + 1) * dtau, what)
                 j = slot.get(m + 1)
                 if j is not None:
-                    out[sl, j] = x
+                    out[j, sl] = x
 
     size = max(_MIN_CHUNK, int(_CHUNK_BYTES / max(1, M * width * 16)))
     chunks = [slice(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
@@ -267,7 +306,7 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
         "stream": stream,
         "record": None if record_times is None else list(map(float, record_times)),
     }
-    return PathEnsemble(times=rec * dtau, values=out, meta=meta,
+    return PathEnsemble(times=rec * dtau, values=out.transpose(1, 0, 2), meta=meta,
                         kind="action" if real else "state")
 
 
@@ -297,6 +336,17 @@ def _kick(psi, db):
     return db @ psi.T if psi.ndim == 2 else np.einsum("pkl,pl->pk", psi, db)
 
 
+def _perturbed_kick(spec, psi):
+    """Psi(v) dbeta as a function of (v, dbeta); a constant diagonal Psi
+    scales the increments instead of multiplying matrices."""
+    if spec.psi_is_constant:
+        const_psi = spec.psi_constant_matrix()
+        diag = np.diagonal(const_psi).copy()
+        if const_psi.shape[0] == const_psi.shape[1] and np.array_equal(const_psi, np.diag(diag)):
+            return lambda v, db: db * diag
+    return lambda v, db: _kick(psi(v), db)
+
+
 def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
                        record_times=None, threads=1) -> PerturbedEnsemble:
     """Integrate the perturbed system and its interaction representation.
@@ -309,20 +359,17 @@ def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
     _check_resolution(spec, dtau)
     v0 = validate_state(v0, spec.n, "v0")
     rot, psi = _perturbed_parts(spec, dtau)
+    kick = _perturbed_kick(spec, psi)
     drift = spec.drift_polys
 
     def step(v, db, m, sl):
-        return rot * (v + evaluate_entries(drift, v) * dtau + _kick(psi(v), db))
+        return rot * (v + evaluate_entries(drift, v) * dtau + kick(v, db))
 
     v_ens = _integrate(v0, spec.n1, T, dtau, record_times, n_paths, seed,
                        STATE_STREAM, step, threads, "perturbed")
     v_ens.meta.update(system=spec_hash(spec), integrator="rotating-splitting-euler",
                       epsilon=spec.epsilon, variable="v")
-    # interaction phases at recorded nodes
-    phases = np.exp(1j * np.outer(v_ens.times, spec.freqs.as_array()) / spec.epsilon)
-    a_ens = PathEnsemble(times=v_ens.times, values=phases[None, :, :] * v_ens.values,
-                         kind="state", meta={**v_ens.meta, "variable": "a"})
-    return PerturbedEnsemble(v=v_ens, a=a_ens)
+    return PerturbedEnsemble(v=v_ens, freqs=spec.freqs.as_array(), epsilon=spec.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +389,20 @@ def _effective_rule(spec, variant, dtau):
     (modified) effective equation; rows flagged in ``stop`` take the trivial
     step a + dbeta instead.
 
-    Constant dispersion uses the closed form B = diag{b_k}; otherwise the
-    symbolic averaged diffusion entries are evaluated per path and the
-    principal square roots B(a) = sqrt(A(a)) taken batched.
+    Constant dispersion uses the closed form B = diag{b_k}, so B dbeta is
+    dbeta scaled by b; otherwise the symbolic averaged diffusion entries are
+    evaluated per path and the principal square roots B(a) = sqrt(A(a))
+    taken batched.
     """
     drift = _effective_drift_polys(spec, variant)
     if spec.psi_is_constant:
-        B = np.diag(averaging.constant_psi_b(spec)).astype(complex)
+        b = averaging.constant_psi_b(spec)
     else:
         entries = averaging.averaged_diffusion_polys(spec.psi_polys)
 
     def dispersion(a, db):
         if spec.psi_is_constant:
-            return db @ B.T
+            return db * b
         A = evaluate_entries(entries, a)
         A = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
         return np.einsum("pkl,pl->pk", averaging.principal_sqrt_batched(A), db)
@@ -382,7 +430,7 @@ def _cutoff_step(rule, dtau, R, stopped, tau_R):
 
     def step(a, db, m, sl):
         a = rule(a, db, stopped[sl])
-        _mark_stops((a.real**2 + a.imag**2).sum(axis=1) >= R, stopped, tau_R,
+        _mark_stops(_row_reduce(np.add, a.real**2 + a.imag**2) >= R, stopped, tau_R,
                     (m + 1) * dtau, sl)
         return a
 
@@ -450,7 +498,7 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
     else:
         S_entries = averaging.action_diffusion_polys(spec)
     _check_paths(n_paths)
-    clamp_counts = np.zeros(n_paths, dtype=int)
+    clamp_counts = np.zeros((n_paths, spec.n), dtype=int)  # per path and mode
 
     def step(I, dW, m, sl):
         if spec.psi_is_constant:
@@ -461,13 +509,13 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
             kick = np.einsum("pkj,pj->pk", averaging.principal_sqrt_batched(S), dW)
         I = I + evaluate_entries(F, I) * dtau + kick
         neg = (I < 0) & (I > -np.inf)
-        clamp_counts[sl] += neg.sum(axis=1)
+        clamp_counts[sl] += neg
         return np.where(neg, 0.0, I)
 
     ens = _integrate(I0, spec.n, T, dtau, record_times, n_paths, seed, ACTION_STREAM,
                      step, threads, "action")
     ens.meta.update(system=spec_hash(spec), integrator="euler-maruyama-clamped")
-    ens.extras["clamp_counts"] = clamp_counts
+    ens.extras["clamp_counts"] = clamp_counts.sum(axis=1)
     return ens
 
 
@@ -555,7 +603,9 @@ def moment_diagnostic(spec: SystemSpec, v0, T, dtau, n_paths, seed,
     ens = simulate_perturbed(spec, v0, T, dtau, n_paths, seed,
                              record_times=record_times, threads=threads)
     norms2 = (np.abs(ens.v.values) ** 2).sum(axis=2)
-    powered = norms2 ** m
+    # path-major, so the means over paths below add path by path; over the
+    # node-major layout of the ensemble they would sum pairwise
+    powered = np.power(norms2, m, order="C")
     sup_full = float(powered.mean(axis=0).max())
     sup_half = float(powered[: n_paths // 2].mean(axis=0).max())
     return MomentReport(order=m, sup_moment=sup_full, half_sup_moment=sup_half,

@@ -2,9 +2,23 @@ import numpy as np
 import pytest
 
 from stochavg import acceptance_system, bl_distance_nd, law_from_ensemble, parse_field_expr, sde
-from stochavg.coupling import DELTA, LAMBDA, build_coupled, occupation_time
+from stochavg.averaging import actions_of
+from stochavg.coupling import (
+    DELTA,
+    LAMBDA,
+    RotationEvent,
+    Segment,
+    build_coupled,
+    occupation_time,
+)
 from stochavg.model import Frequencies, SystemSpec
-from stochavg.sde import simulate_cutoff_effective
+from stochavg.sde import (
+    STATE_STREAM,
+    _effective_rule,
+    _integrate,
+    _mark_stops,
+    simulate_cutoff_effective,
+)
 
 V0 = np.array([1.0 + 0.0j, 1.0 + 0.0j])
 
@@ -223,3 +237,116 @@ def test_occupation_strictly_decreasing_in_delta():
     ests = [occupation_time(acts, d, 0, cut.tau_R) for d in (0.2, 0.1, 0.05, 0.025)]
     assert ests[0] > ests[1] > ests[2] > ests[3]
     assert ests[3] < 0.5 * ests[0]
+
+
+# -- the coupled step against its slow form -------------------------------------
+
+def three_mode_spec():
+    n = 3
+    return SystemSpec(
+        freqs=Frequencies((1.0, np.sqrt(2.0), np.sqrt(3.0))),
+        epsilon=0.5,
+        p1=tuple(parse_field_expr(f"-v{k}", n) for k in (1, 2, 3)),
+        psi=tuple(tuple(parse_field_expr("1" if k == l else "0", n) for l in range(n))
+                  for k in range(n)),
+        h=parse_field_expr("abs2(v1)*abs2(v2) + abs2(v2)*abs2(v3)", n),
+        psi_kind="constant",
+    )
+
+
+def slow_coupled(spec, v0, T, dtau, delta, R, n_paths, seed, threads):
+    """``build_coupled`` with a step that recomputes e^{i theta} every step,
+    handles entering paths one row at a time, reduces rows with numpy's
+    ``sum``/``min`` and stacks the next state with ``np.concatenate``."""
+    n = spec.n
+    M = int(round(T / dtau))
+    stop_ref = np.zeros(n_paths, dtype=bool)
+    stop_cpl = np.zeros(n_paths, dtype=bool)
+    tau_R_ref = np.full(n_paths, M * dtau)
+    tau_R_cpl = np.full(n_paths, M * dtau)
+    full = _effective_rule(spec, "full", dtau)
+    modified = _effective_rule(spec, "modified", dtau)
+    in_delta = np.zeros(n_paths, dtype=bool)
+    theta = np.zeros((n_paths, n))
+    seg_start = np.zeros(n_paths, dtype=int)
+    I_cpl = np.empty((n_paths, M + 1, n))
+    I_cpl[:, 0] = actions_of(v0)
+    schedules = [[] for _ in range(n_paths)]
+    rotations = [[] for _ in range(n_paths)]
+    overshoots = np.zeros(n_paths, dtype=int)
+
+    def step(x, db, m, sl):
+        a_ref = full(x[:, :n], db, stop_ref[sl])
+        _mark_stops((a_ref.real**2 + a_ref.imag**2).sum(axis=1) >= R, stop_ref, tau_R_ref,
+                    (m + 1) * dtau, sl)
+        I_ref = actions_of(a_ref)
+        evolved = modified(x[:, n:], db, stop_cpl[sl])
+        d = in_delta[sl]
+        a_cpl = np.where(d[:, None], np.exp(1j * theta[sl]) * a_ref, evolved)
+        I_new = np.where(d[:, None], I_ref, actions_of(a_cpl))
+        _mark_stops(2.0 * I_new.sum(axis=1) >= R, stop_cpl, tau_R_cpl, (m + 1) * dtau, sl)
+        min_I = I_new.min(axis=1)
+        down = ~d & (min_I <= delta)
+        up = d & (min_I >= 2.0 * delta)
+        for p in np.where(down)[0]:
+            q = sl.start + p
+            th = np.angle(a_cpl[p]) - np.angle(a_ref[p])
+            rotations[q].append(RotationEvent(node=m + 1, theta=th.copy(),
+                                              pre_jump=a_cpl[p].copy()))
+            schedules[q].append(Segment(LAMBDA, int(seg_start[q]), m + 1))
+            seg_start[q] = m + 1
+            theta[q] = th
+            a_cpl[p] = np.exp(1j * th) * a_ref[p]
+            I_new[p] = I_ref[p]
+            if I_ref[p].min() > 2.0 * delta:
+                overshoots[q] += 1
+        for q in sl.start + np.where(up)[0]:
+            schedules[q].append(Segment(DELTA, int(seg_start[q]), m + 1))
+            seg_start[q] = m + 1
+        in_delta[sl] = (d | down) & ~up
+        I_cpl[sl, m + 1] = I_new
+        return np.concatenate([a_ref, a_cpl], axis=1)
+
+    states = _integrate(np.concatenate([v0, v0]), n, T, dtau, None, n_paths, seed,
+                        STATE_STREAM, step, threads, "coupled")
+    for p in range(n_paths):
+        if seg_start[p] < M:
+            schedules[p].append(Segment(DELTA if in_delta[p] else LAMBDA, int(seg_start[p]), M))
+    return dict(states=states.values, I_cpl=I_cpl, schedules=schedules, rotations=rotations,
+                tau_R_ref=tau_R_ref, tau_R_cpl=tau_R_cpl, overshoots=int(overshoots.sum()))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.ascontiguousarray(a).tobytes() \
+        == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("system, R", [("acceptance", 16.0), ("acceptance", 2.3),
+                                       ("three_mode", 16.0)])
+def test_coupled_step_matches_slow_form_bitwise(monkeypatch, system, R, threads):
+    # 256 paths in chunks of 64: four chunks, spread over threads when asked
+    monkeypatch.setattr(sde, "_CHUNK_BYTES", 1)
+    spec = acceptance_system() if system == "acceptance" else three_mode_spec()
+    v0 = np.ones(spec.n, dtype=complex)
+    args = (spec, v0, 0.5, 1e-3, 0.1, R, 256, 9)
+    res = build_coupled(*args, threads=threads)
+    slow = slow_coupled(*args, threads)
+    n = spec.n
+    assert _same_bits(res.reference_states.values, slow["states"][:, :, :n])
+    assert _same_bits(res.coupled_states.values, slow["states"][:, :, n:])
+    assert _same_bits(res.reference_actions.values, actions_of(slow["states"][:, :, :n]))
+    assert _same_bits(res.coupled_actions.values, slow["I_cpl"])
+    assert res.schedules == slow["schedules"]
+    assert _same_bits(res.tau_R_ref, slow["tau_R_ref"])
+    assert _same_bits(res.tau_R_cpl, slow["tau_R_cpl"])
+    assert res.overshoots == slow["overshoots"]
+    entries = 0
+    for fast_events, slow_events in zip(res.rotations, slow["rotations"]):
+        assert [e.node for e in fast_events] == [e.node for e in slow_events]
+        for e, f in zip(fast_events, slow_events):
+            assert _same_bits(e.theta, f.theta) and _same_bits(e.pre_jump, f.pre_jump)
+        entries += len(fast_events)
+    assert entries > 20
+    if R < 16.0:
+        assert (res.tau_R_ref < 0.5).mean() > 0.5 and (res.tau_R_cpl < 0.5).mean() > 0.5

@@ -4,7 +4,9 @@ import pytest
 from stochavg import averaging, parse_field_expr, ParseError
 from stochavg import expr as ex
 from stochavg.errors import NonPolynomialError
-from stochavg.poly import Polynomial, as_poly, from_expr
+from stochavg.acceptance import _random_monomial_poly
+from stochavg.averaging import ActionPolynomial
+from stochavg.poly import Polynomial, as_poly, evaluate_entries, from_expr
 
 
 def rand_points(rng, count, n):
@@ -189,3 +191,75 @@ def test_polynomial_evaluate_shapes_and_zero():
     np.testing.assert_array_equal(out, 2 * pts[..., 0] * np.conj(pts[..., 1]) - 1j)
     zero = Polynomial.zero(2).evaluate(pts)
     assert zero.shape == (3, 4) and zero.dtype == complex and not zero.any()
+
+
+# -- shared power table against per-entry evaluation --------------------------------
+
+def monomial_sum(expos, coeffs, column, zero):
+    """Per-call power table: each term multiplies its powers in column order
+    and adds its scaled product to the running sum."""
+    out = zero
+    rows = expos.tolist()
+    powers = []
+    for j, top in enumerate(map(max, zip(*rows))):
+        col = [None, column(j)] if top else None
+        for _ in range(top - 1):
+            col.append(col[-1] * col[1])
+        powers.append(col)
+    for row, c in zip(rows, coeffs):
+        t = None
+        for j, e in enumerate(row):
+            if e:
+                t = powers[j][e] if t is None else t * powers[j][e]
+        out = out + (c if t is None else c * t)
+    return out
+
+
+def _evaluate_alone(p, x):
+    if isinstance(p, Polynomial):
+        v, n = np.asarray(x, dtype=complex), p.n
+        expos = np.array([a + b for a, b in p.terms], dtype=int).reshape(len(p.terms), 2 * n)
+        return monomial_sum(expos, list(p.terms.values()),
+                            lambda j: v[..., j] if j < n else np.conj(v[..., j - n]),
+                            np.zeros(v.shape[:-1], dtype=complex))
+    x = 2.0 * np.asarray(x, dtype=float)
+    return monomial_sum(p.expos, p.coeffs, lambda j: x[..., j], np.zeros(x.shape[:-1]))
+
+
+def _entries_alone(polys, x):
+    if hasattr(polys, "evaluate"):
+        return _evaluate_alone(polys, x)
+    return np.stack([_entries_alone(p, x) for p in polys], axis=np.ndim(x) - 1)
+
+
+def _random_action_poly(rng, n):
+    terms = int(rng.integers(1, 5))
+    expos = rng.integers(0, 3, (terms, n))
+    for row in expos:  # degree <= 4 in v, so total exponent <= 2 in I
+        while row.sum() > 2:
+            row[int(np.argmax(row))] -= 1
+    return ActionPolynomial(n, rng.standard_normal(terms), expos)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["poly", "action"])
+def test_shared_table_matches_entry_by_entry_bitwise(n, kind):
+    rng = np.random.default_rng(100 * n + len(kind))
+    for _ in range(6):
+        if kind == "poly":
+            make = lambda: _random_monomial_poly(rng, n, degree=4)
+            batch = rand_points(rng, 7, n)
+            points = [batch, batch.reshape(7, 1, n), batch[0], batch[:, ::-1][3]]
+        else:
+            make = lambda: _random_action_poly(rng, n)
+            batch = rng.random((7, n))
+            points = [batch, batch.reshape(7, 1, n), batch[0], 2.0 * batch[5]]
+        flat = tuple(make() for _ in range(n))
+        nest = ((make(), make()), (make(), make()))
+        if kind == "poly":
+            flat += (Polynomial.zero(n), Polynomial.const(2.5 - 1j, n))
+        for polys in (flat, nest, flat[0]):
+            for x in points:  # batched, and single points (0-d columns)
+                got, want = evaluate_entries(polys, x), _entries_alone(polys, x)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()

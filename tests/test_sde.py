@@ -44,6 +44,48 @@ def test_noise_reproducible_from_lineage():
     assert not np.array_equal(a, c)
 
 
+def test_noise_written_into_a_block_equals_the_scaled_draws():
+    dtau = 0.01
+    z = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(3, 0))) \
+        .standard_normal((100, 4))
+    want = np.sqrt(dtau) * (z[:, :2] + 1j * z[:, 2:])
+    block = np.zeros((2, 100, 2), dtype=complex)
+    got = NoisePath(42, 3, 0, dtau).complex_increments(100, 2, out=block[1])
+    assert np.shares_memory(got, block)
+    assert block[1].tobytes() == want.tobytes() and not block[0].any()
+    assert NoisePath(42, 3, 0, dtau).complex_increments(100, 2).tobytes() == want.tobytes()
+    real = np.empty((100, 4))
+    NoisePath(42, 3, 0, dtau).real_increments(100, 4, out=real)
+    assert real.tobytes() == (np.sqrt(dtau) * z).tobytes()
+    assert NoisePath(42, 3, 0, dtau).real_increments(100, 4).tobytes() == real.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_row_reduce_is_numpy_reduce_bitwise(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((500, n)) * 10.0 ** rng.integers(-8, 9, (500, n))
+    assert sde._row_reduce(np.add, x).tobytes() == x.sum(axis=1).tobytes()
+    assert sde._row_reduce(np.minimum, x).tobytes() == x.min(axis=1).tobytes()
+    fold = x[:, 0]
+    for j in range(1, n):
+        fold = fold + x[:, j]
+    # numpy sums 8 or more elements pairwise, so from 8 columns on the
+    # helper reduces as numpy does rather than column by column
+    assert np.array_equal(fold, x.sum(axis=1)) == (n <= 7)
+
+
+def test_ensembles_are_views_of_node_major_records():
+    spec = acceptance_system()
+    ens = simulate_effective(spec, "full", np.array([1 + 0j, 1 + 0j]), T=0.1, dtau=1e-3,
+                             n_paths=5, seed=0)
+    assert ens.values.shape == (5, 101, 2) and not ens.values.flags.c_contiguous
+    assert ens.values.transpose(1, 0, 2).flags.c_contiguous
+    act = simulate_action_sde(spec, np.array([0.5, 1e-3]), T=0.1, dtau=1e-3, n_paths=5,
+                              seed=0)
+    assert act.values.transpose(1, 0, 2).flags.c_contiguous
+    assert act.extras["clamp_counts"].shape == (5,) and act.extras["clamp_counts"].sum() > 0
+
+
 def test_noise_variance_normalization():
     # E|dbeta|^2 = 2 dtau per complex increment
     dtau = 0.01
@@ -91,6 +133,7 @@ def test_perturbed_modulus_identity():
     spec = acceptance_system(epsilon=0.2)
     ens = simulate_perturbed(spec, np.array([1 + 0j, 1 + 0j]), T=0.5, dtau=1e-3,
                              n_paths=8, seed=5)
+    assert "a" not in vars(ens)  # the interaction representation is built on first use
     gap = np.abs(np.abs(ens.a.values) - np.abs(ens.v.values))
     assert gap.max() <= 4 * np.finfo(float).eps * np.abs(ens.v.values).max()
     # actions are read off v, so the two ensembles share actions exactly
