@@ -24,7 +24,7 @@ a = np.array([1.0 + 0.5j, -0.3 + 1.2j])
 print("== parsing and canonical form ==")
 drift = parse_field_expr("-v1 + 1.8*v2 + i*v1*abs2(v2)", n)
 print(f"expression : {drift}")
-print(f"monomials  : {from_expr(drift, n)}")
+print(f"monomials  : {from_expr(drift, n)!r}")
 print(f"value at a : {from_expr(drift, n).evaluate(a):.6f}")
 
 print()

@@ -260,6 +260,22 @@ class Polynomial:
     def __hash__(self):
         return hash((self.n, tuple(self.sorted_terms())))
 
+    def __str__(self):
+        """The polynomial in the expression grammar of :mod:`stochavg.expr`:
+        one ``coefficient*monomial`` per term in sorted order, with float-repr
+        coefficients, ``(a + b*i)`` for a complex one and a unary minus for a
+        negative one, so parsing the text gives back equal terms.  A
+        non-finite coefficient has no such text and raises ValueError."""
+        terms = []
+        for (a, b), c in self.sorted_terms():
+            mono, c = monomial_text(a, b), complex(c)
+            if not np.isfinite(c):
+                raise ValueError(f"coefficient {c} of {mono} is not finite")
+            coef = (f"({_signed(c.real)} {'-' if c.imag < 0 else '+'} {abs(c.imag)!r}*i)"
+                    if c.imag else _signed(c.real))
+            terms.append(coef if mono == "1" else f"{coef}*{mono}")
+        return " + ".join(terms) or "0"
+
     def __repr__(self):
         if not self.terms:
             return "Polynomial(0)"
@@ -268,6 +284,11 @@ class Polynomial:
             mono = monomial_text(a, b)
             bits.append(f"({c:g})" if mono == "1" else f"({c:g}){mono}")
         return "Polynomial(" + " + ".join(bits) + ")"
+
+
+def _signed(x):
+    """A real number in the grammar, which has only nonnegative literals."""
+    return f"-{-x!r}" if x < 0 else repr(x)
 
 
 def monomial_text(alpha, beta):

@@ -1,8 +1,8 @@
 """Path simulation for the perturbed system and its averaged companions.
 
 Every process runs through one driver, ``_integrate``.  It owns the grid
-and the recorded nodes, draws each path's noise up front, fans chunks of
-paths out to threads, silences overflow warnings and raises
+and the recorded nodes, streams each path's noise in blocks of steps, fans
+chunks of paths out to threads, silences overflow warnings and raises
 ``NonFiniteError`` at the first step where a path leaves the finite range.
 A process is a step function ``step(x, dW, m, sl)`` that advances the states
 ``x`` of the paths ``sl`` from node m to node m + 1; per-path counters
@@ -53,9 +53,9 @@ from .poly import evaluate_entries
 STATE_STREAM = 0
 ACTION_STREAM = 1
 
-# noise pregeneration memory budget per chunk (bytes of complex increments)
-_CHUNK_BYTES = 128 << 20
-_MIN_CHUNK = 64
+# paths per chunk, and steps of each path's noise that a chunk holds at a time
+_CHUNK_PATHS = 4096
+_BLOCK_STEPS = 256
 
 
 class NoisePath:
@@ -64,7 +64,7 @@ class NoisePath:
     Complex increments have independent real and imaginary parts of variance
     dtau each, so E|dbeta_l|^2 = 2 dtau.  Draw order is fixed: one
     standard-normal block of shape (steps, 2*n1) per request, first half real
-    parts, second half imaginary parts.
+    parts, second half imaginary parts; consecutive requests continue one stream.
     """
 
     def __init__(self, master_seed, path_index, stream_id, dtau):
@@ -72,24 +72,23 @@ class NoisePath:
         self.path_index = path_index
         self.stream_id = stream_id
         self.dtau = float(dtau)
+        self._scale = np.sqrt(self.dtau)
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(path_index, stream_id))
         self._rng = np.random.default_rng(seq)
 
     def complex_increments(self, steps, n1, out=None):
         """Complex increments of shape (steps, n1), written into ``out`` if given."""
         z = self._rng.standard_normal((steps, 2 * n1))
+        z *= self._scale  # then copied: numpy copies into a strided out faster than a ufunc
         if out is None:
             out = np.empty((steps, n1), dtype=complex)
-        scale = np.sqrt(self.dtau)
-        np.multiply(scale, z[:, :n1], out=out.real)
-        np.multiply(scale, z[:, n1:], out=out.imag)
+        out.real = z[:, :n1]
+        out.imag = z[:, n1:]
         return out
 
     def real_increments(self, steps, n, out=None):
         """Real increments of shape (steps, n), written into ``out`` if given."""
-        out = self._rng.standard_normal((steps, n), out=out)
-        out *= np.sqrt(self.dtau)
-        return out
+        return np.multiply(self._scale, self._rng.standard_normal((steps, n)), out=out)
 
 
 @dataclass
@@ -243,9 +242,9 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
                threads=1, what="path"):
     """Run ``step`` from x0 over the grid of M = T/dtau steps for n_paths paths.
 
-    Path p draws its (M, width) noise block from NoisePath(seed, p, stream):
-    real increments on ACTION_STREAM, complex ones otherwise.  Paths go in
-    chunks sized by the noise budget, on up to ``threads`` threads.
+    Path p draws its increments from NoisePath(seed, p, stream), real on
+    ACTION_STREAM, complex otherwise, _BLOCK_STEPS at a time into a node-major
+    block.  Paths go in chunks of _CHUNK_PATHS, on up to ``threads`` threads.
     ``step(x, dW, m, sl)`` gets the states x, of shape (len(sl), k), of the
     paths in slice ``sl`` at node m and their increments dW, and returns
     their states at node m + 1 (it may reuse x for them).  Returns the
@@ -263,20 +262,23 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
     x0 = np.asarray(x0)
     out = np.empty((rec.size, n_paths, x0.size), dtype=x0.dtype)
     real = stream == ACTION_STREAM
-    draw = "real_increments" if real else "complex_increments"
+    draw = getattr(NoisePath, "real_increments" if real else "complex_increments")
 
     def run(sl):
-        noise = _noise_block((sl.stop - sl.start, M, width), float if real else complex)
-        for p in range(sl.start, sl.stop):
-            getattr(NoisePath(seed, p, stream, dtau), draw)(M, width, out=noise[p - sl.start])
-        x = np.broadcast_to(x0, (sl.stop - sl.start, x0.size)).copy()
+        paths = [NoisePath(seed, p, stream, dtau) for p in range(sl.start, sl.stop)]
+        block = _noise_block((_BLOCK_STEPS, len(paths), width), float if real else complex)
+        x = np.broadcast_to(x0, (len(paths), x0.size)).copy()
         if 0 in slot:
             out[slot[0], sl] = x
         # non-finite states are raised as NonFiniteError; the warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(M):
+                if m % _BLOCK_STEPS == 0:
+                    n = min(_BLOCK_STEPS, M - m)
+                    for i, path in enumerate(paths):
+                        draw(path, n, width, out=block[:n, i])
                 try:
-                    x = step(x, noise[:, m], m, sl)
+                    x = step(x, block[m % _BLOCK_STEPS], m, sl)
                 except NotPSDError as err:
                     if err.row is None:
                         raise
@@ -290,8 +292,7 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
                 if j is not None:
                     out[j, sl] = x
 
-    size = max(_MIN_CHUNK, int(_CHUNK_BYTES / max(1, M * width * 16)))
-    chunks = [slice(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    chunks = [slice(lo, min(lo + _CHUNK_PATHS, n_paths)) for lo in range(0, n_paths, _CHUNK_PATHS)]
     if threads <= 1 or len(chunks) <= 1:
         for sl in chunks:
             run(sl)

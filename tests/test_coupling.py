@@ -198,7 +198,7 @@ def test_reference_half_is_the_cutoff_run_bitwise(monkeypatch, R, threads):
     # couple-demo reads occupation times off the reference half instead of
     # re-running the cut-off effective equation; small chunks put the
     # paths on several threads
-    monkeypatch.setattr(sde, "_CHUNK_BYTES", 1 << 20)
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", 64)
     spec = acceptance_system()
     res = build_coupled(spec, V0, T=1.0, dtau=1e-3, delta=0.1, R=R, n_paths=200,
                         seed=(4, 1), threads=threads)
@@ -326,7 +326,7 @@ def _same_bits(a, b):
                                        ("three_mode", 16.0)])
 def test_coupled_step_matches_slow_form_bitwise(monkeypatch, system, R, threads):
     # 256 paths in chunks of 64: four chunks, spread over threads when asked
-    monkeypatch.setattr(sde, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", 64)
     spec = acceptance_system() if system == "acceptance" else three_mode_spec()
     v0 = np.ones(spec.n, dtype=complex)
     args = (spec, v0, 0.5, 1e-3, 0.1, R, 256, 9)

@@ -101,6 +101,30 @@ def test_print_reparse_roundtrip(text, n):
                                rtol=1e-12, atol=1e-14)
 
 
+def _random_coefficient(rng):
+    """A complex, real, negative or imaginary number of size 1e-300 to 1e300."""
+    c = complex(rng.standard_normal(), rng.standard_normal()) * 10.0 ** rng.integers(-300, 301)
+    return [c, complex(c.real), complex(-abs(c.real)), complex(0.0, c.imag)][rng.integers(4)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_polynomial_text_reparses_to_equal_terms(n):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        p = _random_monomial_poly(rng, n, degree=4)
+        p = Polynomial(n, {key: _random_coefficient(rng) for key in p.terms})
+        p = p + Polynomial.const(_random_coefficient(rng), n)
+        assert from_expr(parse_field_expr(str(p), n), n).terms == p.terms
+    assert str(Polynomial.zero(n)) == "0"
+    assert str(Polynomial.var(1, n) * -2.5 + (1 - 0.5j)) == "(1.0 - 0.5*i) + -2.5*v1"
+
+
+@pytest.mark.parametrize("c", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
+def test_polynomial_text_rejects_nonfinite_coefficients(c):
+    with pytest.raises(ValueError, match="not finite"):
+        str(Polynomial(1, {((1,), (0,)): complex(c)}))
+
+
 def test_to_polynomial_abs2_times_var():
     p = from_expr(parse_field_expr("abs2(v1)*v1", 1), 1)
     assert p.terms == {((2,), (1,)): 1.0 + 0j}

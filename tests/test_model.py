@@ -251,6 +251,23 @@ def test_config_parses_and_roundtrips(tmp_path):
     assert spec_hash(cfg3.spec) == spec_hash(cfg.spec)
 
 
+def _one_mode_spec(drift):
+    return SystemSpec(freqs=Frequencies((1.0,)), epsilon=0.2, p1=(drift,),
+                      psi=((Polynomial.const(1.0, 1),),), psi_kind="constant")
+
+
+def test_spec_hash_tells_polynomial_coefficients_apart():
+    # both drifts once printed as Polynomial((0.123456+0j)v1)
+    a, b = (_one_mode_spec(Polynomial.var(1, 1) * c) for c in (0.1234561, 0.1234562))
+    assert spec_hash(a) != spec_hash(b)
+    for spec in (a, b):
+        again = parse_system_text(system_to_text(spec)).spec
+        assert from_expr(again.p1[0], 1).terms == spec.p1[0].terms
+        assert spec_hash(again) == spec_hash(spec)
+    # specs built from parse trees print as before
+    assert spec_hash(acceptance_system()) == "e2aad101f3b46bca"
+
+
 def test_config_requires_header():
     with pytest.raises(ConfigError):
         parse_system_text(CONFIG.replace("format = 1", "format = 2"))

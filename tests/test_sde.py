@@ -60,6 +60,21 @@ def test_noise_written_into_a_block_equals_the_scaled_draws():
     assert NoisePath(42, 3, 0, dtau).real_increments(100, 4).tobytes() == real.tobytes()
 
 
+@pytest.mark.parametrize("draw, dtype", [("complex_increments", complex),
+                                         ("real_increments", float)])
+def test_consecutive_requests_continue_one_stream(draw, dtype):
+    whole = getattr(NoisePath(42, 3, 0, 0.01), draw)(200, 2)
+    fill = getattr(NoisePath(42, 3, 0, 0.01), draw)
+    block = np.zeros((100, 3, 2), dtype=dtype)  # node-major: (steps, paths, width)
+    parts = []
+    for steps in (37, 63, 100):
+        got = fill(steps, 2, out=block[:steps, 1])
+        assert np.shares_memory(got, block)
+        parts.append(block[:steps, 1].copy())
+    assert not block[:, 0].any() and not block[:, 2].any()
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("n", range(1, 12))
 def test_row_reduce_is_numpy_reduce_bitwise(n):
     rng = np.random.default_rng(n)
@@ -143,8 +158,7 @@ def test_perturbed_modulus_identity():
 def _assert_thread_invariant(monkeypatch, run):
     """``run(threads)`` gives bitwise the same ensemble on 1 and 2 threads
     with the paths split into chunks of at most 8."""
-    monkeypatch.setattr(sde, "_CHUNK_BYTES", 1)
-    monkeypatch.setattr(sde, "_MIN_CHUNK", 8)
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", 8)
     starts = set()
     check = sde._check_finite
 
@@ -199,8 +213,7 @@ def test_smooth_psi_closed_form_sqrt_matches_eigh_path(monkeypatch, system):
 
 def test_not_psd_inside_integrator_names_path_and_time(monkeypatch):
     # chunks of 3 paths: path 5 is row 2 of the second chunk
-    monkeypatch.setattr(sde, "_CHUNK_BYTES", 1)
-    monkeypatch.setattr(sde, "_MIN_CHUNK", 3)
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", 3)
 
     def step(x, db, m, sl):
         A = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
@@ -215,6 +228,91 @@ def test_not_psd_inside_integrator_names_path_and_time(monkeypatch):
     assert err.value.time == pytest.approx(4e-3)
     assert err.value.min_eigenvalue == pytest.approx(-0.25)
     assert "probe path 5" in str(err.value) and "tau=0.004" in str(err.value)
+
+
+@pytest.mark.parametrize("error", [NotPSDError, NonFiniteError])
+def test_errors_at_the_first_step_of_a_block_name_path_and_time(monkeypatch, error):
+    # blocks of 7 steps: step 7 is the first of the second block; path 5 is
+    # row 2 of the second chunk of 3
+    monkeypatch.setattr(sde, "_BLOCK_STEPS", 7)
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", 3)
+
+    def step(x, db, m, sl):
+        bad = m == 7 and sl.start <= 5 < sl.stop
+        A = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
+        if bad and error is NotPSDError:
+            A[5 - sl.start] = np.diag([1.0, -0.25])
+        x = x + np.einsum("pkl,pl->pk", averaging.principal_sqrt_batched(A), db)
+        if bad and error is NonFiniteError:
+            x[5 - sl.start, 1] = np.inf
+        return x
+
+    with pytest.raises(error) as err:
+        sde._integrate(np.zeros(2, dtype=complex), 2, T=0.02, dtau=1e-3, record_times=None,
+                       n_paths=8, seed=0, stream=sde.STATE_STREAM, step=step, what="probe")
+    # a bad dispersion is dated by the state that gave it, a non-finite
+    # state by its own node
+    t = 7e-3 if error is NotPSDError else 8e-3
+    assert err.value.path_index == 5
+    assert err.value.time == pytest.approx(t)
+    assert "probe path 5" in str(err.value) and f"tau={t:g}" in str(err.value)
+
+
+def _block_run(kind, threads):
+    """Arrays of one small run of ``kind`` that records nodes 3, 9, 50 and
+    100 of its 100 steps, none of them the last node of a block of 7."""
+    spec = acceptance_system(epsilon=0.2)
+    v0 = np.array([1 + 0j, 0.5j])
+    rec = [0.0, 0.003, 0.009, 0.05, 0.1]
+    kw = dict(T=0.1, dtau=1e-3, n_paths=20, seed=11, threads=threads)
+    if kind == "perturbed":
+        return [simulate_perturbed(spec, v0, record_times=rec, **kw).v.values]
+    if kind == "effective":
+        return [simulate_effective(_cross_psi_spec(), "full", v0, record_times=rec,
+                                   **kw).values]
+    if kind == "cutoff":
+        cut = simulate_cutoff_effective(spec, "modified", v0, R=1.35, record_times=rec, **kw)
+        assert 0 < cut.paths.extras["stopped"].sum() < 20
+        return [cut.paths.values, cut.tau_R, cut.paths.extras["stopped"]]
+    if kind == "action":
+        ens = simulate_action_sde(_cross_psi_spec(), np.array([0.5, 1e-3]), record_times=rec,
+                                  **kw)
+        assert ens.extras["clamp_counts"].sum() > 0
+        return [ens.values, ens.extras["clamp_counts"]]
+    res = build_coupled(spec, v0, delta=0.1, R=16.0, **kw)
+    assert sum(len(r) for r in res.rotations) > 0
+    return [res.reference_states.values, res.coupled_states.values,
+            res.coupled_actions.values, res.tau_R_ref, res.tau_R_cpl]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["perturbed", "effective", "cutoff", "action", "coupled"])
+def test_noise_blocks_leave_ensembles_bitwise_unchanged(monkeypatch, kind, threads):
+    # 20 paths in chunks of 8, stepped through blocks of 7 steps and then
+    # through one block that holds all 100 steps
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", 8)
+    monkeypatch.setattr(sde, "_BLOCK_STEPS", 7)
+    blocks = _block_run(kind, threads)
+    monkeypatch.setattr(sde, "_BLOCK_STEPS", 100)
+    whole = _block_run(kind, threads)
+    for a, b in zip(blocks, whole):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_noise_block_does_not_grow_with_the_horizon(monkeypatch):
+    shapes = []
+    make = sde._noise_block
+
+    def spy(shape, dtype):
+        shapes.append(shape)
+        return make(shape, dtype)
+
+    monkeypatch.setattr(sde, "_noise_block", spy)
+    spec = acceptance_system()
+    for T in (0.3, 3.0):
+        simulate_effective(spec, "full", np.array([1 + 0j, 1 + 0j]), T=T, dtau=1e-3,
+                           n_paths=50, seed=0, record_times=[T])
+    assert shapes == [(256, 50, 2)] * 2
 
 
 def test_perturbed_nonfinite_reports_path_index():
