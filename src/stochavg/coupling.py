@@ -24,9 +24,13 @@ only in distribution (weak uniqueness of the action equation away from the
 boundary); the artifact asserts exact equality on Delta-segments and
 distributional closeness elsewhere.
 
-Like the ensembles of ``sde``, the state and action ensembles of a
-``CoupledResult`` are (paths, nodes, k) views of node-major arrays, not
-C-contiguous.
+The construction keeps what its readers use: the actions of both processes
+at every grid node, the schedules, rotations and stopping times.  The
+stacked complex states are kept at the final node only; the step writes the
+reference actions it already computes into a node-major array beside the
+coupled ones, so nothing is derived from recorded states afterwards.  Like
+the ensembles of ``sde``, the action ensembles of a ``CoupledResult`` are
+(paths, nodes, k) views of node-major arrays, not C-contiguous.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ from .sde import (
 LAMBDA = "lambda"
 DELTA = "delta"
 
+# paths per block of the occupation sums
+_OCCUPATION_ROWS = 256
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -73,6 +80,14 @@ class RotationEvent:
 
 @dataclass
 class CoupledResult:
+    """Output of ``build_coupled``.
+
+    ``times`` is the full grid; ``coupled_actions`` and ``reference_actions``
+    hold every path's actions at all of its nodes.  ``coupled_states`` and
+    ``reference_states`` hold the complex states at the final node T only
+    (``times == [T]``); a state before T is not kept.
+    """
+
     times: np.ndarray
     coupled_actions: PathEnsemble
     reference_actions: PathEnsemble
@@ -127,8 +142,10 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
     in_delta = np.zeros(n_paths, dtype=bool)
     rot = np.zeros((n_paths, n), dtype=complex)  # e^{i theta} of the current Delta-segment
     seg_start = np.zeros(n_paths, dtype=int)
-    I_cpl = np.empty((M + 1, n_paths, n))  # node-major, like the recorded states
-    I_cpl[0] = I0
+    # node-major, like the states the driver records
+    I_ref_rec = np.empty((M + 1, n_paths, n))
+    I_cpl = np.empty((M + 1, n_paths, n))
+    I_ref_rec[0] = I_cpl[0] = I0
     schedules: List[List[Segment]] = [[] for _ in range(n_paths)]
     rotations: List[List[RotationEvent]] = [[] for _ in range(n_paths)]
     overshoot_counts = np.zeros(n_paths, dtype=int)
@@ -168,29 +185,33 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
             schedules[r].append(Segment(DELTA, int(seg_start[r]), m + 1))
             seg_start[r] = m + 1
         in_delta[sl] = (d | down) & ~up
+        I_ref_rec[m + 1, sl] = I_ref
         I_cpl[m + 1, sl] = I_new
         x[:, :n] = a_ref
         x[:, n:] = a_cpl
         return x
 
-    states = _integrate(np.concatenate([v0, v0]), n, T, dtau, None, n_paths, seed,
-                        STATE_STREAM, step, threads, "coupled")
+    final = _integrate(np.concatenate([v0, v0]), n, T, dtau, [M * dtau], n_paths, seed,
+                       STATE_STREAM, step, threads, "coupled")
     for p in range(n_paths):
         if seg_start[p] < M:
             schedules[p].append(Segment(DELTA if in_delta[p] else LAMBDA, int(seg_start[p]), M))
 
-    times = states.times
-    meta = {**states.meta, "system": spec_hash(spec), "integrator": "coupled-segment-gluing",
+    times = np.arange(M + 1) * dtau
+    meta = {**final.meta, "system": spec_hash(spec), "integrator": "coupled-segment-gluing",
             "delta": delta, "R": R}
-    mk = lambda vals, kind, tag: PathEnsemble(
-        times=times, values=vals, kind=kind, meta={**meta, "process": tag})
-    ref = states.values[:, :, :n]
+    # the actions cover the whole grid, the states only its final node
+    actions = lambda rec, tag: PathEnsemble(
+        times=times, values=rec.transpose(1, 0, 2), kind="action",
+        meta={**meta, "process": tag, "record": None})
+    states = lambda vals, tag: PathEnsemble(
+        times=final.times, values=vals, kind="state", meta={**meta, "process": tag})
     return CoupledResult(
         times=times,
-        coupled_actions=mk(I_cpl.transpose(1, 0, 2), "action", "coupled"),
-        reference_actions=mk(actions_of(ref), "action", "reference"),
-        coupled_states=mk(states.values[:, :, n:], "state", "coupled"),
-        reference_states=mk(ref, "state", "reference"),
+        coupled_actions=actions(I_cpl, "coupled"),
+        reference_actions=actions(I_ref_rec, "reference"),
+        coupled_states=states(final.values[:, :, n:], "coupled"),
+        reference_states=states(final.values[:, :, :n], "reference"),
         schedules=schedules,
         rotations=rotations,
         tau_R_ref=tau_R_ref,
@@ -205,7 +226,9 @@ def occupation_time(action_ens: PathEnsemble, delta, k, tau_R=None) -> float:
     """Monte Carlo estimate of E integral_0^{tau_R} 1{I_k(tau) <= delta} dtau.
 
     Grid quadrature with the left-endpoint rule on the recorded nodes; the
-    optional per-path stopping times truncate the integral.
+    optional per-path stopping times truncate the integral.  The per-path
+    integrals are summed _OCCUPATION_ROWS paths at a time, so no (paths,
+    nodes) temporary is made; a row's sum does not depend on the block.
     """
     if action_ens.kind != "action":
         raise ValueError("occupation_time needs an action ensemble")
@@ -213,12 +236,14 @@ def occupation_time(action_ens: PathEnsemble, delta, k, tau_R=None) -> float:
     if times.size < 2:
         raise ValueError("need at least two recorded nodes")
     dt = np.diff(times)
-    vals = action_ens.values[:, :-1, k]  # left endpoints
-    below = vals <= delta
-    if tau_R is not None:
-        active = times[None, :-1] < np.asarray(tau_R)[:, None]
-        below = below & active
-    return float((below * dt[None, :]).sum(axis=1).mean())
+    per_path = np.empty(action_ens.n_paths)
+    for lo in range(0, per_path.size, _OCCUPATION_ROWS):
+        rows = slice(lo, lo + _OCCUPATION_ROWS)
+        below = action_ens.values[rows, :-1, k] <= delta  # left endpoints
+        if tau_R is not None:
+            below = below & (times[None, :-1] < np.asarray(tau_R)[rows, None])
+        per_path[rows] = (below * dt[None, :]).sum(axis=1)
+    return float(per_path.mean())
 
 
 def export_segments_csv(result: CoupledResult, path):

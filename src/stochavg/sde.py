@@ -56,6 +56,8 @@ ACTION_STREAM = 1
 # paths per chunk, and steps of each path's noise that a chunk holds at a time
 _CHUNK_PATHS = 4096
 _BLOCK_STEPS = 256
+# nodes per block of PathEnsemble.actions
+_ACTION_NODES = 256
 
 
 class NoisePath:
@@ -126,11 +128,18 @@ class PathEnsemble:
         return self.values[:, self.index_of_time(t), :]
 
     def actions(self):
+        """The action ensemble, bitwise ``actions_of(values)`` in the same
+        layout, computed _ACTION_NODES nodes at a time so that its
+        temporaries stay small."""
         if self.kind == "action":
             return self
+        values = np.empty_like(self.values, dtype=float)  # order K: keeps the layout
+        for lo in range(0, values.shape[1], _ACTION_NODES):
+            nodes = slice(lo, lo + _ACTION_NODES)
+            values[:, nodes] = actions_of(self.values[:, nodes])
         return PathEnsemble(
             times=self.times,
-            values=actions_of(self.values),
+            values=values,
             kind="action",
             meta={**self.meta, "derived": "actions"},
             extras=dict(self.extras),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,21 +107,25 @@ def test_rotation_log_matches_in_phase_and_modulus():
     spec = acceptance_system()
     res = build_coupled(spec, V0, T=1.0, dtau=1e-3, delta=0.1, R=16.0,
                         n_paths=32, seed=7)
+    # the coupling keeps states at T only; its reference half is bitwise
+    # this cut-off run, whose states are recorded at every node
+    ref_states = simulate_cutoff_effective(spec, "full", V0, T=1.0, dtau=1e-3, n_paths=32,
+                                           seed=7, R=16.0).paths.values
     checked = 0
     for p, events in enumerate(res.rotations):
         for ev in events:
-            rotated = np.exp(1j * ev.theta) * res.reference_states.values[p, ev.node]
-            stored = res.coupled_states.values[p, ev.node]
+            rotated = np.exp(1j * ev.theta) * ref_states[p, ev.node]
             # the stored entry node IS the rotated copy: moduli match the
             # reference exactly through the copied action row
             np.testing.assert_array_equal(
                 res.coupled_actions.values[p, ev.node],
                 res.reference_actions.values[p, ev.node])
+            np.testing.assert_allclose(res.coupled_actions.values[p, ev.node],
+                                       actions_of(rotated), rtol=1e-12, atol=1e-15)
             # and the rotation reproduces the incoming phases
             phase_gap = np.angle(rotated * np.conj(ev.pre_jump))
             mask = np.abs(ev.pre_jump) > 1e-12
             assert np.abs(phase_gap[mask]).max() <= 1e-9
-            np.testing.assert_allclose(stored, rotated, rtol=1e-12, atol=1e-15)
             checked += 1
     assert checked > 10
 
@@ -204,14 +210,61 @@ def test_reference_half_is_the_cutoff_run_bitwise(monkeypatch, R, threads):
                         seed=(4, 1), threads=threads)
     cut = simulate_cutoff_effective(spec, "full", V0, T=1.0, dtau=1e-3, n_paths=200,
                                     seed=(4, 1), R=R, threads=threads)
-    np.testing.assert_array_equal(res.reference_states.values, cut.paths.values)
+    # the coupling keeps states at T only, and actions at every node
+    np.testing.assert_array_equal(res.reference_states.times, cut.paths.times[-1:])
+    np.testing.assert_array_equal(res.reference_states.values, cut.paths.values[:, -1:])
     np.testing.assert_array_equal(res.reference_actions.values, cut.actions().values)
     np.testing.assert_array_equal(res.tau_R_ref, cut.tau_R)
     stopped = cut.paths.extras["stopped"].mean()
     assert stopped > 0.9 if R < 16.0 else stopped < 0.1
 
 
+def test_build_coupled_keeps_no_all_node_states():
+    # the stacked (reference, coupled) states at all 1001 nodes of 400 paths
+    # would take 1001 * 400 * 4 complex entries, 24.4 MiB, on their own
+    all_node_states = 1001 * 400 * 4 * 16
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        build_coupled(acceptance_system(), V0, T=1.0, dtau=1e-3, delta=0.1, R=16.0,
+                      n_paths=400, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < all_node_states
+
+
 # -- occupation time ---------------------------------------------------------------
+
+def _occupation_one_shot(ens, delta, k, tau_R=None):
+    """``occupation_time`` over all paths at once, through a (paths, nodes)
+    temporary."""
+    times = ens.times
+    below = ens.values[:, :-1, k] <= delta
+    if tau_R is not None:
+        below = below & (times[None, :-1] < np.asarray(tau_R)[:, None])
+    return float((below * np.diff(times)[None, :]).sum(axis=1).mean())
+
+
+def test_occupation_blocks_match_the_one_shot_sum_bitwise():
+    # 300 paths: a block of 256 and one of 44; R = 3 stops most paths early.
+    # numpy sums a row pairwise in one layout and element by element in the
+    # other, so both layouts are checked
+    spec = acceptance_system()
+    cut = simulate_cutoff_effective(spec, "full", V0, T=2.0, dtau=1e-3, n_paths=300,
+                                    seed=6, R=3.0)
+    assert 0.2 < cut.paths.extras["stopped"].mean() < 1.0
+    acts = cut.actions()
+    path_major = sde.PathEnsemble(times=acts.times, values=np.ascontiguousarray(acts.values),
+                                  kind="action", meta=acts.meta)
+    for ens in (acts, path_major):
+        for k in (0, 1):
+            for delta in (0.4, 0.2, 0.1, 0.05):
+                for tau_R in (None, cut.tau_R):
+                    got = occupation_time(ens, delta, k, tau_R)
+                    assert got > 0.0
+                    assert got == _occupation_one_shot(ens, delta, k, tau_R)
+
 
 def test_occupation_zero_threshold():
     spec = acceptance_system()
@@ -333,8 +386,9 @@ def test_coupled_step_matches_slow_form_bitwise(monkeypatch, system, R, threads)
     res = build_coupled(*args, threads=threads)
     slow = slow_coupled(*args, threads)
     n = spec.n
-    assert _same_bits(res.reference_states.values, slow["states"][:, :, :n])
-    assert _same_bits(res.coupled_states.values, slow["states"][:, :, n:])
+    # states at T, actions at every node
+    assert _same_bits(res.reference_states.values, slow["states"][:, -1:, :n])
+    assert _same_bits(res.coupled_states.values, slow["states"][:, -1:, n:])
     assert _same_bits(res.reference_actions.values, actions_of(slow["states"][:, :, :n]))
     assert _same_bits(res.coupled_actions.values, slow["I_cpl"])
     assert res.schedules == slow["schedules"]

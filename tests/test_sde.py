@@ -258,6 +258,19 @@ def test_errors_at_the_first_step_of_a_block_name_path_and_time(monkeypatch, err
     assert "probe path 5" in str(err.value) and f"tau={t:g}" in str(err.value)
 
 
+def test_actions_match_actions_of_bitwise_in_the_same_layout():
+    # 601 nodes: two blocks of 256 nodes and one of 89
+    spec = acceptance_system(epsilon=0.2)
+    v0 = np.array([1 + 0j, 0.5j])
+    kw = dict(T=0.6, dtau=1e-3, n_paths=30, seed=4)
+    pert = simulate_perturbed(spec, v0, **kw)
+    for ens in (simulate_effective(spec, "full", v0, **kw), pert.v, pert.a):
+        got = ens.actions().values
+        want = averaging.actions_of(ens.values)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
 def _block_run(kind, threads):
     """Arrays of one small run of ``kind`` that records nodes 3, 9, 50 and
     100 of its 100 steps, none of them the last node of a block of 7."""
@@ -282,7 +295,8 @@ def _block_run(kind, threads):
     res = build_coupled(spec, v0, delta=0.1, R=16.0, **kw)
     assert sum(len(r) for r in res.rotations) > 0
     return [res.reference_states.values, res.coupled_states.values,
-            res.coupled_actions.values, res.tau_R_ref, res.tau_R_cpl]
+            res.reference_actions.values, res.coupled_actions.values, res.tau_R_ref,
+            res.tau_R_cpl]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
