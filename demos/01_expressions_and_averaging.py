@@ -1,10 +1,10 @@
 """Expressions, torus averaging, and the averaged diffusion matrix.
 
-Walks through the expression grammar, converts to the canonical monomial
-form, and shows the resonance selection rule at work: averaging a scalar
-keeps the monomials with matched exponents, averaging a field component k
-keeps those whose exponent gap is the unit vector e_k, and everything else
-integrates to zero against its rotating phase.
+Walks through the expression grammar, which parses to the canonical
+monomial form, and shows the resonance selection rule at work: averaging a
+scalar keeps the monomials with matched exponents, averaging a field
+component k keeps those whose exponent gap is the unit vector e_k, and
+everything else integrates to zero against its rotating phase.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from stochavg import (
     parse_field_expr,
     principal_sqrt,
 )
-from stochavg.poly import from_expr
 
 n = 2
 a = np.array([1.0 + 0.5j, -0.3 + 1.2j])
@@ -24,8 +23,8 @@ a = np.array([1.0 + 0.5j, -0.3 + 1.2j])
 print("== parsing and canonical form ==")
 drift = parse_field_expr("-v1 + 1.8*v2 + i*v1*abs2(v2)", n)
 print(f"expression : {drift}")
-print(f"monomials  : {from_expr(drift, n)!r}")
-print(f"value at a : {from_expr(drift, n).evaluate(a):.6f}")
+print(f"monomials  : {drift!r}")
+print(f"value at a : {drift.evaluate(a):.6f}")
 
 print()
 print("== scalar averaging: only matched exponents survive ==")

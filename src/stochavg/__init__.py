@@ -23,13 +23,12 @@ from .coupling import build_coupled, occupation_time
 from .errors import (
     ConfigError,
     NonFiniteError,
-    NonPolynomialError,
     NotPSDError,
     ParseError,
     StepTooLargeError,
     StochavgError,
 )
-from .expr import FieldExpr, parse_field_expr
+from .expr import parse_field_expr
 from .hamiltonian import (
     HamiltonianSpec,
     averaged_hamiltonian,
@@ -44,7 +43,7 @@ from .model import (
     check_nonresonance,
     estimate_growth,
 )
-from .poly import Polynomial, from_expr
+from .poly import Polynomial
 from .sde import (
     PathEnsemble,
     ito_action_consistency,

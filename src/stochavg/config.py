@@ -162,7 +162,8 @@ def load_system(path) -> SystemConfig:
 
 
 def system_to_text(spec: SystemSpec, v0=None) -> str:
-    """Serialize a system back to the versioned config format (round-trips)."""
+    """Serialize a system back to the versioned config format (round-trips);
+    every entry prints as its Polynomial."""
     lines = [f"format = {FORMAT_VERSION}", "", "[system]"]
     lines.append(f"n = {spec.n}")
     lines.append(f"n1 = {spec.n1}")
@@ -176,15 +177,15 @@ def system_to_text(spec: SystemSpec, v0=None) -> str:
         lines.append("v0 = " + ", ".join(str(complex(z)) for z in np.asarray(v0)))
     lines.append("")
     lines.append("[drift]")
-    for k, p in enumerate(spec.p1, start=1):
+    for k, p in enumerate(spec.p1_polys, start=1):
         lines.append(f"p{k} = {p}")
-    if spec.h is not None:
+    if spec.h_poly is not None:
         lines.append("")
         lines.append("[hamiltonian]")
-        lines.append(f"h = {spec.h}")
+        lines.append(f"h = {spec.h_poly}")
     lines.append("")
     lines.append("[dispersion]")
-    for k, row in enumerate(spec.psi, start=1):
+    for k, row in enumerate(spec.psi_polys, start=1):
         for l, entry in enumerate(row, start=1):
             lines.append(f"psi_{k}_{l} = {entry}")
     lines.append("")

@@ -229,6 +229,8 @@ def occupation_time(action_ens: PathEnsemble, delta, k, tau_R=None) -> float:
     optional per-path stopping times truncate the integral.  The per-path
     integrals are summed _OCCUPATION_ROWS paths at a time, so no (paths,
     nodes) temporary is made; a row's sum does not depend on the block.
+    Each block is summed as a C-ordered array, so every row is summed the
+    same (pairwise) way whatever the layout of the ensemble.
     """
     if action_ens.kind != "action":
         raise ValueError("occupation_time needs an action ensemble")
@@ -242,7 +244,7 @@ def occupation_time(action_ens: PathEnsemble, delta, k, tau_R=None) -> float:
         below = action_ens.values[rows, :-1, k] <= delta  # left endpoints
         if tau_R is not None:
             below = below & (times[None, :-1] < np.asarray(tau_R)[rows, None])
-        per_path[rows] = (below * dt[None, :]).sum(axis=1)
+        per_path[rows] = np.multiply(below, dt[None, :], order="C").sum(axis=1)
     return float(per_path.mean())
 
 

@@ -13,10 +13,6 @@ class ParseError(StochavgError):
         self.position = position
 
 
-class NonPolynomialError(StochavgError):
-    """An operation required a polynomial form that the input does not have."""
-
-
 class NotPSDError(StochavgError):
     """A matrix expected to be positive semi-definite is not (beyond tolerance).
 

@@ -14,10 +14,10 @@ nonnegative real literals (scientific notation allowed); negative constants
 are written with the unary minus.  Every expression this grammar produces is
 a polynomial in the variables and their conjugates.
 
-The parse tree is for parsing and printing only: ``str()`` prints a node
-back in this grammar (system files and their hashes are built from that
-text), and :func:`stochavg.poly.from_expr` lowers it to the ``Polynomial``
-that is evaluated at runtime.
+Parsing builds that ``Polynomial`` directly, one ``Polynomial`` operation per
+operator in left-to-right order, so the same text always gives the same terms
+in the same order.  ``str()`` of a ``Polynomial`` prints it back in this
+grammar; system files and their hashes are built from that text.
 """
 
 from __future__ import annotations
@@ -25,122 +25,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-
-
-class FieldExpr:
-    """Base class for expression AST nodes.
-
-    Nodes are immutable.  They print through ``str()``; to evaluate one,
-    lower it with :func:`stochavg.poly.from_expr`.
-    """
-
-    def __str__(self):
-        return self._fmt(_PREC_EXPR)
-
-    def _fmt(self, prec):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
-
-
-# precedence levels used by the printer (higher binds tighter)
-_PREC_EXPR, _PREC_TERM, _PREC_FACTOR, _PREC_BASE = 0, 1, 2, 3
-
-
-def _paren(node, target, own):
-    s = node._fmt(own)
-    return f"({s})" if own < target else s
-
-
-class Var(FieldExpr):
-    def __init__(self, k):
-        self.k = k
-
-    def _fmt(self, prec):
-        return f"v{self.k}"
-
-
-class ConjVar(FieldExpr):
-    def __init__(self, k):
-        self.k = k
-
-    def _fmt(self, prec):
-        return f"cv{self.k}"
-
-
-class Imag(FieldExpr):
-    def _fmt(self, prec):
-        return "i"
-
-
-class Num(FieldExpr):
-    def __init__(self, value):
-        self.value = float(value)
-
-    def _fmt(self, prec):
-        return repr(self.value)
-
-
-class Abs2(FieldExpr):
-    """abs2(vk) = |v_k|^2 = v_k * conj(v_k)."""
-
-    def __init__(self, k):
-        self.k = k
-
-    def _fmt(self, prec):
-        return f"abs2(v{self.k})"
-
-
-class Add(FieldExpr):
-    def __init__(self, left, right):
-        self.left, self.right = left, right
-
-    def _fmt(self, prec):
-        return f"{_paren(self.left, _PREC_EXPR, _PREC_EXPR)} + {_paren(self.right, _PREC_TERM, _infer(self.right))}"
-
-
-class Sub(FieldExpr):
-    def __init__(self, left, right):
-        self.left, self.right = left, right
-
-    def _fmt(self, prec):
-        return f"{_paren(self.left, _PREC_EXPR, _infer(self.left))} - {_paren(self.right, _PREC_TERM, _infer(self.right))}"
-
-
-class Mul(FieldExpr):
-    def __init__(self, left, right):
-        self.left, self.right = left, right
-
-    def _fmt(self, prec):
-        return f"{_paren(self.left, _PREC_TERM, _infer(self.left))}*{_paren(self.right, _PREC_FACTOR, _infer(self.right))}"
-
-
-class Neg(FieldExpr):
-    def __init__(self, operand):
-        self.operand = operand
-
-    def _fmt(self, prec):
-        # '-' base: operand must print at base level
-        return f"-{_paren(self.operand, _PREC_BASE, _infer(self.operand))}"
-
-
-class Pow(FieldExpr):
-    def __init__(self, base, exponent):
-        self.base, self.exponent = base, int(exponent)
-
-    def _fmt(self, prec):
-        return f"{_paren(self.base, _PREC_BASE, _infer(self.base))}^{self.exponent}"
-
-
-def _infer(node):
-    if isinstance(node, (Add, Sub)):
-        return _PREC_EXPR
-    if isinstance(node, Mul):
-        return _PREC_TERM
-    if isinstance(node, Pow):
-        return _PREC_FACTOR
-    return _PREC_BASE
+from .poly import Polynomial
 
 
 _TOKEN_RE = re.compile(
@@ -211,7 +96,7 @@ class _Parser:
             if kind == "sym" and val in "+-":
                 self.advance()
                 rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
+                node = node + rhs if val == "+" else node - rhs
             else:
                 return node
 
@@ -221,7 +106,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "sym" and val == "*":
                 self.advance()
-                node = Mul(node, self.factor())
+                node = node * self.factor()
             else:
                 return node
 
@@ -233,14 +118,14 @@ class _Parser:
             kind, val, pos = self.advance()
             if kind != "num" or not val.isdigit():
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            node = Pow(node, int(val))
+            node = node ** int(val)
         return node
 
     def base(self):
         kind, val, pos = self.peek()
         if kind == "sym" and val == "-":
             self.advance()
-            return Neg(self.base())
+            return -self.base()
         if kind == "sym" and val == "(":
             self.advance()
             node = self.expr()
@@ -248,11 +133,11 @@ class _Parser:
             return node
         if kind == "num":
             self.advance()
-            return Num(float(val))
+            return Polynomial.const(float(val), self.n)
         if kind == "ident":
             self.advance()
             if val == "i":
-                return Imag()
+                return Polynomial.const(1j, self.n)
             if val == "abs2":
                 self.expect_sym("(")
                 ik, iv, ipos = self.advance()
@@ -261,13 +146,13 @@ class _Parser:
                     raise ParseError("abs2 takes a state variable, e.g. abs2(v1)", ipos)
                 k = self._check_index(int(m.group(1)), ipos)
                 self.expect_sym(")")
-                return Abs2(k)
+                return Polynomial.abs2(k, self.n)
             m = _VAR_RE.match(val)
             if m is not None:
-                return Var(self._check_index(int(m.group(1)), pos))
+                return Polynomial.var(self._check_index(int(m.group(1)), pos), self.n)
             m = _CVAR_RE.match(val)
             if m is not None:
-                return ConjVar(self._check_index(int(m.group(1)), pos))
+                return Polynomial.conjvar(self._check_index(int(m.group(1)), pos), self.n)
             raise ParseError(f"unknown identifier {val!r}", pos)
         raise ParseError(f"unexpected token {val!r}", pos)
 
@@ -277,8 +162,8 @@ class _Parser:
         return k
 
 
-def parse_field_expr(text: str, n: int) -> FieldExpr:
-    """Parse ``text`` into an expression over at most ``n`` state variables."""
+def parse_field_expr(text: str, n: int) -> Polynomial:
+    """Parse ``text`` into a Polynomial over ``n`` state variables."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return _Parser(text, n).parse()

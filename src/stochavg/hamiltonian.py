@@ -17,20 +17,20 @@ import numpy as np
 
 from . import averaging
 from .errors import ConfigError
-from .expr import FieldExpr
-from .model import check_real
-from .poly import Polynomial, as_poly
+from .model import check_real, entry_poly
+from .poly import Polynomial
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """A real-valued Hamiltonian over n complex modes.
 
-    ``h`` is a parse tree or a Polynomial; it is lowered once to ``poly``,
-    whose coefficients are checked for realness as in ``SystemSpec``.
+    ``h`` is a Polynomial over n variables or a number, held as the
+    Polynomial ``poly``; anything else is a ConfigError, and the coefficients
+    are checked for realness as in ``SystemSpec``.
     """
 
-    h: FieldExpr | Polynomial
+    h: Polynomial
     n: int
 
     def __post_init__(self):
@@ -40,7 +40,7 @@ class HamiltonianSpec:
 
     @cached_property
     def poly(self):
-        return as_poly(self.h, self.n)
+        return entry_poly(self.h, self.n, "h")
 
 
 def wirtinger_dbar(ham: HamiltonianSpec, v, method="symbolic", step=1e-5):

@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .expr import FieldExpr
 from .poly import Polynomial, as_poly, evaluate_entries, monomial_text
 
 PSI_KINDS = ("constant", "elliptic", "smooth")
@@ -41,6 +40,15 @@ def check_real(poly):
                 f"hamiltonian is not real-valued: the coefficient {c:g} of {monomial_text(a, b)} "
                 f"is not the conjugate of the coefficient {partner:g} of {monomial_text(b, a)}"
             )
+
+
+def entry_poly(entry, n, name):
+    """``as_poly(entry, n)``, with a ConfigError naming the entry when it is
+    neither a number nor a Polynomial over n variables."""
+    try:
+        return as_poly(entry, n)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def random_states(n, count, radius, rng):
@@ -83,20 +91,21 @@ class SystemSpec:
 
     ``p1`` holds the non-hamiltonian drift components; ``h`` an optional real
     Hamiltonian whose field enters the full drift as i*dh/dconj(v_k); its
-    realness is checked exactly on the coefficients.  ``psi``
-    is the n x n1 dispersion matrix of expressions.  ``psi_kind`` mirrors the
-    dispersion assumption: constant entries, uniformly elliptic with constant
-    ``alpha``, or merely smooth.  ``m0`` is the declared polynomial growth
-    degree used by the growth diagnostic.  Expressions are lowered once to
-    the Polynomials ``p1_polys``, ``h_poly`` and ``psi_polys``, which are
-    what gets evaluated; the parse trees stay for ``system_to_text``.
+    realness is checked exactly on the coefficients.  ``psi`` is the n x n1
+    dispersion matrix.  ``psi_kind`` mirrors the dispersion assumption:
+    constant entries, uniformly elliptic with constant ``alpha``, or merely
+    smooth.  ``m0`` is the declared polynomial growth
+    degree used by the growth diagnostic.  Every entry is a Polynomial over
+    n variables or a number; ``p1_polys``, ``h_poly`` and ``psi_polys`` hold
+    them all as Polynomials, and an entry that is neither is a ConfigError
+    naming it (``drift.p1``, ``psi[1][2]``, ``h``).
     """
 
     freqs: Frequencies
     epsilon: float
     p1: tuple
     psi: tuple
-    h: Optional[FieldExpr] = None
+    h: Optional[Polynomial] = None
     psi_kind: str = "smooth"
     alpha: Optional[float] = None
     m0: float = 0.0
@@ -121,6 +130,7 @@ class SystemSpec:
             raise ConfigError("m0 must be nonnegative")
         object.__setattr__(self, "p1", tuple(self.p1))
         object.__setattr__(self, "psi", tuple(tuple(row) for row in self.psi))
+        self.p1_polys, self.psi_polys, self.h_poly  # converts, so a bad entry fails here
         if self.psi_kind == "constant":
             for k, row in enumerate(self.psi_polys):
                 for l, entry in enumerate(row):
@@ -141,11 +151,11 @@ class SystemSpec:
 
     @cached_property
     def p1_polys(self):
-        return tuple(as_poly(p, self.n) for p in self.p1)
+        return tuple(entry_poly(p, self.n, f"drift.p{k}") for k, p in enumerate(self.p1, 1))
 
     @cached_property
     def h_poly(self):
-        return as_poly(self.h, self.n) if self.h is not None else None
+        return entry_poly(self.h, self.n, "h") if self.h is not None else None
 
     @cached_property
     def hamiltonian_drift_polys(self):
@@ -164,7 +174,8 @@ class SystemSpec:
     @cached_property
     def psi_polys(self):
         return tuple(
-            tuple(as_poly(entry, self.n) for entry in row) for row in self.psi
+            tuple(entry_poly(entry, self.n, f"psi[{k}][{l}]") for l, entry in enumerate(row, 1))
+            for k, row in enumerate(self.psi, 1)
         )
 
     @cached_property

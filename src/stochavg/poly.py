@@ -6,18 +6,15 @@ This form makes torus averaging exact: rotating ``v_j -> e^{-i w_j} v_j``
 multiplies a monomial by ``e^{i (beta - alpha) . w}``, so averaging against
 a phase ``e^{i d . w}`` keeps exactly the monomials with ``alpha - beta = d``.
 
-It is also the one runtime form of a polynomial field: parsed expressions
-are lowered here once (``from_expr``), and every field, dispersion entry and
-Hamiltonian is evaluated through ``Polynomial.evaluate``.  The parse tree of
-:mod:`stochavg.expr` is kept only to print a system back to text.
+It is also the one form of a polynomial field: the parser of
+:mod:`stochavg.expr` builds Polynomials, ``str()`` prints one back in its
+grammar, and every field, dispersion entry and Hamiltonian is evaluated
+through ``Polynomial.evaluate``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import expr as ex
-from .errors import NonPolynomialError
 
 
 class PowerTable:
@@ -322,42 +319,14 @@ def evaluate_entries(polys, x):
     return out.reshape(*lead, *shape)
 
 
-def from_expr(expr, n: int) -> Polynomial:
-    """Convert an expression AST to canonical polynomial form.
-
-    Raises NonPolynomialError for AST nodes outside the polynomial grammar
-    (cannot happen for parsed text, only for hand-built ASTs).
-    """
-    if isinstance(expr, Polynomial):
-        if expr.n != n:
-            raise ValueError(f"polynomial is over {expr.n} variables, expected {n}")
-        return expr
-    if isinstance(expr, ex.Var):
-        return Polynomial.var(expr.k, n)
-    if isinstance(expr, ex.ConjVar):
-        return Polynomial.conjvar(expr.k, n)
-    if isinstance(expr, ex.Abs2):
-        return Polynomial.abs2(expr.k, n)
-    if isinstance(expr, ex.Num):
-        return Polynomial.const(expr.value, n)
-    if isinstance(expr, ex.Imag):
-        return Polynomial.const(1j, n)
-    if isinstance(expr, ex.Add):
-        return from_expr(expr.left, n) + from_expr(expr.right, n)
-    if isinstance(expr, ex.Sub):
-        return from_expr(expr.left, n) - from_expr(expr.right, n)
-    if isinstance(expr, ex.Mul):
-        return from_expr(expr.left, n) * from_expr(expr.right, n)
-    if isinstance(expr, ex.Neg):
-        return -from_expr(expr.operand, n)
-    if isinstance(expr, ex.Pow):
-        return from_expr(expr.base, n) ** expr.exponent
-    raise NonPolynomialError(f"unsupported expression node {type(expr).__name__}")
-
-
 def as_poly(field, n: int) -> Polynomial:
-    """Accept a FieldExpr, Polynomial, or numeric constant over n variables;
-    a Polynomial over another number of variables is a ValueError."""
+    """A number or a Polynomial over n variables, as a Polynomial.  Anything
+    else is a TypeError; a Polynomial over another number of variables is a
+    ValueError."""
     if isinstance(field, (int, float, complex)):
         return Polynomial.const(field, n)
-    return from_expr(field, n)
+    if not isinstance(field, Polynomial):
+        raise TypeError(f"expected a number or a Polynomial, got {type(field).__name__}")
+    if field.n != n:
+        raise ValueError(f"polynomial is over {field.n} variables, expected {n}")
+    return field

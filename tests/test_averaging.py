@@ -22,7 +22,6 @@ from stochavg.averaging import (
     principal_sqrt_batched,
 )
 from stochavg.model import Frequencies, SystemSpec
-from stochavg.poly import from_expr
 
 QUAD = dict(method="quadrature", grid_per_dim=32)
 
@@ -283,7 +282,7 @@ def random_poly(rng, n, degree):
             if beta[j]:
                 bits.append(f"cv{j+1}^{beta[j]}")
         text.append("*".join(bits))
-    return from_expr(parse_field_expr(" + ".join(text), n), n)
+    return parse_field_expr(" + ".join(text), n)
 
 
 def test_montecarlo_mode_cross_check():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochavg import acceptance_system, cli, stats
+from stochavg import acceptance_system, cli, parse_system_text, stats
 from stochavg.cli import EXIT_CONFIG, EXIT_NONFINITE, EXIT_OK, EXIT_STRICT
 
 RESONANT_CONFIG = """\
@@ -63,6 +63,36 @@ p1 = 100*abs2(v1)*v1
 
 [dispersion]
 psi_1_1 = 0
+"""
+
+
+# system_to_text(acceptance_system(), ACCEPTANCE_V0) as written into the
+# manifests of `--config acceptance` runs while system text was printed from
+# parse trees; such a manifest must still replay
+ACCEPTANCE_PARSE_TREE_TEXT = """\
+format = 1
+
+[system]
+n = 2
+n1 = 2
+lambdas = 1.0, 1.4142135623730951
+epsilon = 0.05
+psi_kind = constant
+m0 = 3.0
+v0 = (1+0j), (1+0j)
+
+[drift]
+p1 = -v1 + 1.8*v2
+p2 = -v2
+
+[hamiltonian]
+h = abs2(v1)*abs2(v2)
+
+[dispersion]
+psi_1_1 = 1.0
+psi_1_2 = 0.0
+psi_2_1 = 0.0
+psi_2_2 = 1.0
 """
 
 
@@ -306,6 +336,28 @@ def test_manifest_replays_each_command_bit_exactly(tmp_path, resonant_cfg, comma
     assert "manifest.json" in artifacts and len(artifacts) > 1
     for name in artifacts:
         assert filecmp.cmp(first / name, replay / name, shallow=False), name
+
+
+def _term_lists(spec):
+    polys = [*spec.p1_polys, spec.h_poly, *(p for row in spec.psi_polys for p in row)]
+    return [list(p.terms.items()) for p in polys]
+
+
+@pytest.mark.parametrize("system", ["perturbed", "effective", "modified", "action"])
+def test_parse_tree_era_acceptance_text_replays(tmp_path, system):
+    old = tmp_path / "old.cfg"
+    old.write_text(ACCEPTANCE_PARSE_TREE_TEXT)
+    # the same polynomials, terms in the same order, so every sum is the same
+    assert _term_lists(parse_system_text(ACCEPTANCE_PARSE_TREE_TEXT).spec) == \
+        _term_lists(acceptance_system())
+    argv = ["simulate", "--system", system, "--T", "0.02", "--dtau", "0.001",
+            "--paths", "6", "--seed", "5"]
+    if system == "action":
+        argv += ["--i0", "0.5,0.5"]
+    assert cli.main(argv + ["--config", "acceptance", "--out", str(tmp_path / "new")]) == EXIT_OK
+    assert cli.main(argv + ["--config", str(old), "--out", str(tmp_path / "old")]) == EXIT_OK
+    assert (tmp_path / "new" / "paths.csv").read_bytes() == \
+        (tmp_path / "old" / "paths.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

@@ -237,33 +237,35 @@ def test_build_coupled_keeps_no_all_node_states():
 # -- occupation time ---------------------------------------------------------------
 
 def _occupation_one_shot(ens, delta, k, tau_R=None):
-    """``occupation_time`` over all paths at once, through a (paths, nodes)
-    temporary."""
+    """``occupation_time`` over all paths at once, through a C-ordered
+    (paths, nodes) temporary whose rows numpy sums pairwise."""
     times = ens.times
-    below = ens.values[:, :-1, k] <= delta
+    below = np.ascontiguousarray(ens.values[:, :-1, k]) <= delta
     if tau_R is not None:
         below = below & (times[None, :-1] < np.asarray(tau_R)[:, None])
-    return float((below * np.diff(times)[None, :]).sum(axis=1).mean())
+    return float(np.ascontiguousarray(below * np.diff(times)[None, :]).sum(axis=1).mean())
 
 
 def test_occupation_blocks_match_the_one_shot_sum_bitwise():
     # 300 paths: a block of 256 and one of 44; R = 3 stops most paths early.
-    # numpy sums a row pairwise in one layout and element by element in the
-    # other, so both layouts are checked
+    # numpy sums a row pairwise when it is contiguous and element by element
+    # when it is not, so the node-major, C and F layouts must all give the
+    # one C-order sum
     spec = acceptance_system()
     cut = simulate_cutoff_effective(spec, "full", V0, T=2.0, dtau=1e-3, n_paths=300,
                                     seed=6, R=3.0)
     assert 0.2 < cut.paths.extras["stopped"].mean() < 1.0
     acts = cut.actions()
-    path_major = sde.PathEnsemble(times=acts.times, values=np.ascontiguousarray(acts.values),
-                                  kind="action", meta=acts.meta)
-    for ens in (acts, path_major):
-        for k in (0, 1):
-            for delta in (0.4, 0.2, 0.1, 0.05):
-                for tau_R in (None, cut.tau_R):
-                    got = occupation_time(ens, delta, k, tau_R)
-                    assert got > 0.0
-                    assert got == _occupation_one_shot(ens, delta, k, tau_R)
+    layouts = [sde.PathEnsemble(times=acts.times, values=order(acts.values),
+                                kind="action", meta=acts.meta)
+               for order in (np.ascontiguousarray, np.asfortranarray)]
+    for k in (0, 1):
+        for delta in (0.4, 0.2, 0.1, 0.05):
+            for tau_R in (None, cut.tau_R):
+                want = _occupation_one_shot(acts, delta, k, tau_R)
+                assert want > 0.0
+                for ens in (acts, *layouts):
+                    assert occupation_time(ens, delta, k, tau_R) == want
 
 
 def test_occupation_zero_threshold():

@@ -13,7 +13,6 @@ from stochavg import (
 from stochavg.averaging import action_drift_F, average_field
 from stochavg.hamiltonian import averaged_hamiltonian_poly
 from stochavg.model import Frequencies, SystemSpec
-from stochavg.poly import from_expr
 
 
 def ham(text, n):
@@ -41,7 +40,7 @@ def random_real_hamiltonian(rng, n, degree=4):
                 bits.append(f"cv{j+1}")
         terms.append("*".join(bits))
     text = " + ".join(terms) if terms else "abs2(v1)"
-    q = from_expr(parse_field_expr(text, n), n)
+    q = parse_field_expr(text, n)
     return HamiltonianSpec(h=q + q.conj(), n=n)
 
 
@@ -53,7 +52,7 @@ def test_hamiltonian_requires_real_values():
 def test_hamiltonian_is_lowered_once():
     h = ham("abs2(v1)*abs2(v2)", 2)
     assert h.poly is h.poly
-    assert h.poly == from_expr(h.h, 2)
+    assert h.poly == parse_field_expr("abs2(v1)*abs2(v2)", 2)
 
 
 def test_wirtinger_power_rule():

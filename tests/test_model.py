@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from stochavg import (
 from stochavg.acceptance import _rand_state, _random_monomial_poly
 from stochavg.config import load_system, parse_system_text, spec_hash, system_to_text
 from stochavg.hamiltonian import HamiltonianSpec
-from stochavg.poly import Polynomial, from_expr
+from stochavg.poly import Polynomial
 from stochavg.systems import acceptance_system
 
 
@@ -66,6 +68,28 @@ def test_realness_error_names_the_monomial():
         HamiltonianSpec(h=expr("abs2(v1) + v1", 1), n=1)
     with pytest.raises(ConfigError, match=r"of 1 is not"):
         HamiltonianSpec(h=expr("i", 1), n=1)
+
+
+def _two_mode_spec(p2=Polynomial.var(2, 2), psi12=0.0, h=None):
+    return SystemSpec(freqs=Frequencies((1.0, 2.0)), epsilon=0.5,
+                      p1=(Polynomial.var(1, 2), p2), psi=((1.0, psi12), (0.0, 1.0)), h=h)
+
+
+@pytest.mark.parametrize("entry,bad,message", [
+    ("p2", Polynomial.var(1, 1), "drift.p2: polynomial is over 1 variables, expected 2"),
+    ("p2", "-v2", "drift.p2: expected a number or a Polynomial, got str"),
+    ("psi12", Polynomial.const(1.0, 3), "psi[1][2]: polynomial is over 3 variables, expected 2"),
+    ("psi12", None, "psi[1][2]: expected a number or a Polynomial, got NoneType"),
+    ("h", "abs2(v1)", "h: expected a number or a Polynomial, got str"),
+], ids=["p2-n", "p2-str", "psi12-n", "psi12-none", "h-str"])
+def test_spec_names_a_bad_entry_at_construction(entry, bad, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        _two_mode_spec(**{entry: bad})
+    if entry == "h":
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            HamiltonianSpec(h=bad, n=2)
+    with pytest.raises(ConfigError, match="^h: polynomial is over 2 variables, expected 1"):
+        HamiltonianSpec(h=Polynomial.abs2(1, 2), n=1)
 
 
 def test_realness_is_read_off_the_coefficients():
@@ -179,24 +203,20 @@ def test_ellipticity_unit_determinant_shear():
     assert eigs.min() > 0
 
 
-def growth_poly(text, n=1):
-    return from_expr(expr(text, n), n)
-
-
 def test_growth_linear_map():
-    rep = estimate_growth(growth_poly("v1"), m0=1.0, radii=[1.0, 4.0, 10.0], seed=0)
+    rep = estimate_growth(expr("v1", 1), m0=1.0, radii=[1.0, 4.0, 10.0], seed=0)
     assert rep.c_m0_estimate <= 2.0 + 0.1
 
 
 def test_growth_constant():
-    rep = estimate_growth(growth_poly("5"), m0=0.0, radii=[1.0, 2.0], seed=0)
+    rep = estimate_growth(expr("5", 1), m0=0.0, radii=[1.0, 2.0], seed=0)
     assert rep.c_m0_estimate == pytest.approx(5.0, rel=1e-6)
 
 
 def test_growth_cubic_bounded_in_radius():
     # |v|^2 v grows like R^3, so the m0=3 weighted estimate stays O(1) in R
-    rep_small = estimate_growth(growth_poly("abs2(v1)*v1"), m0=3.0, radii=[2.0], seed=1)
-    rep_large = estimate_growth(growth_poly("abs2(v1)*v1"), m0=3.0, radii=[2.0, 8.0, 16.0], seed=1)
+    rep_small = estimate_growth(expr("abs2(v1)*v1", 1), m0=3.0, radii=[2.0], seed=1)
+    rep_large = estimate_growth(expr("abs2(v1)*v1", 1), m0=3.0, radii=[2.0, 8.0, 16.0], seed=1)
     assert np.isfinite(rep_large.c_m0_estimate)
     assert rep_large.c_m0_estimate <= 4.0 * max(rep_small.c_m0_estimate, 1.0)
 
@@ -205,7 +225,7 @@ def test_growth_samples_in_the_polynomial_dimension():
     # a v2 term needs states in C^2; v2 + v1/2 has Lipschitz constant
     # sqrt(5)/2 and sup sqrt(5)/2 R over the R-ball, so the m0 = 1 weighted
     # estimate stays below sqrt(5)/2
-    rep = estimate_growth(growth_poly("v2 + 0.5*v1", 2), m0=1.0, radii=[1.0, 4.0], seed=0)
+    rep = estimate_growth(expr("v2 + 0.5*v1", 2), m0=1.0, radii=[1.0, 4.0], seed=0)
     assert 0.5 < rep.c_m0_estimate <= np.sqrt(5.0) / 2 + 1e-12
 
 
@@ -262,10 +282,9 @@ def test_spec_hash_tells_polynomial_coefficients_apart():
     assert spec_hash(a) != spec_hash(b)
     for spec in (a, b):
         again = parse_system_text(system_to_text(spec)).spec
-        assert from_expr(again.p1[0], 1).terms == spec.p1[0].terms
+        assert again.p1[0].terms == spec.p1[0].terms
         assert spec_hash(again) == spec_hash(spec)
-    # specs built from parse trees print as before
-    assert spec_hash(acceptance_system()) == "e2aad101f3b46bca"
+    assert spec_hash(acceptance_system()) == "bf23b8abfef28882"
 
 
 def test_config_requires_header():
