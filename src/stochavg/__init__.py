@@ -16,7 +16,6 @@ from .averaging import (
     average_function,
     averaged_diffusion,
     principal_sqrt,
-    rotate,
 )
 from .config import load_system, parse_system_text, spec_hash, system_to_text
 from .coupling import build_coupled, occupation_time
@@ -29,13 +28,7 @@ from .errors import (
     StochavgError,
 )
 from .expr import parse_field_expr
-from .hamiltonian import (
-    HamiltonianSpec,
-    averaged_hamiltonian,
-    hamiltonian_field,
-    orthogonality_residual,
-    wirtinger_dbar,
-)
+from .hamiltonian import HamiltonianSpec, orthogonality_residual
 from .model import (
     Frequencies,
     SystemSpec,
@@ -47,7 +40,6 @@ from .poly import Polynomial
 from .sde import (
     PathEnsemble,
     ito_action_consistency,
-    moment_diagnostic,
     simulate_action_sde,
     simulate_cutoff_effective,
     simulate_effective,
@@ -56,7 +48,6 @@ from .sde import (
 from .stats import (
     DistanceReport,
     EmpiricalLaw,
-    bl_distance,
     bl_distance_1d,
     bl_distance_nd,
     convergence_table,

@@ -5,10 +5,12 @@ w in [0,2pi)^n; for a vector field the k-th component carries an extra
 phase e^{i w_k}, and for the diffusion matrix the (k,l) entry carries
 e^{i(w_k - w_l)}.  On polynomials the integrals are exact: a monomial
 v^alpha conj(v)^beta survives averaging against e^{i d.w} iff
-alpha - beta = d, which gives the symbolic backend.  The quadrature backend
-is the tensor-product rectangle rule, spectrally exact on trigonometric
+alpha - beta = d, which gives the symbolic backend that every command and
+integrator uses.  The quadrature backend (``method="quadrature"``) is the
+tensor-product rectangle rule, spectrally exact on trigonometric
 polynomials below the grid's Nyquist order, so the two backends must agree
-to rounding on polynomial inputs.
+to rounding on polynomial inputs; acceptance criterion 2 keeps it as the
+oracle of the symbolic backend.
 """
 
 from __future__ import annotations
@@ -25,27 +27,16 @@ DEFAULT_GRID = 64
 FAIL_TOL = 1e-6
 
 
-def rotate(w, v):
-    """Apply the torus rotation (e^{i w_1} v_1, ..., e^{i w_n} v_n)."""
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=complex)
-    if w.shape[-1] != v.shape[-1]:
-        raise ValueError(f"angle/state dimension mismatch: {w.shape[-1]} vs {v.shape[-1]}")
-    return np.exp(1j * w) * v
-
-
-def canonical_angles(w):
-    """Wrap angles to the canonical cube [0, 2pi)^n."""
-    return np.mod(np.asarray(w, dtype=float), 2.0 * np.pi)
-
-
 def actions_of(v):
     """Action coordinates I_k = |v_k|^2 / 2 of a complex state array."""
     v = np.asarray(v, dtype=complex)
     return 0.5 * (v.real**2 + v.imag**2)
 
 
-def _torus_grid(n, grid_per_dim):
+def _torus_grid(n, method, grid_per_dim):
+    """Angles of the quadrature backend: the tensor-product grid on [0, 2pi)^n."""
+    if method != "quadrature":
+        raise ValueError(f"unknown averaging method {method!r}")
     if grid_per_dim < 2:
         raise ValueError("quadrature grid must have at least 2 nodes per dimension")
     w = 2.0 * np.pi * np.arange(grid_per_dim) / grid_per_dim
@@ -53,17 +44,7 @@ def _torus_grid(n, grid_per_dim):
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-def _angle_samples(n, method, grid_per_dim, mc_samples, seed):
-    if method == "quadrature":
-        return _torus_grid(n, grid_per_dim)
-    if method == "montecarlo":
-        rng = np.random.default_rng(seed)
-        return rng.random((mc_samples, n)) * 2.0 * np.pi
-    raise ValueError(f"unknown averaging method {method!r}")
-
-
-def average_with_phase(field, shift, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID,
-                       mc_samples=4096, seed=0):
+def average_with_phase(field, shift, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
     """Average ``e^{i shift.w} field(Phi_{-w} a)`` over the torus.
 
     ``shift`` is an integer vector; the symbolic backend keeps exactly the
@@ -74,7 +55,7 @@ def average_with_phase(field, shift, a, method="symbolic", *, grid_per_dim=DEFAU
     p = as_poly(field, n)
     if method == "symbolic":
         return complex(p.keep_resonant(shift).evaluate(a))
-    angles = _angle_samples(n, method, grid_per_dim, mc_samples, seed)
+    angles = _torus_grid(n, method, grid_per_dim)
     states = np.exp(-1j * angles) * a
     vals = p.evaluate(states)
     shift = np.asarray(shift, dtype=float)
@@ -83,16 +64,13 @@ def average_with_phase(field, shift, a, method="symbolic", *, grid_per_dim=DEFAU
     return complex(vals.mean())
 
 
-def average_function(f, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID,
-                     mc_samples=4096, seed=0):
+def average_function(f, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
     """Torus average of a scalar function at the point ``a``."""
     a = np.asarray(a, dtype=complex)
-    return average_with_phase(f, (0,) * a.shape[-1], a, method,
-                              grid_per_dim=grid_per_dim, mc_samples=mc_samples, seed=seed)
+    return average_with_phase(f, (0,) * a.shape[-1], a, method, grid_per_dim=grid_per_dim)
 
 
-def average_field(P, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID,
-                  mc_samples=4096, seed=0):
+def average_field(P, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
     """Torus average of a vector field; component k carries the phase e^{i w_k}."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1]
@@ -101,9 +79,7 @@ def average_field(P, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID,
     out = np.empty(n, dtype=complex)
     for k in range(n):
         shift = tuple(1 if j == k else 0 for j in range(n))
-        out[k] = average_with_phase(P[k], shift, a, method,
-                                    grid_per_dim=grid_per_dim,
-                                    mc_samples=mc_samples, seed=seed)
+        out[k] = average_with_phase(P[k], shift, a, method, grid_per_dim=grid_per_dim)
     return out
 
 
@@ -137,8 +113,7 @@ def averaged_diffusion_polys(psi_polys):
     return tuple(out)
 
 
-def averaged_diffusion(psi, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID,
-                       mc_samples=4096, seed=0):
+def averaged_diffusion(psi, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
     """Averaged diffusion matrix A(a); Hermitian PSD up to rounding.
 
     For constant dispersion this reduces to diag{sum_j |Psi_kj|^2}: the
@@ -152,7 +127,7 @@ def averaged_diffusion(psi, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID,
     if method == "symbolic":
         A = evaluate_entries(averaged_diffusion_polys(psi_polys), a)
         return 0.5 * (A + A.conj().T)
-    angles = _angle_samples(n, method, grid_per_dim, mc_samples, seed)
+    angles = _torus_grid(n, method, grid_per_dim)
     states = np.exp(-1j * angles) * a
     rotated = np.exp(1j * angles)[:, :, None] * evaluate_entries(psi_polys, states)
     A = np.einsum("gkl,gml->km", rotated, rotated.conj()) / angles.shape[0]
@@ -169,11 +144,7 @@ def hermitian_deviation(A):
     return float(np.abs(A - np.conj(A.T)).max()) if A.size else 0.0
 
 
-def min_eigenvalue(A):
-    return float(np.linalg.eigvalsh(np.asarray(A)).min())
-
-
-def principal_sqrt(A, return_clamp_count=False):
+def principal_sqrt(A):
     """Principal square root of a Hermitian PSD matrix via eigendecomposition.
 
     Eigenvalue dust in (-1e-6, 0) is clamped to zero; a minimum eigenvalue
@@ -190,14 +161,11 @@ def principal_sqrt(A, return_clamp_count=False):
     eigvals, eigvecs = np.linalg.eigh(H)
     if eigvals.min() < -FAIL_TOL:
         raise NotPSDError(f"matrix is not PSD: min eigenvalue {eigvals.min():.3e}")
-    clamped = int((eigvals < 0).sum())
     eigvals = np.clip(eigvals, 0.0, None)
     B = (eigvecs * np.sqrt(eigvals)) @ np.conj(eigvecs.T)
     B = 0.5 * (B + np.conj(B.T))
     if real_input:
         B = B.real
-    if return_clamp_count:
-        return B, clamped
     return B
 
 
@@ -383,15 +351,14 @@ def _angle_states(actions, angles):
     return amp * np.exp(1j * angles)
 
 
-def action_drift_F(spec, actions, method="symbolic", *, grid_per_dim=DEFAULT_GRID,
-                   mc_samples=4096, seed=0):
+def action_drift_F(spec, actions, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
     """Averaged action drift F(I); real n-vector, continuous up to I = 0."""
     actions = np.asarray(actions, dtype=float)
     if (actions < 0).any():
         raise ValueError("actions must be nonnegative")
     if method == "symbolic":
         return evaluate_entries(action_drift_polys(spec), actions)
-    angles = _angle_samples(spec.n, method, grid_per_dim, mc_samples, seed)
+    angles = _torus_grid(spec.n, method, grid_per_dim)
     v = _angle_states(actions, angles)
     P = evaluate_entries(spec.drift_polys, v)
     integrand = (v * np.conj(P)).real + (np.abs(spec.psi_at(v)) ** 2).sum(axis=2)
@@ -399,8 +366,7 @@ def action_drift_F(spec, actions, method="symbolic", *, grid_per_dim=DEFAULT_GRI
     return np.array([col.mean() for col in integrand.T])
 
 
-def action_diffusion_SK(spec, actions, method="symbolic", *, grid_per_dim=DEFAULT_GRID,
-                        mc_samples=4096, seed=0):
+def action_diffusion_SK(spec, actions, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
     """Averaged action diffusion S(I) and its principal square root K(I).
 
     For constant dispersion, S = diag{2 I_k b_k^2} with b_k^2 = sum_l
@@ -413,7 +379,7 @@ def action_diffusion_SK(spec, actions, method="symbolic", *, grid_per_dim=DEFAUL
     if method == "symbolic":
         S = evaluate_entries(action_diffusion_polys(spec), actions)
     else:
-        angles = _angle_samples(n, method, grid_per_dim, mc_samples, seed)
+        angles = _torus_grid(n, method, grid_per_dim)
         v = _angle_states(actions, angles)
         psi = spec.psi_at(v)
         w = v[:, :, None] * np.conj(psi)  # (g, n, n1): v_k conj(Psi_kl)

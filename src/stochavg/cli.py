@@ -126,6 +126,14 @@ def _write_plotdata(out, series_rows):
             fh.write(f"{s},{x!r},{y!r},{lo!r},{hi!r}\n")
 
 
+def _worst_orthogonality_residual(spec, samples, seed):
+    """Largest |orthogonality residual| of the system's Hamiltonian over
+    ``samples`` random states drawn from ``seed``."""
+    ham = HamiltonianSpec(h=spec.h_poly, n=spec.n)
+    pts = random_states(spec.n, samples, 3.0, np.random.default_rng(seed))
+    return max(float(np.abs(orthogonality_residual(ham, v)).max()) for v in pts)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -157,11 +165,8 @@ def cmd_check(args):
         "growth_c_estimates": growth,
     }
     if spec.h is not None:
-        ham = HamiltonianSpec(h=spec.h_poly, n=spec.n)
-        rng = np.random.default_rng(args.seed)
-        pts = random_states(spec.n, 64, 3.0, rng)
-        worst = max(float(np.abs(orthogonality_residual(ham, v)).max()) for v in pts)
-        report["hamiltonian_max_orthogonality_residual"] = worst
+        report["hamiltonian_max_orthogonality_residual"] = _worst_orthogonality_residual(
+            spec, 64, args.seed)
     _write_manifest(out, text, args)
     _write_json(out / "check_report.json", report)
     flag = "RESONANT" if nonres.resonant else "non-resonant"
@@ -180,27 +185,18 @@ def cmd_check_hamiltonian(args):
     spec, _, _ = _resolve_system(args)
     if spec.h is None:
         raise ConfigError("the system has no hamiltonian section")
-    ham = HamiltonianSpec(h=spec.h_poly, n=spec.n)
-    rng = np.random.default_rng(args.seed)
-    pts = random_states(spec.n, args.samples, 3.0, rng)
-    worst = max(float(np.abs(orthogonality_residual(ham, v)).max()) for v in pts)
+    worst = _worst_orthogonality_residual(spec, args.samples, args.seed)
     print(f"max orthogonality residual over {args.samples} states: {worst:.3e}")
     return EXIT_OK
 
 
-def _format_avg_monomials(poly, kind="field", component=None):
-    """Render an averaged polynomial in a-variables; resonant field monomials
-    read c * a_k * prod_j abs2(a_j)^(beta_j)."""
+def _format_avg_monomials(poly, component):
+    """Render component k = ``component`` of the averaged drift in
+    a-variables; its resonant monomials read c * a_k * prod_j abs2(a_j)^(beta_j)."""
     bits = []
-    for (alpha, beta), c in poly.sorted_terms():
-        factors = []
-        if kind == "field":
-            rest = list(beta)
-        else:
-            rest = list(alpha)
-        if kind == "field" and component is not None:
-            factors.append(f"a{component}")
-        for j, e in enumerate(rest):
+    for (_, beta), c in poly.sorted_terms():
+        factors = [f"a{component}"]
+        for j, e in enumerate(beta):
             if e == 1:
                 factors.append(f"abs2(a{j+1})")
             elif e > 1:
@@ -212,7 +208,7 @@ def _format_avg_monomials(poly, kind="field", component=None):
             coef = f"{cval.imag:g}i"
         else:
             coef = f"({cval.real:g}{cval.imag:+g}i)"
-        bits.append("*".join([coef] + factors) if factors else coef)
+        bits.append("*".join([coef] + factors))
     return " + ".join(bits) if bits else "0"
 
 
@@ -220,7 +216,7 @@ def cmd_average(args):
     spec, cfg_v0, text = _resolve_system(args)
     out = _out_dir(args)
     polys = averaging.averaged_field_polys(spec.drift_polys, spec.n)
-    lines = [f"component {k} = {_format_avg_monomials(p, 'field', k)}"
+    lines = [f"component {k} = {_format_avg_monomials(p, k)}"
              for k, p in enumerate(polys, start=1)]
     payload = {"averaged_drift": list(lines)}
     if args.at:

@@ -222,11 +222,11 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
     )
 
 
-def occupation_time(action_ens: PathEnsemble, delta, k, tau_R=None) -> float:
+def occupation_time(action_ens: PathEnsemble, delta, k, tau_R) -> float:
     """Monte Carlo estimate of E integral_0^{tau_R} 1{I_k(tau) <= delta} dtau.
 
     Grid quadrature with the left-endpoint rule on the recorded nodes; the
-    optional per-path stopping times truncate the integral.  The per-path
+    per-path stopping times ``tau_R`` truncate the integral.  The per-path
     integrals are summed _OCCUPATION_ROWS paths at a time, so no (paths,
     nodes) temporary is made; a row's sum does not depend on the block.
     Each block is summed as a C-ordered array, so every row is summed the
@@ -242,8 +242,7 @@ def occupation_time(action_ens: PathEnsemble, delta, k, tau_R=None) -> float:
     for lo in range(0, per_path.size, _OCCUPATION_ROWS):
         rows = slice(lo, lo + _OCCUPATION_ROWS)
         below = action_ens.values[rows, :-1, k] <= delta  # left endpoints
-        if tau_R is not None:
-            below = below & (times[None, :-1] < np.asarray(tau_R)[rows, None])
+        below = below & (times[None, :-1] < np.asarray(tau_R)[rows, None])
         per_path[rows] = np.multiply(below, dt[None, :], order="C").sum(axis=1)
     return float(per_path.mean())
 

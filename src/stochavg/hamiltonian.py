@@ -1,11 +1,14 @@
-"""Wirtinger calculus and hamiltonian vector fields.
+"""The Hamiltonian spec and the null-contribution identity.
 
 A field with components i * dh/dconj(v_k) for a real C^1 function h is
-hamiltonian.  Averaging commutes with i*d/dconj(v): the averaged field is the
-hamiltonian field of the averaged Hamiltonian.  Because <h> depends only on
-the actions, the averaged hamiltonian field is tangent to the torus fibers
-and the real scalar product (i d<h>/dconj(v_k)) . v_k vanishes identically:
-hamiltonian drift parts leave the action dynamics untouched.
+hamiltonian; ``SystemSpec.hamiltonian_drift_polys`` builds it from the
+Wirtinger derivatives ``Polynomial.dvbar``.  Averaging commutes with
+i*d/dconj(v): the averaged field is the hamiltonian field of the averaged
+Hamiltonian <h>.  Because <h> depends only on the actions, the averaged
+hamiltonian field is tangent to the torus fibers and the real scalar
+product (i d<h>/dconj(v_k)) . v_k vanishes identically: hamiltonian drift
+parts leave the action dynamics untouched.  ``orthogonality_residual``
+evaluates that scalar product, which the ``check`` commands scan.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import averaging
 from .errors import ConfigError
 from .model import check_real, entry_poly
 from .poly import Polynomial
@@ -41,44 +43,6 @@ class HamiltonianSpec:
     @cached_property
     def poly(self):
         return entry_poly(self.h, self.n, "h")
-
-
-def wirtinger_dbar(ham: HamiltonianSpec, v, method="symbolic", step=1e-5):
-    """Derivatives dh/dconj(v_k) = (dh/dx_k + i dh/dy_k) / 2 at the state v.
-
-    ``method="symbolic"`` differentiates the polynomial form (lowers the
-    conjugate exponent); ``method="finitediff"`` uses central differences of
-    size ``step`` on the real coordinates.
-    """
-    v = np.asarray(v, dtype=complex)
-    if method == "symbolic":
-        p = ham.poly
-        return np.array([p.dvbar(k).evaluate(v) for k in range(1, ham.n + 1)])
-    if method != "finitediff":
-        raise ValueError(f"unknown method {method!r}")
-    if not (0.0 < step <= 1e-3):
-        raise ValueError("finite-difference step must lie in (0, 1e-3]")
-    h = ham.poly.evaluate
-    out = np.empty(ham.n, dtype=complex)
-    for k in range(ham.n):
-        ek = np.zeros(ham.n, dtype=complex)
-        ek[k] = 1.0
-        dx = (h(v + step * ek) - h(v - step * ek)) / (2 * step)
-        dy = (h(v + 1j * step * ek) - h(v - 1j * step * ek)) / (2 * step)
-        out[k] = 0.5 * (dx + 1j * dy)
-    return out
-
-
-def hamiltonian_field(ham: HamiltonianSpec):
-    """The field with components i * dh/dconj(v_k), as Polynomials."""
-    p = ham.poly
-    return tuple(1j * p.dvbar(k) for k in range(1, ham.n + 1))
-
-
-def averaged_hamiltonian(ham: HamiltonianSpec, a, method="symbolic", **kw) -> float:
-    """Torus average <h>(a); real, and a function of the actions only."""
-    val = averaging.average_function(ham.poly, a, method, **kw)
-    return float(np.real(val))
 
 
 def averaged_hamiltonian_poly(ham: HamiltonianSpec):

@@ -179,25 +179,7 @@ class Polynomial:
             out[key] = out.get(key, 0j) + c * b[j]
         return Polynomial(self.n, out)
 
-    def dv(self, k):
-        """Wirtinger derivative with respect to v_k; lowers alpha_k."""
-        out = {}
-        j = k - 1
-        for (a, b), c in self.terms.items():
-            if a[j] == 0:
-                continue
-            na = list(a)
-            na[j] -= 1
-            key = (tuple(na), b)
-            out[key] = out.get(key, 0j) + c * a[j]
-        return Polynomial(self.n, out)
-
     # -- structure -----------------------------------------------------
-    def degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(a) + sum(b) for a, b in self.terms)
-
     def is_constant(self):
         zero = (0,) * self.n
         return all(key == (zero, zero) for key in self.terms)
@@ -259,12 +241,14 @@ class Polynomial:
 
     def __str__(self):
         """The polynomial in the expression grammar of :mod:`stochavg.expr`:
-        one ``coefficient*monomial`` per term in sorted order, with float-repr
-        coefficients, ``(a + b*i)`` for a complex one and a unary minus for a
-        negative one, so parsing the text gives back equal terms.  A
-        non-finite coefficient has no such text and raises ValueError."""
+        one ``coefficient*monomial`` per term in insertion order, which is
+        the order ``evaluate`` sums them in, with float-repr coefficients,
+        ``(a + b*i)`` for a complex one and a unary minus for a negative
+        one, so parsing the text gives back the same terms in the same order
+        and a polynomial that evaluates bit for bit the same.  A non-finite
+        coefficient has no such text and raises ValueError."""
         terms = []
-        for (a, b), c in self.sorted_terms():
+        for (a, b), c in self.terms.items():
             mono, c = monomial_text(a, b), complex(c)
             if not np.isfinite(c):
                 raise ValueError(f"coefficient {c} of {mono} is not finite")

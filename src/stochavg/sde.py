@@ -586,43 +586,6 @@ def ito_refinement_study(spec, v0, T, dtaus, seeds):
 
 
 # ---------------------------------------------------------------------------
-# moment diagnostic
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    order: int
-    sup_moment: float
-    half_sup_moment: float
-    n_paths: int
-
-    @property
-    def doubling_ratio(self):
-        return self.sup_moment / self.half_sup_moment if self.half_sup_moment else np.inf
-
-
-def moment_diagnostic(spec: SystemSpec, v0, T, dtau, n_paths, seed,
-                      order=None, record_times=None, threads=1) -> MomentReport:
-    """Sampled sup_tau E |v|^{2m} with a half-ensemble stability ratio.
-
-    The default order is ceil(max(m0, 4)) + 1.  Reported, never asserted:
-    finitely many paths cannot certify a moment bound.
-    """
-    m = int(np.ceil(max(spec.m0, 4.0))) + 1 if order is None else int(order)
-    ens = simulate_perturbed(spec, v0, T, dtau, n_paths, seed,
-                             record_times=record_times, threads=threads)
-    norms2 = (np.abs(ens.v.values) ** 2).sum(axis=2)
-    # path-major, so the means over paths below add path by path; over the
-    # node-major layout of the ensemble they would sum pairwise
-    powered = np.power(norms2, m, order="C")
-    sup_full = float(powered.mean(axis=0).max())
-    sup_half = float(powered[: n_paths // 2].mean(axis=0).max())
-    return MomentReport(order=m, sup_moment=sup_full, half_sup_moment=sup_half,
-                        n_paths=n_paths)
-
-
-# ---------------------------------------------------------------------------
 # CSV export (schema: path,time,k,re,im for states; path,time,k,I for actions)
 # ---------------------------------------------------------------------------
 

@@ -432,15 +432,6 @@ def bl_distance_nd(law1: EmpiricalLaw, law2: EmpiricalLaw, feature_count=256,
     )
 
 
-def bl_distance(law1, law2, **kw) -> DistanceReport:
-    """Dispatch on dimension: the exact DP-plus-tangent-search distance in 1d
-    (``bl_distance_1d``), the lower-bound ramp family otherwise."""
-    if law1.dim == 1 and law2.dim == 1:
-        kw.pop("feature_count", None)
-        return bl_distance_1d(law1, law2, **kw)
-    return bl_distance_nd(law1, law2, **kw)
-
-
 # ---------------------------------------------------------------------------
 # mixing profiles and convergence tables
 # ---------------------------------------------------------------------------

@@ -31,10 +31,10 @@ from .model import Frequencies, SystemSpec
 ACCEPTANCE_PROBE = 1.8
 
 
-def acceptance_system(epsilon=0.05, probe=ACCEPTANCE_PROBE) -> SystemSpec:
+def acceptance_system(epsilon=0.05) -> SystemSpec:
     n = 2
     p1 = (
-        parse_field_expr(f"-v1 + {probe!r}*v2" if probe else "-v1", n),
+        parse_field_expr(f"-v1 + {ACCEPTANCE_PROBE!r}*v2", n),
         parse_field_expr("-v2", n),
     )
     psi = (

@@ -11,14 +11,12 @@ from stochavg import (
     averaged_diffusion,
     parse_field_expr,
     principal_sqrt,
-    rotate,
 )
 from stochavg.averaging import (
     FAIL_TOL,
     _sqrt_eigh,
     actions_of,
     averaged_field_polys,
-    canonical_angles,
     principal_sqrt_batched,
 )
 from stochavg.model import Frequencies, SystemSpec
@@ -43,34 +41,6 @@ def make_spec(n, p1, psi, h=None, psi_kind="smooth"):
         h=expr(h, n) if h else None,
         psi_kind=psi_kind,
     )
-
-
-# -- rotation ----------------------------------------------------------------
-
-def test_rotate_identity_and_half_turn():
-    v = np.array([1 + 2j, -3j])
-    np.testing.assert_array_equal(rotate(np.zeros(2), v), v)
-    np.testing.assert_allclose(rotate(np.array([np.pi]), np.array([1 + 0j])), [-1], atol=1e-15)
-    np.testing.assert_allclose(
-        rotate(np.array([np.pi / 2, np.pi]), np.array([1 + 0j, 1j])),
-        [1j, -1j], atol=1e-15)
-
-
-def test_rotate_dimension_mismatch():
-    with pytest.raises(ValueError):
-        rotate(np.zeros(3), np.ones(2, dtype=complex))
-
-
-def test_rotate_preserves_moduli():
-    rng = np.random.default_rng(0)
-    v = rand_state(rng, 4)
-    w = rng.random(4) * 7
-    np.testing.assert_allclose(np.abs(rotate(w, v)), np.abs(v), rtol=1e-15)
-
-
-def test_canonical_angles():
-    np.testing.assert_allclose(canonical_angles([-np.pi, 5 * np.pi]),
-                               [np.pi, np.pi], atol=1e-12)
 
 
 # -- scalar and field averages ------------------------------------------------
@@ -111,12 +81,13 @@ def test_average_equivariance_under_rotation():
     a = rand_state(rng, 2)
     w = rng.random(2) * 2 * np.pi
     p = [expr("-v1 + 0.5*v2 + i*v1*abs2(v2)", 2), expr("v1*v2*cv1", 2)]
-    lhs = average_field(p, rotate(w, a))
-    rhs = rotate(w, average_field(p, a))
+    lhs = average_field(p, np.exp(1j * w) * a)
+    rhs = np.exp(1j * w) * average_field(p, a)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
     # scalar invariance
     f = expr("abs2(v1)*abs2(v2) + v1*cv1", 2)
-    assert average_function(f, rotate(w, a)) == pytest.approx(average_function(f, a), abs=1e-12)
+    assert average_function(f, np.exp(1j * w) * a) == pytest.approx(average_function(f, a),
+                                                                     abs=1e-12)
 
 
 # -- averaged diffusion --------------------------------------------------------
@@ -191,8 +162,7 @@ def test_principal_sqrt_rejects_indefinite():
 
 
 def test_principal_sqrt_clamps_dust():
-    B, clamped = principal_sqrt(np.diag([1.0, -1e-10]), return_clamp_count=True)
-    assert clamped == 1
+    B = principal_sqrt(np.diag([1.0, -1e-10]))
     np.testing.assert_allclose(B, np.diag([1.0, 0.0]), atol=1e-12)
 
 
@@ -283,14 +253,6 @@ def random_poly(rng, n, degree):
                 bits.append(f"cv{j+1}^{beta[j]}")
         text.append("*".join(bits))
     return parse_field_expr(" + ".join(text), n)
-
-
-def test_montecarlo_mode_cross_check():
-    a = np.array([1.0 + 0.5j, -0.3 + 0.2j])
-    f = parse_field_expr("abs2(v1)*abs2(v2) + v1*cv1", 2)
-    sym = average_function(f, a)
-    mc = average_function(f, a, method="montecarlo", mc_samples=20000, seed=0)
-    assert abs(sym - mc) < 0.05 * (1 + abs(sym))
 
 
 def test_actions_of_matches_definition():

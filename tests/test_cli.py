@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochavg import acceptance_system, cli, parse_system_text, stats
+from stochavg import acceptance_system, cli, parse_field_expr, parse_system_text, stats
 from stochavg.cli import EXIT_CONFIG, EXIT_NONFINITE, EXIT_OK, EXIT_STRICT
+from stochavg.model import Frequencies, SystemSpec
 
 RESONANT_CONFIG = """\
 format = 1
@@ -338,6 +339,24 @@ def test_manifest_replays_each_command_bit_exactly(tmp_path, resonant_cfg, comma
         assert filecmp.cmp(first / name, replay / name, shallow=False), name
 
 
+def test_manifest_of_a_spec_built_in_code_replays_bit_exactly(tmp_path, monkeypatch):
+    # --config acceptance writes the spec built in code as text; a drift with
+    # three terms out of sorted order must parse back to the same summation
+    # order, or the replayed paths differ in their last bits
+    p1 = (parse_field_expr("0.3*v2 + -v1 + 0.7*cv1*v2*v2", 2), parse_field_expr("-v2", 2))
+    spec = SystemSpec(freqs=Frequencies((1.0, 2.0 ** 0.5)), epsilon=0.05, p1=p1,
+                      psi=((1.0, 0.0), (0.0, 1.0)), psi_kind="constant")
+    monkeypatch.setattr(cli, "acceptance_system", lambda: spec)
+    first = tmp_path / "first"
+    assert cli.main(["simulate", "--config", "acceptance", "--system", "perturbed",
+                     "--T", "0.05", "--dtau", "0.001", "--paths", "20", "--seed", "1",
+                     "--out", str(first)]) == EXIT_OK
+    replay = tmp_path / "replay"
+    assert cli.run_from_manifest(first / "manifest.json", replay) == EXIT_OK
+    for name in ("manifest.json", "paths.csv"):
+        assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+
+
 def _term_lists(spec):
     polys = [*spec.p1_polys, spec.h_poly, *(p for row in spec.psi_polys for p in row)]
     return [list(p.terms.items()) for p in polys]
@@ -393,6 +412,21 @@ def test_threaded_run_matches_reference(tmp_path, resonant_cfg):
     for ra, rb in zip(a, b):
         assert abs(ra["estimate"] - rb["estimate"]) <= 1e-12
         assert abs(ra["noise_floor"] - rb["noise_floor"]) <= 1e-12
+
+
+def test_check_hamiltonian_prints_the_check_report_residual(tmp_path, resonant_cfg, capsys):
+    for seed in (0, 7):
+        assert cli.main(["check", "--config", "acceptance", "--seed", str(seed),
+                         "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "check_report.json").read_text())
+        capsys.readouterr()
+        assert cli.main(["check-hamiltonian", "--config", "acceptance", "--samples", "64",
+                         "--seed", str(seed)]) == EXIT_OK
+        worst = report["hamiltonian_max_orthogonality_residual"]
+        assert capsys.readouterr().out == \
+            f"max orthogonality residual over 64 states: {worst:.3e}\n"
+    # the resonant config has no [hamiltonian] section
+    assert cli.main(["check-hamiltonian", "--config", str(resonant_cfg)]) == EXIT_CONFIG
 
 
 def test_acceptance_subcommand_subset(tmp_path, capsys):

@@ -236,13 +236,12 @@ def test_build_coupled_keeps_no_all_node_states():
 
 # -- occupation time ---------------------------------------------------------------
 
-def _occupation_one_shot(ens, delta, k, tau_R=None):
+def _occupation_one_shot(ens, delta, k, tau_R):
     """``occupation_time`` over all paths at once, through a C-ordered
     (paths, nodes) temporary whose rows numpy sums pairwise."""
     times = ens.times
     below = np.ascontiguousarray(ens.values[:, :-1, k]) <= delta
-    if tau_R is not None:
-        below = below & (times[None, :-1] < np.asarray(tau_R)[:, None])
+    below = below & (times[None, :-1] < np.asarray(tau_R)[:, None])
     return float(np.ascontiguousarray(below * np.diff(times)[None, :]).sum(axis=1).mean())
 
 
@@ -261,11 +260,10 @@ def test_occupation_blocks_match_the_one_shot_sum_bitwise():
                for order in (np.ascontiguousarray, np.asfortranarray)]
     for k in (0, 1):
         for delta in (0.4, 0.2, 0.1, 0.05):
-            for tau_R in (None, cut.tau_R):
-                want = _occupation_one_shot(acts, delta, k, tau_R)
-                assert want > 0.0
-                for ens in (acts, *layouts):
-                    assert occupation_time(ens, delta, k, tau_R) == want
+            want = _occupation_one_shot(acts, delta, k, cut.tau_R)
+            assert want > 0.0
+            for ens in (acts, *layouts):
+                assert occupation_time(ens, delta, k, cut.tau_R) == want
 
 
 def test_occupation_zero_threshold():

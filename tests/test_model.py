@@ -284,7 +284,8 @@ def test_spec_hash_tells_polynomial_coefficients_apart():
         again = parse_system_text(system_to_text(spec)).spec
         assert again.p1[0].terms == spec.p1[0].terms
         assert spec_hash(again) == spec_hash(spec)
-    assert spec_hash(acceptance_system()) == "bf23b8abfef28882"
+    # text printed in term order: "p1 = -1.0*v1 + 1.8*v2"
+    assert spec_hash(acceptance_system()) == "181441b0ab67be86"
 
 
 def test_config_requires_header():

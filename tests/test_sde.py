@@ -7,7 +7,6 @@ from stochavg import (
     StepTooLargeError,
     acceptance_system,
     ito_action_consistency,
-    moment_diagnostic,
     ou_system_1d,
     parse_field_expr,
     simulate_action_sde,
@@ -511,17 +510,6 @@ def test_cutoff_deterministic_decay_never_triggers():
                                     seed=0, R=4.0)
     assert cut.tau_R[0] == pytest.approx(1.0)
     assert abs(cut.paths.values[0, -1, 0]) == pytest.approx(np.exp(-1.0), abs=1e-3)
-
-
-# -- moment diagnostic -------------------------------------------------------------------
-
-def test_moment_diagnostic_finite_and_stable():
-    spec = acceptance_system(epsilon=0.2)
-    rep = moment_diagnostic(spec, np.array([1 + 0j, 1 + 0j]), T=2.0, dtau=2e-3,
-                            n_paths=1000, seed=3, record_times=[0.5, 1.0, 1.5, 2.0])
-    assert rep.order == 5
-    assert np.isfinite(rep.sup_moment)
-    assert 0.5 <= rep.doubling_ratio <= 2.0
 
 
 def test_negative_path_count_is_named_before_any_allocation():

@@ -6,7 +6,6 @@ from scipy.optimize import linprog
 from stochavg import (
     EmpiricalLaw,
     acceptance_system,
-    bl_distance,
     bl_distance_1d,
     bl_distance_nd,
     convergence_table,
@@ -275,15 +274,6 @@ def test_noise_floor_consistency():
         if rep.estimate <= 3 * rep.noise_floor:
             hits += 1
     assert hits >= int(0.85 * trials)
-
-
-def test_bl_dispatch():
-    rng = np.random.default_rng(9)
-    r1 = bl_distance(law(rng.normal(size=100)), law(rng.normal(size=100)), bootstrap=0)
-    assert r1.method.startswith("bl1d")
-    r2 = bl_distance(law(rng.normal(size=(100, 2))), law(rng.normal(size=(100, 2))),
-                     bootstrap=0)
-    assert r2.method.startswith("blnd")
 
 
 # -- ensemble laws ------------------------------------------------------------------
