@@ -166,7 +166,7 @@ def cmd_check(args):
     }
     if spec.h is not None:
         report["hamiltonian_max_orthogonality_residual"] = _worst_orthogonality_residual(
-            spec, 64, args.seed)
+            spec, args.samples, args.seed)
     _write_manifest(out, text, args)
     _write_json(out / "check_report.json", report)
     flag = "RESONANT" if nonres.resonant else "non-resonant"
@@ -451,7 +451,9 @@ def build_parser():
     _add_common(p)
     p.add_argument("--order-bound", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--samples", type=int, default=128)
+    p.add_argument("--samples", type=int, default=128,
+                   help="random states for the ellipticity sample and for the "
+                        "hamiltonian residual scan")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("check-hamiltonian", help="max orthogonality residual over sampled states")

@@ -151,8 +151,7 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
     overshoot_counts = np.zeros(n_paths, dtype=int)
 
     def step(x, db, m, sl):
-        a_ref = ref_step(x[:, :n], db, m, sl)
-        I_ref = actions_of(a_ref)
+        a_ref, I_ref = ref_step(x[:, :n], db, m, sl)
         # coupled: modified dynamics on Lambda, rotated copy on Delta, driven
         # by the same Wiener increments as the reference
         evolved = modified(x[:, n:], db, stop_cpl[sl])

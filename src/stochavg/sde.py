@@ -29,7 +29,10 @@ The coupled construction in ``coupling`` is one more step over the stacked
 
 Each path owns an independent noise stream derived from
 (master_seed, path_index, stream_id), so ensembles are bit-reproducible
-regardless of chunking or thread count.  The driver records the states node
+regardless of chunking or thread count: its PCG64 gets the seed words of
+numpy's SeedSequence(master_seed, spawn_key=(path_index, stream_id)), which
+a chunk derives for all its paths in one vectorised pass of numpy's hash (a
+test pins them to numpy's).  The driver records the states node
 by node; ``PathEnsemble.values`` is the (paths, nodes, k) view of that
 node-major array and is not C-contiguous.
 """
@@ -60,8 +63,64 @@ _BLOCK_STEPS = 256
 _ACTION_NODES = 256
 
 
+# the constants of numpy's SeedSequence hash
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _seed_words(master_seed, paths, stream_id):
+    """Row j: SeedSequence(master_seed, spawn_key=(paths[j], stream_id))
+    .generate_state(4, np.uint64), for an int or a tuple of ints master_seed
+    and a range ``paths`` below 2^32.  numpy's hash runs once for all rows in
+    uint32 arithmetic; words that do not depend on the path have 1 element."""
+    ints = [int(v) for v in (master_seed if isinstance(master_seed, tuple) else (master_seed,))]
+    if min(ints, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    run = [v >> s & _MASK32 for v in ints for s in range(0, max(v.bit_length(), 1), 32)]
+    words = [np.uint32([w]) for w in run + [0] * (4 - len(run))]
+    words += [np.arange(paths.start, paths.stop, dtype=np.uint32), np.uint32([stream_id])]
+    const = _INIT_A
+
+    def hashmix(v, mult=_MULT_A):
+        nonlocal const
+        v = (v ^ const) * (const := const * mult & _MASK32)
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = x * _MIX_L - y * _MIX_R
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    for w in words[4:]:
+        for j in range(4):
+            pool[j] = mix(pool[j], hashmix(w))
+    const = _INIT_B  # generate_state: the same hash on the B constants
+    half = [hashmix(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return np.stack([half[i] | half[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
+class _SeedWords:
+    """Hands PCG64 the seed words it was built with.  ``_seed_words`` makes it
+    a numpy ISeedSequence, so importing stochavg does not load numpy.random."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 class NoisePath:
     """Noise increments of one path, reproducible from the seed lineage alone.
+
+    Path p of stream s draws from PCG64 seeded as by SeedSequence(master_seed,
+    spawn_key=(p, s)), from its row ``words`` of ``_seed_words``, which a
+    chunk derives for all its paths at once and a test pins to numpy's.
 
     Complex increments have independent real and imaginary parts of variance
     dtau each, so E|dbeta_l|^2 = 2 dtau.  Draw order is fixed: one
@@ -69,14 +128,11 @@ class NoisePath:
     parts, second half imaginary parts; consecutive requests continue one stream.
     """
 
-    def __init__(self, master_seed, path_index, stream_id, dtau):
-        self.master_seed = master_seed
-        self.path_index = path_index
-        self.stream_id = stream_id
-        self.dtau = float(dtau)
-        self._scale = np.sqrt(self.dtau)
-        seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(path_index, stream_id))
-        self._rng = np.random.default_rng(seq)
+    def __init__(self, master_seed, path_index, stream_id, dtau, words=None):
+        self._scale = np.sqrt(float(dtau))
+        if words is None:
+            words = _seed_words(master_seed, range(path_index, path_index + 1), stream_id)[0]
+        self._rng = np.random.Generator(np.random.PCG64(_SeedWords(words.copy())))
 
     def complex_increments(self, steps, n1, out=None):
         """Complex increments of shape (steps, n1), written into ``out`` if given."""
@@ -274,7 +330,8 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
     draw = getattr(NoisePath, "real_increments" if real else "complex_increments")
 
     def run(sl):
-        paths = [NoisePath(seed, p, stream, dtau) for p in range(sl.start, sl.stop)]
+        words = _seed_words(seed, range(sl.start, sl.stop), stream)
+        paths = [NoisePath(seed, sl.start + j, stream, dtau, w) for j, w in enumerate(words)]
         block = _noise_block((_BLOCK_STEPS, len(paths), width), float if real else complex)
         x = np.broadcast_to(x0, (len(paths), x0.size)).copy()
         if 0 in slot:
@@ -436,13 +493,15 @@ def _mark_stops(hit, stopped, tau_R, t, sl):
 
 def _cutoff_step(rule, dtau, R, stopped, tau_R):
     """Step of the cut-off dynamics: ``rule`` until the first node with
-    |a|^2 >= R, the trivial system from there on."""
+    |a|^2 >= R, the trivial system from there on.  It returns the states and
+    their actions I, and tests 2 sum_k I_k >= R, the same boolean as
+    |a|^2 >= R: halving and doubling are exact for normal floats."""
 
     def step(a, db, m, sl):
         a = rule(a, db, stopped[sl])
-        _mark_stops(_row_reduce(np.add, a.real**2 + a.imag**2) >= R, stopped, tau_R,
-                    (m + 1) * dtau, sl)
-        return a
+        I = actions_of(a)
+        _mark_stops(2.0 * _row_reduce(np.add, I) >= R, stopped, tau_R, (m + 1) * dtau, sl)
+        return a, I
 
     return step
 
@@ -478,7 +537,7 @@ def simulate_cutoff_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths,
     tau_R = np.full(n_paths, _grid(T, dtau) * dtau)
     step = _cutoff_step(_effective_rule(spec, variant, dtau), dtau, R, stopped, tau_R)
     ens = _integrate(v0, spec.n, T, dtau, record_times, n_paths, seed, STATE_STREAM,
-                     step, threads, variant)
+                     lambda a, db, m, sl: step(a, db, m, sl)[0], threads, variant)
     ens.meta.update(system=spec_hash(spec), integrator="euler-maruyama",
                     variant=variant, R=R)
     ens.extras["stopped"] = stopped

@@ -8,9 +8,11 @@ with the Lipschitz constant and the sup norm *jointly* bounded by one.  In
 one dimension the supremum over empirical laws is computed exactly: only the
 values f_i at the merged sample points matter, and the Lipschitz constraint
 reduces to adjacent pairs on the sorted grid.  For a fixed Lipschitz budget
-L the best f comes from a chain dynamic program (the "slope trick"), and its
-value g(L) is concave and piecewise linear in L, so a few tangent-line steps
-find the best trade-off (see ``_bl1d_exact``).  The dual of the same problem
+L the best f comes from a chain dynamic program (the "slope trick") whose
+breakpoints never change order on either side of the running maximum, so
+two stacks hold them (see ``_bl1d_pass``).  Its value g(L) is concave and
+piecewise linear in L, so a few tangent-line steps find the best trade-off
+(see ``_bl1d_exact``).  The dual of the same problem
 is the generalized-Wasserstein / flat-norm identity: the distance is the
 minimum over partial transport plans of max(transport cost, unmatched mass)
 (Piccoli & Rossi, ARMA 2014).  In higher dimension the supremum is
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,50 +113,9 @@ def _merged_support(x1, x2):
     return uniq, w
 
 
-# Solves take 4-11 DP passes in practice; the cap only ends a tangent search
-# that rounding keeps from closing its gap.
+# On the laws of an epsilon sweep a solve takes 6-11 DP passes; the cap only
+# ends a tangent search that rounding keeps from closing its gap.
 _BL1D_MAX_PASSES = 64
-
-
-def _heap_move(src, dst, rem, x, L, c):
-    """Move slope weight ``rem`` from the innermost breakpoints of ``src`` to
-    ``dst`` (see ``_bl1d_pass`` for the heap layout); past the wall, the wall
-    itself supplies it."""
-    push = heapq.heappush
-    while True:
-        if src:
-            top = src[0]
-            a, b = top[2], top[1] + x
-            p = a + b * L
-            if p > c or (p == c and b >= -1.0):  # at or beyond the wall
-                src.clear()
-        if not src:
-            bs = 1.0 - x
-            push(dst, (-1.0 + bs * L, bs, -1, rem))
-            return
-        bs = -b - x
-        weight = top[3]
-        if weight > rem:
-            src[0] = (top[0], top[1], a, weight - rem)
-            push(dst, (-a + bs * L, bs, -a, rem))
-            return
-        heapq.heappop(src)
-        push(dst, (-a + bs * L, bs, -a, weight))
-        rem -= weight
-        if rem <= 0.0:
-            return
-
-
-def _heap_inner(heap, x, L, c):
-    """(alpha, beta) of the innermost breakpoint of ``heap``, or of the wall."""
-    if heap:
-        top = heap[0]
-        a, b = top[2], top[1] + x
-        p = a + b * L
-        if p < c or (p == c and b < -1.0):
-            return a, b
-        heap.clear()
-    return 1, -1.0
 
 
 def _bl1d_pass(X, w, L):
@@ -163,22 +123,25 @@ def _bl1d_pass(X, w, L):
 
     Slope trick on V_i(y), the best partial sum with f_i = y: a concave
     piecewise-linear function on [-c, c], c = 1 - L.  Its breakpoints left of
-    the maximum sit in one heap and those right of it in another, each with
-    the drop in slope across it.  Adding w_i y moves weight |w_i| across the
-    maximum.  The window max over |f_{i+1} - f_i| <= L d_i pushes the two
-    heaps apart by L d_i, which a lazy offset (the grid coordinate X_i) does
-    for free.  The walls at -c and c absorb whatever crosses them.  The
-    maximiser interval of each V_i is recorded, and a backward pass clips
-    f_{i+1} towards it to recover f_i.
+    the maximum sit on one stack and those right of it on another, each with
+    the drop in slope across it, innermost on top.  Adding w_i y moves weight
+    |w_i| across the maximum, from the top of one stack to the top of the
+    other: a breakpoint that crosses the maximum lies inside every breakpoint
+    of the side it joins.  The window max over |f_{i+1} - f_i| <= L d_i
+    pushes each side outward by L d_i as a whole, which a lazy offset (the
+    grid coordinate X_i) does for free.  So a side never changes order, and
+    a stack is all it needs.  The walls at -c and c absorb whatever crosses
+    them; a side whose top is at or beyond its wall lies there entirely and
+    is cleared.  The maximiser interval of each V_i is recorded, and a
+    backward pass clips f_{i+1} towards it to recover f_i.
 
     Every breakpoint is a copy of a wall moved by window shifts, so it sits
-    at alpha + beta L with alpha = +-1.  Both heaps are min-heaps of
-    (alpha + beta_s L, beta_s, alpha, weight) with beta = beta_s + X_i; the
-    left heap stores the mirror image y -> -y, so one routine serves both
-    and each heap's wall sits at (alpha, beta) = (1, -1).  Ties compare
-    (position, beta), which orders them as at L + 0.  f is returned as
-    arrays (alpha, beta): g(L) = w.(alpha + beta L), and w.beta is the slope
-    of g just right of L.
+    at alpha + beta L with alpha = +-1.  Entries are (beta_s, alpha, weight)
+    with beta = beta_s + X_i; the left stack holds the mirror image y -> -y,
+    so both read alike and each wall sits at (alpha, beta) = (1, -1).  A tie
+    in position goes to the smaller beta, the order at L + 0.  f is returned
+    as arrays (alpha, beta): g(L) = w.(alpha + beta L), and w.beta is the
+    slope of g just right of L.
     """
     m = len(X)
     c = 1.0 - L
@@ -186,12 +149,44 @@ def _bl1d_pass(X, w, L):
     inner = [None] * m  # per node: maximiser interval of V_i as two (alpha, beta)
     for i in range(m):
         x, wi = X[i], w[i]
-        if wi > 0.0:
-            _heap_move(right, left, wi, x, L, c)
-        elif wi < 0.0:
-            _heap_move(left, right, -wi, x, L, c)
-        a, b = _heap_inner(left, x, L, c)
-        inner[i] = (-a, -b) + _heap_inner(right, x, L, c)
+        if wi:  # move |w_i| from src to dst; past its wall, src's wall supplies it
+            src, dst, rem = (right, left, wi) if wi > 0.0 else (left, right, -wi)
+            while True:
+                if src:
+                    bs, a, weight = src[-1]
+                    b = bs + x
+                    p = a + b * L
+                    if p > c or (p == c and b >= -1.0):  # at or beyond the wall
+                        src.clear()
+                if not src:
+                    dst.append((1.0 - x, -1, rem))
+                    break
+                if weight > rem:
+                    src[-1] = (bs, a, weight - rem)
+                    dst.append((-b - x, -a, rem))
+                    break
+                src.pop()
+                dst.append((-b - x, -a, weight))
+                rem -= weight
+                if rem <= 0.0:
+                    break
+        if left:  # the innermost breakpoint of each side, or its wall
+            bs, la, _ = left[-1]
+            lb = bs + x
+            p = la + lb * L
+            if p > c or (p == c and lb >= -1.0):
+                left.clear()
+        if not left:
+            la, lb = 1, -1.0
+        if right:
+            bs, ha, _ = right[-1]
+            hb = bs + x
+            p = ha + hb * L
+            if p > c or (p == c and hb >= -1.0):
+                right.clear()
+        if not right:
+            ha, hb = 1, -1.0
+        inner[i] = (-la, -lb, ha, hb)
     alpha = [0] * m
     beta = [0.0] * m
     a, b = inner[m - 1][:2]
@@ -274,8 +269,11 @@ def _canonical_pair(p1, p2):
 
 def _col_means(vals):
     """Column means with a canonical summation order, so permutations of the
-    same sample give bitwise-identical means (relabeled copies measure 0)."""
-    return np.sort(vals, axis=0).mean(axis=0)
+    same sample give bitwise-identical means (relabeled copies measure 0).
+    Columns sort as contiguous rows; a C-ordered mean adds them in order."""
+    cols = np.array(vals.T, order="C")
+    cols.sort(axis=1)
+    return np.ascontiguousarray(cols.T).mean(axis=0)
 
 
 def _percentile_ci(samples):
@@ -360,10 +358,10 @@ class _RampFamily:
         norms[norms == 0] = 1.0
         self.u = u / norms
         self.center = pooled.mean(axis=0)
-        proj = (pooled - self.center) @ self.u.T
-        lo = np.quantile(proj, 0.05, axis=0)
-        hi = np.quantile(proj, 0.95, axis=0)
-        spread = np.maximum(np.quantile(np.abs(proj), 0.9, axis=0), 1e-9)
+        # one contiguous row of projections per feature
+        proj = np.array(((pooled - self.center) @ self.u.T).T, order="C")
+        lo, hi = np.quantile(proj, [0.05, 0.95], axis=1)
+        spread = np.maximum(np.quantile(np.abs(proj), 0.9, axis=1), 1e-9)
         ladder = 2.0 ** rng.integers(-2, 5, feature_count)
         self.kappa = ladder / spread
         self.b = lo + (hi - lo) * rng.random(feature_count)

@@ -415,16 +415,17 @@ def test_threaded_run_matches_reference(tmp_path, resonant_cfg):
 
 
 def test_check_hamiltonian_prints_the_check_report_residual(tmp_path, resonant_cfg, capsys):
-    for seed in (0, 7):
+    # --samples drives the residual scan of both commands
+    for seed, samples in ((0, "128"), (7, "64")):
         assert cli.main(["check", "--config", "acceptance", "--seed", str(seed),
-                         "--out", str(tmp_path)]) == EXIT_OK
+                         "--samples", samples, "--out", str(tmp_path)]) == EXIT_OK
         report = json.loads((tmp_path / "check_report.json").read_text())
         capsys.readouterr()
-        assert cli.main(["check-hamiltonian", "--config", "acceptance", "--samples", "64",
+        assert cli.main(["check-hamiltonian", "--config", "acceptance", "--samples", samples,
                          "--seed", str(seed)]) == EXIT_OK
         worst = report["hamiltonian_max_orthogonality_residual"]
         assert capsys.readouterr().out == \
-            f"max orthogonality residual over 64 states: {worst:.3e}\n"
+            f"max orthogonality residual over {samples} states: {worst:.3e}\n"
     # the resonant config has no [hamiltonian] section
     assert cli.main(["check-hamiltonian", "--config", str(resonant_cfg)]) == EXIT_CONFIG
 

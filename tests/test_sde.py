@@ -17,7 +17,7 @@ from stochavg import (
 from stochavg import averaging, sde
 from stochavg.coupling import build_coupled
 from stochavg.model import Frequencies, SystemSpec
-from stochavg.sde import NoisePath, ito_refinement_study
+from stochavg.sde import NoisePath, _seed_words, ito_refinement_study
 
 V0_1 = np.array([1.0 + 0.0j])
 
@@ -57,6 +57,30 @@ def test_noise_written_into_a_block_equals_the_scaled_draws():
     NoisePath(42, 3, 0, dtau).real_increments(100, 4, out=real)
     assert real.tobytes() == (np.sqrt(dtau) * z).tobytes()
     assert NoisePath(42, 3, 0, dtau).real_increments(100, 4).tobytes() == real.tobytes()
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 2**32 + 5, 2**64 + 3, 2**70 + 11,
+                                         (3, 101, 2), (2024, 2**63 + 7), (2**40, 0, 2**33, 1, 9)])
+@pytest.mark.parametrize("stream", [sde.STATE_STREAM, sde.ACTION_STREAM])
+def test_seed_words_are_numpys_seed_sequence_words(master_seed, stream):
+    # paths on both sides of a chunk boundary, and a single path
+    for paths in (range(sde._CHUNK_PATHS - 3, sde._CHUNK_PATHS + 2), range(0, 1), range(77, 78)):
+        got = _seed_words(master_seed, paths, stream)
+        want = [np.random.SeedSequence(master_seed, spawn_key=(p, stream))
+                .generate_state(4, np.uint64) for p in paths]
+        assert got.dtype == np.uint64 and got.tobytes() == np.array(want).tobytes()
+
+
+def test_noise_path_built_in_a_chunk_draws_as_one_built_alone():
+    words = _seed_words((5, 202, 1), range(4090, 4100), 0)
+    for j, p in enumerate(range(4090, 4100)):
+        chunk = NoisePath((5, 202, 1), p, 0, 0.01, words[j])
+        alone = NoisePath((5, 202, 1), p, 0, 0.01)
+        for steps in (3, 256):
+            assert chunk.complex_increments(steps, 2).tobytes() == \
+                alone.complex_increments(steps, 2).tobytes()
+    with pytest.raises(ValueError):
+        NoisePath(-1, 0, 0, 0.01)
 
 
 @pytest.mark.parametrize("draw, dtype", [("complex_increments", complex),

@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +17,14 @@ from stochavg import (
     simulate_effective,
 )
 from stochavg.model import Frequencies, SystemSpec
-from stochavg.stats import _bl1d_exact, _bootstrap_gaps, _merged_support
+from stochavg.stats import (
+    _bl1d_exact,
+    _bl1d_pass,
+    _bootstrap_gaps,
+    _col_means,
+    _merged_support,
+    _RampFamily,
+)
 
 
 def law(points, **kw):
@@ -75,7 +84,142 @@ def _random_support(rng, k):
     return x1 * scale, x2 * scale
 
 
+def _heap_move(src, dst, rem, x, L, c):
+    """Move slope weight ``rem`` from the innermost breakpoints of ``src`` to
+    ``dst`` (see ``_heap_pass`` for the heap layout); past the wall, the wall
+    itself supplies it."""
+    push = heapq.heappush
+    while True:
+        if src:
+            top = src[0]
+            a, b = top[2], top[1] + x
+            p = a + b * L
+            if p > c or (p == c and b >= -1.0):  # at or beyond the wall
+                src.clear()
+        if not src:
+            bs = 1.0 - x
+            push(dst, (-1.0 + bs * L, bs, -1, rem))
+            return
+        bs = -b - x
+        weight = top[3]
+        if weight > rem:
+            src[0] = (top[0], top[1], a, weight - rem)
+            push(dst, (-a + bs * L, bs, -a, rem))
+            return
+        heapq.heappop(src)
+        push(dst, (-a + bs * L, bs, -a, weight))
+        rem -= weight
+        if rem <= 0.0:
+            return
+
+
+def _heap_inner(heap, x, L, c):
+    """(alpha, beta) of the innermost breakpoint of ``heap``, or of the wall."""
+    if heap:
+        top = heap[0]
+        a, b = top[2], top[1] + x
+        p = a + b * L
+        if p < c or (p == c and b < -1.0):
+            return a, b
+        heap.clear()
+    return 1, -1.0
+
+
+def _heap_pass(X, w, L):
+    """Oracle for ``_bl1d_pass``: the same slope-trick DP with each side of
+    the maximum in a min-heap of (alpha + beta_s L, beta_s, alpha, weight),
+    which orders the breakpoints by position at every push and pop instead
+    of relying on the order never changing.  The backward pass is the same.
+    """
+    m = len(X)
+    c = 1.0 - L
+    left, right = [], []
+    inner = [None] * m
+    for i in range(m):
+        x, wi = X[i], w[i]
+        if wi > 0.0:
+            _heap_move(right, left, wi, x, L, c)
+        elif wi < 0.0:
+            _heap_move(left, right, -wi, x, L, c)
+        a, b = _heap_inner(left, x, L, c)
+        inner[i] = (-a, -b) + _heap_inner(right, x, L, c)
+    alpha = [0] * m
+    beta = [0.0] * m
+    a, b = inner[m - 1][:2]
+    alpha[m - 1], beta[m - 1] = a, b
+    for i in range(m - 2, -1, -1):
+        la, lb, ha, hb = inner[i]
+        d = X[i + 1] - X[i]
+        p, pl, ph = a + b * L, la + lb * L, ha + hb * L
+        if p < pl or (p == pl and b < lb):
+            bu = b + d
+            pu = a + bu * L
+            if pl > pu or (pl == pu and lb > bu):
+                b = bu
+            else:
+                a, b = la, lb
+        elif p > ph or (p == ph and b > hb):
+            bd = b - d
+            pd = a + bd * L
+            if ph < pd or (ph == pd and hb < bd):
+                b = bd
+            else:
+                a, b = ha, hb
+        alpha[i], beta[i] = a, b
+    return np.array(alpha, dtype=float), np.array(beta)
+
+
 # -- exact 1d distance ---------------------------------------------------------
+
+def test_bl1d_stack_pass_matches_the_heap_pass_bitwise():
+    # supports of unequal random sizes, every third on a coarse lattice (ties
+    # within and across the samples, and zero merged weights where equal
+    # sizes cancel), every third with a pile at 0 like clamped actions; some
+    # weights are zeroed outright.  L is uniform on (0, 1): at the measure-
+    # zero L where two breakpoints tie in position after rounding, the two
+    # passes may break the tie differently.
+    rng = np.random.default_rng(14)
+    zero_weights = 0
+    for k in range(2400):
+        n1 = int(rng.integers(2, 120))
+        n2 = n1 if k % 7 == 0 else int(rng.integers(2, 120))
+        x1 = rng.normal(size=n1)
+        x2 = rng.normal(size=n2) * rng.uniform(0.3, 3.0) + rng.normal()
+        if k % 3 == 1:
+            x1, x2 = np.round(3 * x1) / 3, np.round(3 * x2) / 3
+        elif k % 3 == 2:
+            x1, x2 = np.abs(x1), np.abs(x2)
+            x1[rng.random(n1) < 0.4] = 0.0
+            x2[rng.random(n2) < 0.3] = 0.0
+        x, w = _merged_support(x1 * np.exp(rng.uniform(-4.0, 2.0)), x2)
+        X, wl = (x - x[0]).tolist(), w.tolist()
+        if k % 5 == 0:
+            wl[int(rng.integers(len(wl)))] = 0.0
+        zero_weights += wl.count(0.0) > 0
+        L = float(rng.random())
+        alpha, beta = _bl1d_pass(X, wl, L)
+        want_alpha, want_beta = _heap_pass(X, wl, L)
+        assert alpha.tobytes() == want_alpha.tobytes(), k
+        assert beta.tobytes() == want_beta.tobytes(), k
+    assert zero_weights > 480
+
+
+def test_bl1d_stack_pass_matches_the_heap_pass_at_the_search_budgets(monkeypatch):
+    # the L values the tangent search visits on a 1000 + 1000 point solve
+    rng = np.random.default_rng(15)
+    seen = []
+
+    def both(X, w, L):
+        got = _bl1d_pass(X, w, L)
+        want = _heap_pass(X, w, L)
+        seen.append(got[0].tobytes() == want[0].tobytes()
+                    and got[1].tobytes() == want[1].tobytes())
+        return got
+
+    monkeypatch.setattr("stochavg.stats._bl1d_pass", both)
+    _bl1d_exact(rng.normal(size=1000), rng.normal(size=1000) * 1.1 + 0.1)
+    assert len(seen) >= 4 and all(seen)
+
 
 def test_bl1d_identical_samples_is_zero():
     rep = bl_distance_1d(law([0.3, 1.2, -0.5]), law([0.3, 1.2, -0.5]), bootstrap=0)
@@ -200,6 +344,28 @@ def test_bl1d_rejects_multidimensional():
 
 
 # -- lower-bound nd estimator -----------------------------------------------------
+
+@pytest.mark.parametrize("points, features", [(333, 71), (1001, 129), (64, 257)])
+def test_ramp_quantiles_and_column_means_match_their_axis0_forms(points, features):
+    rng = np.random.default_rng(16)
+    pooled = rng.normal(size=(points, 3)) * [1.0, 0.2, 3.0]
+    family = _RampFamily(pooled, features, seed=4)
+    # the axis-0 forms on the (points, features) projections
+    proj = (pooled - family.center) @ family.u.T
+    ref = np.random.default_rng(4)
+    ref.standard_normal((features, 3))
+    lo = np.quantile(proj, 0.05, axis=0)
+    hi = np.quantile(proj, 0.95, axis=0)
+    spread = np.maximum(np.quantile(np.abs(proj), 0.9, axis=0), 1e-9)
+    assert family.kappa.tobytes() == (2.0 ** ref.integers(-2, 5, features) / spread).tobytes()
+    assert family.b.tobytes() == (lo + (hi - lo) * ref.random(features)).tobytes()
+    vals = family.evaluate(rng.normal(size=(points, 3)))
+    assert _col_means(vals).tobytes() == np.sort(vals, axis=0).mean(axis=0).tobytes()
+    assert _col_means(vals[::-1]).tobytes() == _col_means(vals).tobytes()
+    before = vals.copy()
+    _col_means(vals)
+    assert vals.tobytes() == before.tobytes()  # sorts a copy
+
 
 def test_blnd_identical_and_relabeled():
     rng = np.random.default_rng(4)
