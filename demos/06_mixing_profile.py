@@ -17,14 +17,14 @@ v2 = np.array([0.0 + 0.0j, 2.0 + 0.0j])
 times = [0.5, 1.0, 2.0, 4.0, 8.0]
 
 print(f"initial states: v1 = {v1}, v2 = {v2}")
-reps = mixing_profile(spec, "full", v1, v2, T=8.0, dtau=2e-3, n_paths=1500,
+rows = mixing_profile(spec, "full", v1, v2, T=8.0, dtau=2e-3, n_paths=1500,
                       seed=3, times=times)
 print(f"{'tau':>6} {'distance':>10} {'noise floor':>12}")
-for t, rep in zip(times, reps):
-    print(f"{t:>6g} {rep.estimate:>10.4f} {rep.noise_floor:>12.4f}")
+for r in rows:
+    print(f"{r.time:>6g} {r.estimate:>10.4f} {r.noise_floor:>12.4f}")
 
 print("\nsame state, same seed: the two ensembles coincide and the distance")
 print("is identically zero at every requested time:")
-reps = mixing_profile(spec, "full", v1, v1, T=1.0, dtau=1e-2, n_paths=200,
+rows = mixing_profile(spec, "full", v1, v1, T=1.0, dtau=1e-2, n_paths=200,
                       seed=3, times=[0.5, 1.0], bootstrap=0)
-print(f"  distances: {[r.estimate for r in reps]}")
+print(f"  distances: {[r.estimate for r in rows]}")

@@ -6,11 +6,13 @@ phase e^{i w_k}, and for the diffusion matrix the (k,l) entry carries
 e^{i(w_k - w_l)}.  On polynomials the integrals are exact: a monomial
 v^alpha conj(v)^beta survives averaging against e^{i d.w} iff
 alpha - beta = d, which gives the symbolic backend that every command and
-integrator uses.  The quadrature backend (``method="quadrature"``) is the
+integrator uses.  ``average_function``, ``average_field`` and
+``averaged_diffusion`` also take ``method="quadrature"``: the
 tensor-product rectangle rule, spectrally exact on trigonometric
 polynomials below the grid's Nyquist order, so the two backends must agree
-to rounding on polynomial inputs; acceptance criterion 2 keeps it as the
-oracle of the symbolic backend.
+to rounding on polynomial inputs; acceptance criteria 1 and 2 keep it as the
+oracle of the symbolic backend.  The action coefficients F(I), S(I) and
+K(I) are symbolic only; their quadrature oracle lives in the tests.
 """
 
 from __future__ import annotations
@@ -345,28 +347,15 @@ def action_diffusion_polys(spec):
     return tuple(out)
 
 
-def _angle_states(actions, angles):
-    """States v_k = sqrt(2 I_k) e^{i phi_k} on the sampled angle grid."""
-    amp = np.sqrt(2.0 * np.asarray(actions, dtype=float))
-    return amp * np.exp(1j * angles)
-
-
-def action_drift_F(spec, actions, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
+def action_drift_F(spec, actions):
     """Averaged action drift F(I); real n-vector, continuous up to I = 0."""
     actions = np.asarray(actions, dtype=float)
     if (actions < 0).any():
         raise ValueError("actions must be nonnegative")
-    if method == "symbolic":
-        return evaluate_entries(action_drift_polys(spec), actions)
-    angles = _torus_grid(spec.n, method, grid_per_dim)
-    v = _angle_states(actions, angles)
-    P = evaluate_entries(spec.drift_polys, v)
-    integrand = (v * np.conj(P)).real + (np.abs(spec.psi_at(v)) ** 2).sum(axis=2)
-    # column by column: a 1-d mean sums pairwise, a mean over axis 0 does not
-    return np.array([col.mean() for col in integrand.T])
+    return evaluate_entries(action_drift_polys(spec), actions)
 
 
-def action_diffusion_SK(spec, actions, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
+def action_diffusion_SK(spec, actions):
     """Averaged action diffusion S(I) and its principal square root K(I).
 
     For constant dispersion, S = diag{2 I_k b_k^2} with b_k^2 = sum_l
@@ -375,15 +364,7 @@ def action_diffusion_SK(spec, actions, method="symbolic", *, grid_per_dim=DEFAUL
     actions = np.asarray(actions, dtype=float)
     if (actions < 0).any():
         raise ValueError("actions must be nonnegative")
-    n = spec.n
-    if method == "symbolic":
-        S = evaluate_entries(action_diffusion_polys(spec), actions)
-    else:
-        angles = _torus_grid(n, method, grid_per_dim)
-        v = _angle_states(actions, angles)
-        psi = spec.psi_at(v)
-        w = v[:, :, None] * np.conj(psi)  # (g, n, n1): v_k conj(Psi_kl)
-        S = np.einsum("gkl,gjl->kj", w, np.conj(w)).real / angles.shape[0]
+    S = evaluate_entries(action_diffusion_polys(spec), actions)
     S = 0.5 * (S + S.T)
     K = principal_sqrt(S)
     return S, K

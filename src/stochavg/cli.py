@@ -145,7 +145,7 @@ def cmd_check(args):
     nonres = check_nonresonance(spec.freqs, args.order_bound, args.tol)
     ellip = check_ellipticity(spec, args.samples, args.seed)
     growth = [
-        estimate_growth(p, spec.m0, [1.0, 4.0, 10.0], args.seed + k).c_m0_estimate
+        estimate_growth(p, spec.m0, [1.0, 4.0, 10.0], args.seed + k)
         for k, p in enumerate(spec.p1_polys)
     ]
     report = {
@@ -153,14 +153,14 @@ def cmd_check(args):
             "resonant": nonres.resonant,
             "witness": list(nonres.witness) if nonres.witness else None,
             "min_abs": nonres.min_abs,
-            "order_bound": nonres.order_bound,
-            "tol": nonres.tol,
+            "order_bound": args.order_bound,
+            "tol": args.tol,
         },
         "ellipticity": {
             "lambda_lower": ellip.lambda_lower,
             "lambda_upper": ellip.lambda_upper,
             "passed": ellip.passed,
-            "sample_count": ellip.sample_count,
+            "sample_count": args.samples,
         },
         "growth_c_estimates": growth,
     }
@@ -171,7 +171,7 @@ def cmd_check(args):
     _write_json(out / "check_report.json", report)
     flag = "RESONANT" if nonres.resonant else "non-resonant"
     wit = f" witness={nonres.witness}" if nonres.resonant else ""
-    print(f"frequencies: {flag} up to order {nonres.order_bound} "
+    print(f"frequencies: {flag} up to order {args.order_bound} "
           f"(min |m.lambda| = {nonres.min_abs:.3e}){wit}")
     print(f"dispersion eigenvalues: [{ellip.lambda_lower:.6g}, {ellip.lambda_upper:.6g}] "
           f"{'PASS' if ellip.passed else 'FAIL'} (sampled)")
@@ -326,14 +326,8 @@ def cmd_mixing(args):
     out = _out_dir(args)
     v1 = _parse_v0(args.v0_a, spec.n)
     v2 = _parse_v0(args.v0_b, spec.n)
-    times = _floats(args.times)
-    reps = stats.mixing_profile(spec, args.variant, v1, v2, args.T, args.dtau,
-                                args.paths, args.seed, times, threads=args.threads)
-    rows = [stats.ConvergenceRow(eps=spec.epsilon, time=t, estimate=rep.estimate,
-                                 ci_lo=rep.bootstrap_ci[0], ci_hi=rep.bootstrap_ci[1],
-                                 noise_floor=rep.noise_floor, feature_max=rep.feature_max,
-                                 marginal_max=rep.marginal_max)
-            for t, rep in zip(times, reps)]
+    rows = stats.mixing_profile(spec, args.variant, v1, v2, args.T, args.dtau, args.paths,
+                                args.seed, _floats(args.times), threads=args.threads)
     stats.write_distance_csv(rows, out / "mixing.csv", metric="bl_state_distance")
     _write_json(out / "mixing.json",
                 stats.distance_rows_json(rows, metric="bl_state_distance"))

@@ -41,7 +41,6 @@ from typing import List
 import numpy as np
 
 from .averaging import actions_of
-from .config import spec_hash
 from .model import SystemSpec, validate_state
 from .sde import (
     STATE_STREAM,
@@ -98,7 +97,6 @@ class CoupledResult:
     tau_R_ref: np.ndarray
     tau_R_cpl: np.ndarray
     delta: float
-    R: float
     overshoots: int
 
     @property
@@ -197,26 +195,20 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
             schedules[p].append(Segment(DELTA if in_delta[p] else LAMBDA, int(seg_start[p]), M))
 
     times = np.arange(M + 1) * dtau
-    meta = {**final.meta, "system": spec_hash(spec), "integrator": "coupled-segment-gluing",
-            "delta": delta, "R": R}
     # the actions cover the whole grid, the states only its final node
-    actions = lambda rec, tag: PathEnsemble(
-        times=times, values=rec.transpose(1, 0, 2), kind="action",
-        meta={**meta, "process": tag, "record": None})
-    states = lambda vals, tag: PathEnsemble(
-        times=final.times, values=vals, kind="state", meta={**meta, "process": tag})
+    actions = lambda rec: PathEnsemble(times=times, values=rec.transpose(1, 0, 2), kind="action")
+    states = lambda vals: PathEnsemble(times=final.times, values=vals, kind="state")
     return CoupledResult(
         times=times,
-        coupled_actions=actions(I_cpl, "coupled"),
-        reference_actions=actions(I_ref_rec, "reference"),
-        coupled_states=states(final.values[:, :, n:], "coupled"),
-        reference_states=states(final.values[:, :, :n], "reference"),
+        coupled_actions=actions(I_cpl),
+        reference_actions=actions(I_ref_rec),
+        coupled_states=states(final.values[:, :, n:]),
+        reference_states=states(final.values[:, :, :n]),
         schedules=schedules,
         rotations=rotations,
         tau_R_ref=tau_R_ref,
         tau_R_cpl=tau_R_cpl,
         delta=delta,
-        R=float(R),
         overshoots=int(overshoot_counts.sum()),
     )
 

@@ -27,6 +27,7 @@ from .poly import Polynomial, as_poly, evaluate_entries, monomial_text
 PSI_KINDS = ("constant", "elliptic", "smooth")
 
 _REALNESS_RTOL = 1e-10
+GROWTH_SAMPLES_PER_RADIUS = 48  # random states per radius of ``estimate_growth``
 
 
 def check_real(poly):
@@ -218,8 +219,6 @@ class NonresonanceReport:
     resonant: bool
     witness: Optional[tuple]
     min_abs: float
-    order_bound: int
-    tol: float
 
 
 def check_nonresonance(freqs: Frequencies, order_bound: int, tol: float) -> NonresonanceReport:
@@ -255,8 +254,6 @@ def check_nonresonance(freqs: Frequencies, order_bound: int, tol: float) -> Nonr
         resonant=bool(best_abs < tol),
         witness=witness,
         min_abs=float(best_abs),
-        order_bound=order_bound,
-        tol=tol,
     )
 
 
@@ -286,9 +283,6 @@ class EllipticityReport:
     lambda_lower: float
     lambda_upper: float
     passed: bool
-    sample_count: int
-    seed: int
-    radius: float
 
 
 def check_ellipticity(spec: SystemSpec, sample_count: int, seed: int) -> EllipticityReport:
@@ -301,9 +295,8 @@ def check_ellipticity(spec: SystemSpec, sample_count: int, seed: int) -> Ellipti
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    radius = 10.0
     rng = np.random.default_rng(seed)
-    pts = random_states(spec.n, sample_count, radius, rng)
+    pts = random_states(spec.n, sample_count, 10.0, rng)
     pts = np.concatenate([np.zeros((1, spec.n), dtype=complex), pts])
     psi = spec.psi_at(pts)
     gram = psi @ np.conj(np.swapaxes(psi, -1, -2))
@@ -314,29 +307,17 @@ def check_ellipticity(spec: SystemSpec, sample_count: int, seed: int) -> Ellipti
         lambda_lower=lo,
         lambda_upper=hi,
         passed=bool(lo > 0.0),
-        sample_count=sample_count,
-        seed=seed,
-        radius=radius,
     )
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    c_m0_estimate: float
-    m0: float
-    radii: tuple
-    seed: int
-    samples_per_radius: int
-
-
-def estimate_growth(poly, m0: float, radii, seed: int, samples_per_radius: int = 48) -> GrowthReport:
+def estimate_growth(poly, m0: float, radii, seed: int) -> float:
     """Monte Carlo estimate of the weighted Lipschitz-plus-sup growth constant
     of the Polynomial ``poly``, sampled in its ``poly.n`` variables.
 
     For each radius R the Lipschitz constant on the R-ball is estimated by
-    pairwise difference quotients of sampled points and the sup norm by the
-    sampled maximum; the report is the maximum over radii of
-    (1+R)^(-m0) * (Lip_est + sup_est).  Diagnostic only.
+    pairwise difference quotients of GROWTH_SAMPLES_PER_RADIUS sampled points
+    and the sup norm by the sampled maximum; the estimate is the maximum over
+    radii of (1+R)^(-m0) * (Lip_est + sup_est).  Diagnostic only.
     """
     radii = tuple(float(r) for r in radii)
     if not radii:
@@ -346,7 +327,7 @@ def estimate_growth(poly, m0: float, radii, seed: int, samples_per_radius: int =
     rng = np.random.default_rng(seed)
     best = 0.0
     for r in radii:
-        pts = random_states(poly.n, samples_per_radius, r, rng)
+        pts = random_states(poly.n, GROWTH_SAMPLES_PER_RADIUS, r, rng)
         vals = poly.evaluate(pts)
         sup_est = float(np.abs(vals).max())
         diff = np.abs(vals[:, None] - vals[None, :])
@@ -354,10 +335,4 @@ def estimate_growth(poly, m0: float, radii, seed: int, samples_per_radius: int =
         mask = dist > 1e-9
         lip_est = float((diff[mask] / dist[mask]).max()) if mask.any() else 0.0
         best = max(best, (1.0 + r) ** (-m0) * (lip_est + sup_est))
-    return GrowthReport(
-        c_m0_estimate=best,
-        m0=m0,
-        radii=radii,
-        seed=seed,
-        samples_per_radius=samples_per_radius,
-    )
+    return best

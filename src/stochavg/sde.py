@@ -34,7 +34,8 @@ numpy's SeedSequence(master_seed, spawn_key=(path_index, stream_id)), which
 a chunk derives for all its paths in one vectorised pass of numpy's hash (a
 test pins them to numpy's).  The driver records the states node
 by node; ``PathEnsemble.values`` is the (paths, nodes, k) view of that
-node-major array and is not C-contiguous.
+node-major array and is not C-contiguous.  An ensemble carries values and
+counters only: a run's ``manifest.json`` is the one record of how it was made.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import numpy as np
 
 from . import averaging
 from .averaging import actions_of
-from .config import spec_hash
 from .errors import NonFiniteError, NotPSDError, StepTooLargeError
 from .model import SystemSpec, validate_state
 from .poly import evaluate_entries
@@ -156,14 +156,13 @@ class PathEnsemble:
     ``values`` has shape (n_paths, len(times), n); complex for state
     ensembles, float for action ensembles.  The integrators record node by
     node, so ``values`` is a transposed view of a node-major (len(times),
-    n_paths, n) array and is not C-contiguous.  ``meta`` carries everything needed
-    to regenerate the ensemble bit-exactly in single-threaded reference mode.
+    n_paths, n) array and is not C-contiguous.  It does not record how it
+    was made: a run's manifest is the one record of that.
     """
 
     times: np.ndarray
     values: np.ndarray
     kind: str
-    meta: dict
     extras: dict = field(default_factory=dict)
 
     @property
@@ -193,13 +192,7 @@ class PathEnsemble:
         for lo in range(0, values.shape[1], _ACTION_NODES):
             nodes = slice(lo, lo + _ACTION_NODES)
             values[:, nodes] = actions_of(self.values[:, nodes])
-        return PathEnsemble(
-            times=self.times,
-            values=values,
-            kind="action",
-            meta={**self.meta, "derived": "actions"},
-            extras=dict(self.extras),
-        )
+        return PathEnsemble(times=self.times, values=values, kind="action")
 
 
 @dataclass
@@ -220,7 +213,7 @@ class PerturbedEnsemble:
     def a(self):
         phases = np.exp(1j * np.outer(self.v.times, self.freqs) / self.epsilon)
         return PathEnsemble(times=self.v.times, values=phases[None, :, :] * self.v.values,
-                            kind="state", meta={**self.v.meta, "variable": "a"})
+                            kind="state")
 
     def actions(self):
         return self.v.actions()
@@ -230,7 +223,6 @@ class PerturbedEnsemble:
 class CutoffEnsemble:
     paths: PathEnsemble
     tau_R: np.ndarray
-    R: float
 
     def actions(self):
         return self.paths.actions()
@@ -313,10 +305,9 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
     ``step(x, dW, m, sl)`` gets the states x, of shape (len(sl), k), of the
     paths in slice ``sl`` at node m and their increments dW, and returns
     their states at node m + 1 (it may reuse x for them).  Returns the
-    states at the recorded nodes as a PathEnsemble whose meta holds the
-    run's grid, seed and stream; they are recorded into a node-major array,
-    and ``values`` is its (paths, nodes, k) transpose.  A
-    NotPSDError from the batched square root (whose batch rows are the paths
+    states at the recorded nodes as a PathEnsemble; they are recorded into
+    a node-major array, and ``values`` is its (paths, nodes, k) transpose.
+    A NotPSDError from the batched square root (whose batch rows are the paths
     of ``sl``) is raised again with the path index and the time of the state
     that gave the matrix.
     """
@@ -365,15 +356,7 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, chunks))
-    meta = {
-        "dtau": dtau,
-        "T": M * dtau,
-        "master_seed": seed,
-        "n_paths": n_paths,
-        "stream": stream,
-        "record": None if record_times is None else list(map(float, record_times)),
-    }
-    return PathEnsemble(times=rec * dtau, values=out.transpose(1, 0, 2), meta=meta,
+    return PathEnsemble(times=rec * dtau, values=out.transpose(1, 0, 2),
                         kind="action" if real else "state")
 
 
@@ -434,8 +417,6 @@ def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
 
     v_ens = _integrate(v0, spec.n1, T, dtau, record_times, n_paths, seed,
                        STATE_STREAM, step, threads, "perturbed")
-    v_ens.meta.update(system=spec_hash(spec), integrator="rotating-splitting-euler",
-                      epsilon=spec.epsilon, variable="v")
     return PerturbedEnsemble(v=v_ens, freqs=spec.freqs.as_array(), epsilon=spec.epsilon)
 
 
@@ -515,10 +496,8 @@ def simulate_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths, seed,
     """
     v0 = validate_state(v0, spec.n, "v0")
     rule = _effective_rule(spec, variant, dtau)
-    ens = _integrate(v0, spec.n, T, dtau, record_times, n_paths, seed, STATE_STREAM,
-                     lambda a, db, m, sl: rule(a, db), threads, variant)
-    ens.meta.update(system=spec_hash(spec), integrator="euler-maruyama", variant=variant)
-    return ens
+    return _integrate(v0, spec.n, T, dtau, record_times, n_paths, seed, STATE_STREAM,
+                      lambda a, db, m, sl: rule(a, db), threads, variant)
 
 
 def simulate_cutoff_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths,
@@ -538,10 +517,8 @@ def simulate_cutoff_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths,
     step = _cutoff_step(_effective_rule(spec, variant, dtau), dtau, R, stopped, tau_R)
     ens = _integrate(v0, spec.n, T, dtau, record_times, n_paths, seed, STATE_STREAM,
                      lambda a, db, m, sl: step(a, db, m, sl)[0], threads, variant)
-    ens.meta.update(system=spec_hash(spec), integrator="euler-maruyama",
-                    variant=variant, R=R)
     ens.extras["stopped"] = stopped
-    return CutoffEnsemble(paths=ens, tau_R=tau_R, R=float(R))
+    return CutoffEnsemble(paths=ens, tau_R=tau_R)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +560,6 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
 
     ens = _integrate(I0, spec.n, T, dtau, record_times, n_paths, seed, ACTION_STREAM,
                      step, threads, "action")
-    ens.meta.update(system=spec_hash(spec), integrator="euler-maruyama-clamped")
     ens.extras["clamp_counts"] = clamp_counts.sum(axis=1)
     return ens
 
@@ -593,18 +569,11 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ItoReport:
-    sup_error: float
-    dtau: float
-    T: float
-    seed: int
-
-
-def ito_action_consistency(spec: SystemSpec, v0, T, dtau, seed) -> ItoReport:
-    """Compare actions of one simulated path against the integrated action
-    increments dI_k = v_k . P_k dtau + v_k . (sum_l Psi_kl dbeta_l)
-    + sum_l |Psi_kl|^2 dtau, driven by the same noise.
+def ito_action_consistency(spec: SystemSpec, v0, T, dtau, seed) -> float:
+    """Sup over the grid of the gap between the actions of one simulated
+    path and its integrated action increments dI_k = v_k . P_k dtau
+    + v_k . (sum_l Psi_kl dbeta_l) + sum_l |Psi_kl|^2 dtau, driven by the
+    same noise.
 
     The gap is the left-endpoint discretization error of the action
     increments and shrinks like sqrt(dtau).  A path that leaves the finite
@@ -628,8 +597,8 @@ def ito_action_consistency(spec: SystemSpec, v0, T, dtau, seed) -> ItoReport:
         sup_err[sl] = np.maximum(sup_err[sl], np.abs(actions_of(v) - I_int[sl]).max(axis=1))
         return v
 
-    ens = _integrate(v0, spec.n1, T, dtau, (), 1, seed, STATE_STREAM, step, what="ito")
-    return ItoReport(sup_error=float(sup_err[0]), dtau=dtau, T=ens.meta["T"], seed=seed)
+    _integrate(v0, spec.n1, T, dtau, (), 1, seed, STATE_STREAM, step, what="ito")
+    return float(sup_err[0])
 
 
 def ito_refinement_study(spec, v0, T, dtaus, seeds):
@@ -640,7 +609,7 @@ def ito_refinement_study(spec, v0, T, dtaus, seeds):
     errs = np.empty((len(seeds), len(dtaus)))
     for i, s in enumerate(seeds):
         for j, dt in enumerate(dtaus):
-            errs[i, j] = ito_action_consistency(spec, v0, T, dt, s).sup_error
+            errs[i, j] = ito_action_consistency(spec, v0, T, dt, s)
     return errs
 
 

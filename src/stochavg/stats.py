@@ -35,6 +35,7 @@ from .errors import StochavgError
 BOOTSTRAP_RESAMPLES = 200
 BOOTSTRAP_CI = 0.90
 DISTANCE_HARD_BOUND = 2.0  # sup|f| <= 1 forces |mean1 - mean2| <= 2
+EFF_DTAU = 1e-3  # step of the effective equation in ``convergence_table``
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class EmpiricalLaw:
     """A finite sample of points in R^d at a fixed time."""
 
     points: np.ndarray
-    time_tag: float = 0.0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -74,19 +74,16 @@ def law_from_ensemble(ens, time) -> EmpiricalLaw:
         pts = np.stack([vals.real, vals.imag], axis=-1).reshape(vals.shape[0], -1)
     else:
         pts = np.asarray(vals, dtype=float)
-    return EmpiricalLaw(points=pts, time_tag=float(time))
+    return EmpiricalLaw(points=pts)
 
 
 @dataclass(frozen=True)
 class DistanceReport:
     estimate: float
-    method: str
     bootstrap_ci: tuple
     noise_floor: float
-    lower_bound: bool
     feature_max: float = np.nan
     marginal_max: float = np.nan
-    notes: str = ""
 
     def __post_init__(self):
         if self.estimate > DISTANCE_HARD_BOUND + 1e-9:
@@ -118,6 +115,10 @@ def _merged_support(x1, x2):
 _BL1D_MAX_PASSES = 64
 
 
+class _Pass(tuple):
+    """(alpha, beta) of a pass; ``tied``: it broke a tie of unequal alpha."""
+
+
 def _bl1d_pass(X, w, L):
     """Maximise sum_i w_i f_i s.t. |f_i| <= 1 - L, |f_{i+1} - f_i| <= L d_i.
 
@@ -140,11 +141,14 @@ def _bl1d_pass(X, w, L):
     with beta = beta_s + X_i; the left stack holds the mirror image y -> -y,
     so both read alike and each wall sits at (alpha, beta) = (1, -1).  A tie
     in position goes to the smaller beta, the order at L + 0.  f is returned
-    as arrays (alpha, beta): g(L) = w.(alpha + beta L), and w.beta is the
-    slope of g just right of L.
+    as a ``_Pass`` of arrays (alpha, beta): g(L) = w.(alpha + beta L), and
+    w.beta is the slope of g just right of L, unless ``tied``: lines of
+    unequal alpha that tie after rounding at an L beside their crossing can
+    take the order at L + 0 in one comparison and the order at L in another.
     """
     m = len(X)
     c = 1.0 - L
+    tied = False
     left, right = [], []
     inner = [None] * m  # per node: maximiser interval of V_i as two (alpha, beta)
     for i in range(m):
@@ -156,8 +160,10 @@ def _bl1d_pass(X, w, L):
                     bs, a, weight = src[-1]
                     b = bs + x
                     p = a + b * L
-                    if p > c or (p == c and b >= -1.0):  # at or beyond the wall
-                        src.clear()
+                    if p >= c:  # at or beyond the wall, or tied with it
+                        tied |= p == c and a != 1
+                        if p > c or b >= -1.0:
+                            src.clear()
                 if not src:
                     dst.append((1.0 - x, -1, rem))
                     break
@@ -174,16 +180,20 @@ def _bl1d_pass(X, w, L):
             bs, la, _ = left[-1]
             lb = bs + x
             p = la + lb * L
-            if p > c or (p == c and lb >= -1.0):
-                left.clear()
+            if p >= c:
+                tied |= p == c and la != 1
+                if p > c or lb >= -1.0:
+                    left.clear()
         if not left:
             la, lb = 1, -1.0
         if right:
             bs, ha, _ = right[-1]
             hb = bs + x
             p = ha + hb * L
-            if p > c or (p == c and hb >= -1.0):
-                right.clear()
+            if p >= c:
+                tied |= p == c and ha != 1
+                if p > c or hb >= -1.0:
+                    right.clear()
         if not right:
             ha, hb = 1, -1.0
         inner[i] = (-la, -lb, ha, hb)
@@ -195,22 +205,29 @@ def _bl1d_pass(X, w, L):
         la, lb, ha, hb = inner[i]
         d = X[i + 1] - X[i]
         p, pl, ph = a + b * L, la + lb * L, ha + hb * L
-        if p < pl or (p == pl and b < lb):  # maximiser lies to the right
-            bu = b + d
-            pu = a + bu * L
-            if pl > pu or (pl == pu and lb > bu):
-                b = bu
-            else:
-                a, b = la, lb
-        elif p > ph or (p == ph and b > hb):  # maximiser lies to the left
-            bd = b - d
-            pd = a + bd * L
-            if ph < pd or (ph == pd and hb < bd):
-                b = bd
-            else:
-                a, b = ha, hb
+        if not pl < p < ph:  # f_{i+1} is not inside the maximiser interval
+            if p == pl or p == ph:  # a tie with an end of the interval
+                tied |= p == pl and a != la or p == ph and a != ha
+            if p < pl or (p == pl and b < lb):  # maximiser lies to the right
+                bu = b + d
+                pu = a + bu * L
+                tied |= pl == pu and la != a
+                if pl > pu or (pl == pu and lb > bu):
+                    b = bu
+                else:
+                    a, b = la, lb
+            elif p > ph or (p == ph and b > hb):  # maximiser lies to the left
+                bd = b - d
+                pd = a + bd * L
+                tied |= ph == pd and ha != a
+                if ph < pd or (ph == pd and hb < bd):
+                    b = bd
+                else:
+                    a, b = ha, hb
         alpha[i], beta[i] = a, b
-    return np.array(alpha, dtype=float), np.array(beta)
+    res = _Pass((np.array(alpha, dtype=float), np.array(beta)))
+    res.tied = tied
+    return res
 
 
 def _bl1d_exact(x1, x2):
@@ -229,7 +246,8 @@ def _bl1d_exact(x1, x2):
     and g = (1 - L) sum_i |w_i| near L = 1.  Each pass evaluates g where the
     two current tangents cross and replaces the tangent on the side its slope
     points away from; each new tangent is a new linear piece of g.  The search
-    stops when g meets the crossing height, which bounds g from above.
+    stops when g meets the crossing height, which bounds g from above.  If
+    it goes on after a tied pass, a pass at the next float gives the slope.
     """
     x, w = _merged_support(np.asarray(x1, float).ravel(), np.asarray(x2, float).ravel())
     m = x.size
@@ -245,12 +263,15 @@ def _bl1d_exact(x1, x2):
         L = (g1 - g0 + s0 * l0 - s1 * l1) / (s0 - s1)
         if not l0 < L < l1:
             break
-        alpha, beta = _bl1d_pass(X, wl, L)
+        alpha, beta = res = _bl1d_pass(X, wl, L)
         f = alpha + beta * L
         g, s = float(w @ f), float(w @ beta)
         if g > best:
             best, fbest = g, f
-        if g0 + s0 * (L - l0) - g <= 1e-15 * mass or s == 0.0:
+        closed = g0 + s0 * (L - l0) - g <= 1e-15 * mass
+        if res.tied and not closed:  # the slope just right of L, where no lines tie
+            s = float(w @ _bl1d_pass(X, wl, float(np.nextafter(L, 2.0)))[1])
+        if closed or s == 0.0:
             break
         if s > 0.0:
             lo = (L, g, s)
@@ -329,11 +350,8 @@ def bl_distance_1d(law1: EmpiricalLaw, law2: EmpiricalLaw,
     ci = _percentile_ci(_bootstrap_gaps(fa[:, None], fb[:, None], bootstrap, rng))
     return DistanceReport(
         estimate=float(est),
-        method="bl1d-exact",
         bootstrap_ci=ci,
         noise_floor=float(floor),
-        lower_bound=False,
-        marginal_max=float(est),
     )
 
 
@@ -421,10 +439,8 @@ def bl_distance_nd(law1: EmpiricalLaw, law2: EmpiricalLaw, feature_count=256,
                                         bootstrap, rng))
     return DistanceReport(
         estimate=float(estimate),
-        method="blnd-ramps+marginals",
         bootstrap_ci=ci,
         noise_floor=float(floor),
-        lower_bound=True,
         feature_max=feature_max,
         marginal_max=marginal_max,
     )
@@ -442,12 +458,14 @@ def _state_tag(v):
 
 def mixing_profile(spec, variant, v1, v2, T, dtau, n_paths, seed, times,
                    feature_count=256, bootstrap=BOOTSTRAP_RESAMPLES, threads=1):
-    """Empirical mixing profile: distance between the laws started at v1, v2.
+    """Empirical mixing profile: distance between the laws started at v1, v2,
+    as one ``ConvergenceRow`` (eps = spec.epsilon) per time, in ascending
+    order of time.
 
     Ensembles are independent unless v1 == v2 (seeds derive from the initial
     state, so equal states with equal seeds reproduce identical ensembles and
     the profile is exactly zero).  Sampling finitely many initial pairs
-    under-estimates the uniform-over-ball mixing envelope; reports say so.
+    under-estimates the uniform-over-ball mixing envelope.
     """
     times = sorted(float(t) for t in times)
     e1 = sde.simulate_effective(spec, variant, v1, T, dtau, n_paths,
@@ -456,15 +474,12 @@ def mixing_profile(spec, variant, v1, v2, T, dtau, n_paths, seed, times,
     e2 = sde.simulate_effective(spec, variant, v2, T, dtau, n_paths,
                                 seed=(seed, _state_tag(v2)), record_times=times,
                                 threads=threads)
-    reports = []
+    rows = []
     for t in times:
-        l1 = law_from_ensemble(e1, t)
-        l2 = law_from_ensemble(e2, t)
-        rep = bl_distance_nd(l1, l2, feature_count=feature_count, seed=seed,
-                             bootstrap=bootstrap)
-        reports.append(dataclasses.replace(
-            rep, notes="profile from sampled initial pair; under-estimates the envelope"))
-    return reports
+        rep = bl_distance_nd(law_from_ensemble(e1, t), law_from_ensemble(e2, t),
+                             feature_count=feature_count, seed=seed, bootstrap=bootstrap)
+        rows.append(_row(spec.epsilon, t, rep))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -478,20 +493,23 @@ class ConvergenceRow:
     ci_lo: float
     ci_hi: float
     noise_floor: float
-    feature_max: float
-    marginal_max: float
+
+
+def _row(eps, time, rep):
+    return ConvergenceRow(eps=eps, time=time, estimate=rep.estimate, ci_lo=rep.bootstrap_ci[0],
+                          ci_hi=rep.bootstrap_ci[1], noise_floor=rep.noise_floor)
 
 
 def convergence_table(spec, v0, eps_list, T, n_paths, times, seed,
-                      eff_dtau=1e-3, feature_count=256,
                       bootstrap=BOOTSTRAP_RESAMPLES, threads=1):
     """Action-law distances between the perturbed system and the effective
     equation across an epsilon sweep.
 
     For each epsilon both systems are simulated afresh (independent noise),
-    the perturbed one at dtau = min(eps/5, eff_dtau) so that discretization
-    bias never grows as epsilon shrinks.  Rows report the distance between
-    the action laws at each requested time.
+    the effective one at dtau = EFF_DTAU and the perturbed one at
+    dtau = min(eps/5, EFF_DTAU), so that discretization bias never grows as
+    epsilon shrinks.  Rows report the distance between the action laws at
+    each requested time.
     """
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -500,27 +518,19 @@ def convergence_table(spec, v0, eps_list, T, n_paths, times, seed,
     rows = []
     for i, eps in enumerate(eps_list):
         spec_eps = dataclasses.replace(spec, epsilon=eps)
-        pert_dtau = min(eps / 5.0, eff_dtau)
+        pert_dtau = min(eps / 5.0, EFF_DTAU)
         pert = sde.simulate_perturbed(spec_eps, v0, T, pert_dtau, n_paths,
                                       seed=(seed, 101, i), record_times=times,
                                       threads=threads)
-        eff = sde.simulate_effective(spec_eps, "full", v0, T, eff_dtau, n_paths,
+        eff = sde.simulate_effective(spec_eps, "full", v0, T, EFF_DTAU, n_paths,
                                      seed=(seed, 202, i), record_times=times,
                                      threads=threads)
         act_pert = pert.actions()
         act_eff = eff.actions()
         for t in times:
-            rep = bl_distance_nd(
-                law_from_ensemble(act_pert, t),
-                law_from_ensemble(act_eff, t),
-                feature_count=feature_count, seed=seed, bootstrap=bootstrap,
-            )
-            rows.append(ConvergenceRow(
-                eps=eps, time=t, estimate=rep.estimate,
-                ci_lo=rep.bootstrap_ci[0], ci_hi=rep.bootstrap_ci[1],
-                noise_floor=rep.noise_floor, feature_max=rep.feature_max,
-                marginal_max=rep.marginal_max,
-            ))
+            rep = bl_distance_nd(law_from_ensemble(act_pert, t), law_from_ensemble(act_eff, t),
+                                 seed=seed, bootstrap=bootstrap)
+            rows.append(_row(eps, t, rep))
     return rows
 
 

@@ -15,11 +15,13 @@ from stochavg import (
 from stochavg.averaging import (
     FAIL_TOL,
     _sqrt_eigh,
+    _torus_grid,
     actions_of,
     averaged_field_polys,
     principal_sqrt_batched,
 )
 from stochavg.model import Frequencies, SystemSpec
+from stochavg.poly import evaluate_entries
 
 QUAD = dict(method="quadrature", grid_per_dim=32)
 
@@ -30,6 +32,31 @@ def expr(text, n):
 
 def rand_state(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _angle_states(actions, angles):
+    """States v_k = sqrt(2 I_k) e^{i phi_k} on the angle grid."""
+    amp = np.sqrt(2.0 * np.asarray(actions, dtype=float))
+    return amp * np.exp(1j * angles)
+
+
+def action_drift_quadrature(spec, actions, grid_per_dim):
+    """Oracle of ``action_drift_F``: the angle average of
+    v_k . P_k(v) + sum_l |Psi_kl(v)|^2 by the rectangle rule on the torus."""
+    v = _angle_states(actions, _torus_grid(spec.n, "quadrature", grid_per_dim))
+    P = evaluate_entries(spec.drift_polys, v)
+    integrand = (v * np.conj(P)).real + (np.abs(spec.psi_at(v)) ** 2).sum(axis=2)
+    return integrand.mean(axis=0)
+
+
+def action_diffusion_quadrature(spec, actions, grid_per_dim):
+    """Oracle of S(I) in ``action_diffusion_SK``: the angle average of
+    sum_l (v_k conj(Psi_kl)) . (v_j conj(Psi_jl)) by the rectangle rule."""
+    angles = _torus_grid(spec.n, "quadrature", grid_per_dim)
+    v = _angle_states(actions, angles)
+    w = v[:, :, None] * np.conj(spec.psi_at(v))  # (g, n, n1): v_k conj(Psi_kl)
+    S = np.einsum("gkl,gjl->kj", w, np.conj(w)).real / angles.shape[0]
+    return 0.5 * (S + S.T)
 
 
 def make_spec(n, p1, psi, h=None, psi_kind="smooth"):
@@ -189,9 +216,7 @@ def test_action_drift_hamiltonian_term_contributes_nothing():
     spec = make_spec(2, ["i*v1*abs2(v2)", "0"], [["0", "0"], ["0", "0"]])
     I = np.array([0.4, 1.1])
     np.testing.assert_allclose(action_drift_F(spec, I), [0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(
-        action_drift_F(spec, I, method="quadrature", grid_per_dim=32),
-        [0.0, 0.0], atol=1e-10)
+    np.testing.assert_allclose(action_drift_quadrature(spec, I, 32), [0.0, 0.0], atol=1e-10)
 
 
 def test_action_diffusion_constant_closed_form():
@@ -212,8 +237,7 @@ def test_action_diffusion_shear_psd_and_quadrature():
     spec = make_spec(2, ["0", "0"], [["1", "v1"], ["0", "1"]])
     I = np.array([0.5, 0.5])
     S, K = action_diffusion_SK(spec, I)
-    Sq, _ = action_diffusion_SK(spec, I, method="quadrature", grid_per_dim=32)
-    np.testing.assert_allclose(S, Sq, atol=1e-10)
+    np.testing.assert_allclose(S, action_diffusion_quadrature(spec, I, 32), atol=1e-10)
     np.testing.assert_allclose(S, S.T, atol=1e-12)
     assert np.linalg.eigvalsh(S).min() >= -1e-9
     np.testing.assert_allclose(K @ K, S, atol=1e-9)

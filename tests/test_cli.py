@@ -233,8 +233,10 @@ def test_couple_demo_then_plot_data_parses_every_field(tmp_path):
 
 
 def test_import_loads_no_scipy():
+    # neither scipy nor numpy.random: PCG64 is built only when a path draws
     code = ("import sys, stochavg, stochavg.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'random']))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -249,22 +251,39 @@ def test_mixing_writes_the_distance_csv_schema_bytes(tmp_path):
     assert rc == EXIT_OK
     # the same profile, spelled out the way the mixing command used to write it
     spec = acceptance_system()
-    times = [0.1, 0.2]
-    reps = stats.mixing_profile(spec, "full", np.array([1 + 0j, 0.5 + 0j]),
-                                np.array([0.5 + 0j, 1 + 0j]), 0.2, 0.01, 40, 3, times)
-    assert any(r.estimate > 0 for r in reps)
+    rows = stats.mixing_profile(spec, "full", np.array([1 + 0j, 0.5 + 0j]),
+                                np.array([0.5 + 0j, 1 + 0j]), 0.2, 0.01, 40, 3, [0.1, 0.2])
+    assert [r.time for r in rows] == [0.1, 0.2]
+    assert any(r.estimate > 0 for r in rows)
     lines = ["eps,time,metric,estimate,ci_lo,ci_hi,noise_floor\n"]
     payload = []
-    for t, rep in zip(times, reps):
-        lines.append(f"{spec.epsilon!r},{t!r},bl_state_distance,{rep.estimate!r},"
-                     f"{rep.bootstrap_ci[0]!r},{rep.bootstrap_ci[1]!r},"
-                     f"{rep.noise_floor!r}\n")
-        payload.append({"eps": spec.epsilon, "time": t, "metric": "bl_state_distance",
-                        "estimate": rep.estimate, "ci_lo": rep.bootstrap_ci[0],
-                        "ci_hi": rep.bootstrap_ci[1], "noise_floor": rep.noise_floor})
+    for r in rows:
+        lines.append(f"{spec.epsilon!r},{r.time!r},bl_state_distance,{r.estimate!r},"
+                     f"{r.ci_lo!r},{r.ci_hi!r},{r.noise_floor!r}\n")
+        payload.append({"eps": spec.epsilon, "time": r.time, "metric": "bl_state_distance",
+                        "estimate": r.estimate, "ci_lo": r.ci_lo, "ci_hi": r.ci_hi,
+                        "noise_floor": r.noise_floor})
     assert (tmp_path / "mixing.csv").read_text(encoding="utf-8") == "".join(lines)
     assert (tmp_path / "mixing.json").read_text() == json.dumps(payload, indent=2,
                                                                  sort_keys=True)
+
+
+def test_mixing_labels_each_distance_with_its_time_in_any_order(tmp_path):
+    # the profile is computed in ascending time; a descending --times list
+    # must not put the tau = 0.1 distance on the tau = 0.2 row
+    outs = []
+    for order in ("0.1,0.2", "0.2,0.1"):
+        out = tmp_path / order
+        rc = cli.main(["mixing", "--config", "acceptance", "--out", str(out),
+                       "--v0-a", "1+0j,0.5+0j", "--v0-b", "0.5+0j,1+0j", "--times", order,
+                       "--T", "0.2", "--dtau", "0.01", "--paths", "40", "--seed", "3"])
+        assert rc == EXIT_OK
+        outs.append(out)
+    for name in ("mixing.csv", "mixing.json", "plotdata.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    rows = json.loads((outs[1] / "mixing.json").read_text())
+    assert [r["time"] for r in rows] == [0.1, 0.2]
+    assert rows[0]["estimate"] != rows[1]["estimate"]
 
 
 def test_mixing_artifacts_and_zero_profile(tmp_path, capsys):

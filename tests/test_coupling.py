@@ -255,8 +255,7 @@ def test_occupation_blocks_match_the_one_shot_sum_bitwise():
                                     seed=6, R=3.0)
     assert 0.2 < cut.paths.extras["stopped"].mean() < 1.0
     acts = cut.actions()
-    layouts = [sde.PathEnsemble(times=acts.times, values=order(acts.values),
-                                kind="action", meta=acts.meta)
+    layouts = [sde.PathEnsemble(times=acts.times, values=order(acts.values), kind="action")
                for order in (np.ascontiguousarray, np.asfortranarray)]
     for k in (0, 1):
         for delta in (0.4, 0.2, 0.1, 0.05):

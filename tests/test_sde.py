@@ -461,10 +461,8 @@ def test_ito_consistency_deterministic():
     # noise-free gap of the left-endpoint rule is sum_m I_m dtau^2
     # = dtau * integral 2 I^2 ~ 2.2e-5 at dtau = 1e-4; it scales like dtau
     spec = make_spec(1, ["-v1"], [["0"]])
-    rep = ito_action_consistency(spec, V0_1, T=1.0, dtau=1e-4, seed=0)
-    assert rep.sup_error <= 5e-5
-    finer = ito_action_consistency(spec, V0_1, T=1.0, dtau=1e-5, seed=0)
-    assert finer.sup_error <= 5e-6
+    assert ito_action_consistency(spec, V0_1, T=1.0, dtau=1e-4, seed=0) <= 5e-5
+    assert ito_action_consistency(spec, V0_1, T=1.0, dtau=1e-5, seed=0) <= 5e-6
 
 
 def test_ito_consistency_diverging_path_raises():

@@ -297,6 +297,20 @@ def test_bl1d_dp_matches_lp_oracle_on_random_supports():
         assert abs(dp - lp) <= 1e-12, (k, dp, lp)
 
 
+def test_bl1d_dp_matches_lp_oracle_on_tied_lattice_supports():
+    # 2-6 points per sample on {0, 0.5, ..., 2.5}: at budgets such as
+    # fl(2/3), lines of unequal alpha tie in position after rounding, and the
+    # tie-broken slope once sent the tangent search the wrong way (the first
+    # case read 1/6 against the optimum 4/21)
+    rng = np.random.default_rng(16)
+    cases = [([0.0, 1.0, 0.5], [1.5, 1.0, 0.5, 1.5, 0.5, 0.0])]
+    cases += [[rng.integers(0, 6, int(rng.integers(2, 7))) * 0.5 for _ in range(2)]
+              for _ in range(4000)]
+    for k, (x1, x2) in enumerate(cases):
+        dp, lp = _bl1d_exact(x1, x2)[0], _bl1d_lp(x1, x2)[0]
+        assert abs(dp - lp) <= 1e-12, (k, x1, x2, dp, lp)
+
+
 def test_bl1d_dp_matches_lp_oracle_at_1000_points():
     rng = np.random.default_rng(11)
     x1 = rng.normal(size=1000)
@@ -372,7 +386,6 @@ def test_blnd_identical_and_relabeled():
     pts = rng.normal(size=(300, 2))
     rep = bl_distance_nd(law(pts), law(pts[::-1]), feature_count=64, bootstrap=0)
     assert rep.estimate == 0.0
-    assert rep.lower_bound
 
 
 def test_blnd_detects_mean_shift():
@@ -497,7 +510,6 @@ def test_mixing_profile_point_mass_contraction():
         want = 2 * dist / (2 + dist)
         assert r.estimate <= want + 1e-9
         assert r.estimate >= 0.75 * want
-    assert "under-estimates" in reps[0].notes
 
 
 # -- convergence table -----------------------------------------------------------------
