@@ -17,7 +17,7 @@ from .averaging import (
     averaged_diffusion,
     principal_sqrt,
 )
-from .config import load_system, parse_system_text, spec_hash, system_to_text
+from .config import parse_system_text, system_to_text
 from .coupling import build_coupled, occupation_time
 from .errors import (
     ConfigError,

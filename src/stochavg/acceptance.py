@@ -60,7 +60,7 @@ def _rand_state(rng, n):
 
 # --- criterion 1: closed-form constant-dispersion averaging -------------------
 
-def criterion_1(n_paths, seed, threads):
+def criterion_1(n_paths, seed):
     n = 2
     psi = [[Polynomial.const(1.0, n), Polynomial.const(0.0, n)],
            [Polynomial.const(0.0, n), Polynomial.const(2.0, n)]]
@@ -84,7 +84,7 @@ def criterion_1(n_paths, seed, threads):
 
 # --- criterion 2: symbolic vs quadrature on random polynomials -----------------
 
-def criterion_2(n_paths, seed, threads):
+def criterion_2(n_paths, seed):
     rng = np.random.default_rng(seed + 2)
     grid = 12  # exact for trigonometric degree < 12 >= 2*4 + 2
     worst = 0.0
@@ -112,7 +112,7 @@ def criterion_2(n_paths, seed, threads):
 
 # --- criterion 3: hamiltonian drift parts leave action dynamics untouched ------
 
-def criterion_3(n_paths, seed, threads):
+def criterion_3(n_paths, seed):
     rng = np.random.default_rng(seed + 3)
     worst_res = 0.0
     for _ in range(64):
@@ -144,7 +144,7 @@ def criterion_3(n_paths, seed, threads):
 
 # --- criterion 4: strong half-order refinement of the action identity ----------
 
-def criterion_4(n_paths, seed, threads):
+def criterion_4(n_paths, seed):
     spec = acceptance_system(epsilon=0.2)
     errs = sde.ito_refinement_study(spec, ACCEPTANCE_V0, T=1.0,
                                     dtaus=[4e-3, 2e-3, 1e-3], seeds=range(16))
@@ -157,11 +157,11 @@ def criterion_4(n_paths, seed, threads):
 
 # --- criteria 5 and 6: action-law convergence over the epsilon sweep ------------
 
-def criterion_5(n_paths, seed, threads):
+def criterion_5(n_paths, seed):
     spec = acceptance_system()
     rows = stats.convergence_table(spec, ACCEPTANCE_V0, [0.2, 0.05, 0.0125],
                                    T=1.0, n_paths=n_paths, times=[1.0],
-                                   seed=seed, threads=threads)
+                                   seed=seed)
     ests = [r.estimate for r in rows]
     decreasing = ests[0] > ests[1] > ests[2]
     separated = rows[0].ci_lo > rows[-1].ci_hi
@@ -172,11 +172,11 @@ def criterion_5(n_paths, seed, threads):
                    f"CI-separated={separated}, final<=2*floor({2 * rows[-1].noise_floor:.4f})={final_ok}")
 
 
-def criterion_6(n_paths, seed, threads):
+def criterion_6(n_paths, seed):
     spec = acceptance_system()
     rows = stats.convergence_table(spec, ACCEPTANCE_V0, [0.0125], T=8.0,
                                    n_paths=n_paths, times=[1.0, 2.0, 4.0, 8.0],
-                                   seed=seed + 6, threads=threads)
+                                   seed=seed + 6)
     gaps = [(r.time, r.estimate, 3.0 * r.noise_floor) for r in rows]
     passed = all(est <= cap for _, est, cap in gaps)
     worst = max(est / cap for _, est, cap in gaps)
@@ -187,17 +187,17 @@ def criterion_6(n_paths, seed, threads):
 
 # --- criterion 7: modified effective equation matches in action law -------------
 
-def criterion_7(n_paths, seed, threads):
+def criterion_7(n_paths, seed):
     from scipy import stats as spstats  # the only scipy user; kept off the import path
 
     spec = acceptance_system()
     record = [1.0, 4.0, 10.0]
     full = sde.simulate_effective(spec, "full", ACCEPTANCE_V0, T=10.0, dtau=1e-3,
                                   n_paths=n_paths, seed=(seed, 71),
-                                  record_times=record, threads=threads)
+                                  record_times=record)
     modified = sde.simulate_effective(spec, "modified", ACCEPTANCE_V0, T=10.0,
                                       dtau=1e-3, n_paths=n_paths, seed=(seed, 72),
-                                      record_times=record, threads=threads)
+                                      record_times=record)
     act_f, act_m = full.actions(), modified.actions()
     dist_ok = []
     details = []
@@ -224,16 +224,15 @@ def criterion_7(n_paths, seed, threads):
 
 # --- criterion 8: effective actions solve the averaged action equation -----------
 
-def criterion_8(n_paths, seed, threads):
+def criterion_8(n_paths, seed):
     spec = acceptance_system()
     times = [0.5, 1.0]
     eff = sde.simulate_effective(spec, "full", ACCEPTANCE_V0, T=1.0, dtau=1e-3,
                                  n_paths=n_paths, seed=(seed, 81),
-                                 record_times=times, threads=threads)
+                                 record_times=times)
     I0 = averaging.actions_of(ACCEPTANCE_V0)
     act = sde.simulate_action_sde(spec, I0, T=1.0, dtau=1e-3, n_paths=n_paths,
-                                  seed=(seed, 82), record_times=times,
-                                  threads=threads)
+                                  seed=(seed, 82), record_times=times)
     eff_act = eff.actions()
     oks, details = [], []
     for t in times:
@@ -247,11 +246,11 @@ def criterion_8(n_paths, seed, threads):
 
 # --- criterion 9: occupation time near the boundary shrinks with delta ------------
 
-def criterion_9(n_paths, seed, threads):
+def criterion_9(n_paths, seed):
     spec = acceptance_system()
     cut = sde.simulate_cutoff_effective(spec, "full", ACCEPTANCE_V0, T=4.0,
                                         dtau=1e-3, n_paths=n_paths,
-                                        seed=(seed, 91), R=16.0, threads=threads)
+                                        seed=(seed, 91), R=16.0)
     acts = cut.actions()
     deltas = [0.2, 0.1, 0.05, 0.025]
     passed = True
@@ -266,11 +265,10 @@ def criterion_9(n_paths, seed, threads):
 
 # --- criterion 10: coupling exactness on Delta-segments ----------------------------
 
-def criterion_10(n_paths, seed, threads):
+def criterion_10(n_paths, seed):
     spec = acceptance_system()
     res = coupling.build_coupled(spec, ACCEPTANCE_V0, T=1.0, dtau=1e-3, delta=0.1,
-                                 R=16.0, n_paths=min(400, n_paths), seed=(seed, 101),
-                                 threads=threads)
+                                 R=16.0, n_paths=min(400, n_paths), seed=(seed, 101))
     exact = True
     delta_nodes = 0
     tiling = True
@@ -296,7 +294,7 @@ def criterion_10(n_paths, seed, threads):
 
 # --- criterion 11: determinism of runs ----------------------------------------------
 
-def criterion_11(n_paths, seed, threads):
+def criterion_11(n_paths, seed):
     from . import cli  # local import: cli depends on this module
 
     argv_base = ["compare", "--config", "acceptance", "--eps-list", "0.2,0.05",
@@ -334,10 +332,13 @@ CRITERIA = {
 }
 
 
-def run_criteria(wanted=None, n_paths=4000, seed=2024, threads=1):
-    results = []
-    for index in sorted(CRITERIA):
-        if wanted is not None and index not in wanted:
-            continue
-        results.append(CRITERIA[index](n_paths=n_paths, seed=seed, threads=threads))
-    return results
+def _run_criterion(job):
+    index, n_paths, seed = job
+    return CRITERIA[index](n_paths=n_paths, seed=seed)
+
+
+def run_criteria(wanted=None, n_paths=4000, seed=2024, workers=1):
+    """The criteria in ``wanted`` (default all), in index order, on
+    ``workers`` processes: each criterion seeds its own noise."""
+    jobs = [(i, n_paths, seed) for i in sorted(CRITERIA) if wanted is None or i in wanted]
+    return stats.map_units(_run_criterion, jobs, workers)

@@ -7,8 +7,8 @@ plot-ready CSV from a finished run directory).
 Every run writes a ``manifest.json`` capturing the resolved system text, a
 content hash, the package version, seed and the command line (argv, less
 --config and --out); ``run_from_manifest`` replays that command line against
-the recorded system text and reproduces all numeric artifacts bit-exactly in
-single-threaded reference mode.
+the recorded system text and reproduces all numeric artifacts bit-exactly,
+at any --threads, under single-threaded BLAS (OPENBLAS_NUM_THREADS=1).
 
 Exit codes: 0 success, 2 configuration or schema violation (including
 invalid option values and missing artifacts), 3 a simulated path left the
@@ -117,13 +117,6 @@ def _write_manifest(out, config_text, args):
 
 def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _write_plotdata(out, series_rows):
-    with open(out / "plotdata.csv", "w", encoding="utf-8") as fh:
-        fh.write("series,x,y,lo,hi\n")
-        for s, x, y, lo, hi in series_rows:
-            fh.write(f"{s},{x!r},{y!r},{lo!r},{hi!r}\n")
 
 
 def _worst_orthogonality_residual(spec, samples, seed):
@@ -241,19 +234,16 @@ def cmd_simulate(args):
         I0 = np.array(_floats(args.i0)) if args.i0 else averaging.actions_of(
             _want_v0(args, spec, cfg_v0))
         ens = sde.simulate_action_sde(spec, I0, args.T, args.dtau, args.paths,
-                                      args.seed, record_times=record,
-                                      threads=args.threads)
+                                      args.seed, record_times=record)
     else:
         v0 = _want_v0(args, spec, cfg_v0)
         if args.system == "perturbed":
             ens = sde.simulate_perturbed(spec, v0, args.T, args.dtau, args.paths,
-                                         args.seed, record_times=record,
-                                         threads=args.threads).a
+                                         args.seed, record_times=record).a
         else:
             variant = "full" if args.system == "effective" else "modified"
             ens = sde.simulate_effective(spec, variant, v0, args.T, args.dtau,
-                                         args.paths, args.seed,
-                                         record_times=record, threads=args.threads)
+                                         args.paths, args.seed, record_times=record)
     sde.export_ensemble_csv(ens, out / "paths.csv")
     _write_manifest(out, text, args)
     print(f"wrote {out / 'paths.csv'} ({ens.n_paths} paths, {ens.times.size} nodes)")
@@ -267,11 +257,10 @@ def cmd_compare(args):
     eps_list = _floats(args.eps_list)
     times = _floats(args.times)
     rows = stats.convergence_table(spec, v0, eps_list, args.T, args.paths, times,
-                                   args.seed, threads=args.threads)
+                                   args.seed, workers=args.threads)
     stats.write_distance_csv(rows, out / "convergence.csv")
     _write_json(out / "convergence.json", stats.distance_rows_json(rows))
-    series = [(f"tau={r.time:g}", r.eps, r.estimate, r.ci_lo, r.ci_hi) for r in rows]
-    _write_plotdata(out, series)
+    emit_plot_data(out)
     _write_manifest(out, text, args)
     for r in rows:
         print(f"eps={r.eps:g} tau={r.time:g}: distance={r.estimate:.5f} "
@@ -294,8 +283,7 @@ def cmd_couple_demo(args):
     out = _out_dir(args)
     delta_list = _floats(args.delta_list)
     result = coupling.build_coupled(spec, v0, args.T, args.dtau, args.delta,
-                                    args.R, args.paths, args.seed,
-                                    threads=args.threads)
+                                    args.R, args.paths, args.seed)
     coupling.export_segments_csv(result, out / "segments.csv")
     # the reference half of the coupling is the cut-off effective run
     occ_rows = [(d, k + 1, coupling.occupation_time(result.reference_actions, d, k,
@@ -305,14 +293,7 @@ def cmd_couple_demo(args):
         fh.write("delta,k,estimate\n")
         for d, k, est in occ_rows:
             fh.write(f"{d!r},{k},{est!r}\n")
-    series = [(f"occupation_k{k}", d, est, est, est) for d, k, est in occ_rows]
-    seg_times = result.times.tolist()
-    series += [
-        (f"segments/path{p}", seg_times[s.start], 1.0 if s.kind == coupling.DELTA else 0.0,
-         seg_times[s.start], seg_times[s.end])
-        for p, segs in enumerate(result.schedules) for s in segs
-    ]
-    _write_plotdata(out, series)
+    emit_plot_data(out)
     _write_manifest(out, text, args)
     print(f"coupled {result.n_paths} paths: {result.segment_count()} segments, "
           f"{result.overshoots} boundary overshoots")
@@ -327,11 +308,11 @@ def cmd_mixing(args):
     v1 = _parse_v0(args.v0_a, spec.n)
     v2 = _parse_v0(args.v0_b, spec.n)
     rows = stats.mixing_profile(spec, args.variant, v1, v2, args.T, args.dtau, args.paths,
-                                args.seed, _floats(args.times), threads=args.threads)
+                                args.seed, _floats(args.times))
     stats.write_distance_csv(rows, out / "mixing.csv", metric="bl_state_distance")
     _write_json(out / "mixing.json",
                 stats.distance_rows_json(rows, metric="bl_state_distance"))
-    _write_plotdata(out, [("mixing", r.time, r.estimate, r.ci_lo, r.ci_hi) for r in rows])
+    emit_plot_data(out)
     _write_manifest(out, text, args)
     for r in rows:
         print(f"tau={r.time:g}: distance={r.estimate:.5f} floor={r.noise_floor:.5f}")
@@ -347,7 +328,7 @@ def cmd_acceptance(args):
         if unknown:
             raise ConfigError(f"unknown criteria {unknown}; known: {sorted(acceptance_mod.CRITERIA)}")
     results = acceptance_mod.run_criteria(
-        wanted=wanted, n_paths=args.paths, seed=args.seed, threads=args.threads)
+        wanted=wanted, n_paths=args.paths, seed=args.seed, workers=args.threads)
     payload = []
     all_pass = True
     for r in results:
@@ -402,7 +383,10 @@ def emit_plot_data(run_dir):
                            float(start), float(end)))
     if not series:
         raise ConfigError(f"no plottable artifacts in {run_dir}")
-    _write_plotdata(run_dir, series)
+    with open(run_dir / "plotdata.csv", "w", encoding="utf-8") as fh:
+        fh.write("series,x,y,lo,hi\n")
+        for s, x, y, lo, hi in series:
+            fh.write(f"{s},{x!r},{y!r},{lo!r},{hi!r}\n")
     return run_dir / "plotdata.csv"
 
 
@@ -430,7 +414,8 @@ def _add_common(p, config=True):
         p.add_argument("--config", help="system config path, or 'acceptance'")
     p.add_argument("--out", help="output directory (default: current)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes over compare's epsilon rows and acceptance's criteria")
     p.add_argument("--strict", action="store_true")
 
 

@@ -33,7 +33,6 @@ whitespace-insensitive; ``#`` starts a comment.
 from __future__ import annotations
 
 import configparser
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -156,11 +155,6 @@ def parse_system_text(text: str) -> SystemConfig:
     return SystemConfig(spec=spec, v0=v0)
 
 
-def load_system(path) -> SystemConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_system_text(fh.read())
-
-
 def system_to_text(spec: SystemSpec, v0=None) -> str:
     """Serialize a system back to the versioned config format (round-trips);
     every entry prints as its Polynomial."""
@@ -190,7 +184,3 @@ def system_to_text(spec: SystemSpec, v0=None) -> str:
             lines.append(f"psi_{k}_{l} = {entry}")
     lines.append("")
     return "\n".join(lines)
-
-
-def spec_hash(spec: SystemSpec) -> str:
-    return hashlib.sha256(system_to_text(spec).encode()).hexdigest()[:16]

@@ -107,8 +107,7 @@ class CoupledResult:
         return sum(len(s) for s in self.schedules)
 
 
-def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
-                  threads=1) -> CoupledResult:
+def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed) -> CoupledResult:
     """Construct the coupled process against a cut-off effective reference.
 
     Requires min_k I_k(v0) > delta and R > |v0|^2.  Both processes are
@@ -189,7 +188,7 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed,
         return x
 
     final = _integrate(np.concatenate([v0, v0]), n, T, dtau, [M * dtau], n_paths, seed,
-                       STATE_STREAM, step, threads, "coupled")
+                       STATE_STREAM, step, "coupled")
     for p in range(n_paths):
         if seg_start[p] < M:
             schedules[p].append(Segment(DELTA if in_delta[p] else LAMBDA, int(seg_start[p]), M))

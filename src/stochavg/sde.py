@@ -1,8 +1,8 @@
 """Path simulation for the perturbed system and its averaged companions.
 
 Every process runs through one driver, ``_integrate``.  It owns the grid
-and the recorded nodes, streams each path's noise in blocks of steps, fans
-chunks of paths out to threads, silences overflow warnings and raises
+and the recorded nodes, streams each path's noise in blocks of steps, runs
+the paths in chunks, silences overflow warnings and raises
 ``NonFiniteError`` at the first step where a path leaves the finite range.
 A process is a step function ``step(x, dW, m, sl)`` that advances the states
 ``x`` of the paths ``sl`` from node m to node m + 1; per-path counters
@@ -29,7 +29,7 @@ The coupled construction in ``coupling`` is one more step over the stacked
 
 Each path owns an independent noise stream derived from
 (master_seed, path_index, stream_id), so ensembles are bit-reproducible
-regardless of chunking or thread count: its PCG64 gets the seed words of
+regardless of chunking: its PCG64 gets the seed words of
 numpy's SeedSequence(master_seed, spawn_key=(path_index, stream_id)), which
 a chunk derives for all its paths in one vectorised pass of numpy's hash (a
 test pins them to numpy's).  The driver records the states node
@@ -41,7 +41,6 @@ counters only: a run's ``manifest.json`` is the one record of how it was made.
 from __future__ import annotations
 
 import mmap
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -296,12 +295,12 @@ def _check_paths(n_paths):
 
 
 def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
-               threads=1, what="path"):
+               what="path"):
     """Run ``step`` from x0 over the grid of M = T/dtau steps for n_paths paths.
 
     Path p draws its increments from NoisePath(seed, p, stream), real on
     ACTION_STREAM, complex otherwise, _BLOCK_STEPS at a time into a node-major
-    block.  Paths go in chunks of _CHUNK_PATHS, on up to ``threads`` threads.
+    block.  Paths go in chunks of _CHUNK_PATHS, one after another.
     ``step(x, dW, m, sl)`` gets the states x, of shape (len(sl), k), of the
     paths in slice ``sl`` at node m and their increments dW, and returns
     their states at node m + 1 (it may reuse x for them).  Returns the
@@ -349,13 +348,8 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
                 if j is not None:
                     out[j, sl] = x
 
-    chunks = [slice(lo, min(lo + _CHUNK_PATHS, n_paths)) for lo in range(0, n_paths, _CHUNK_PATHS)]
-    if threads <= 1 or len(chunks) <= 1:
-        for sl in chunks:
-            run(sl)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, chunks))
+    for lo in range(0, n_paths, _CHUNK_PATHS):
+        run(slice(lo, min(lo + _CHUNK_PATHS, n_paths)))
     return PathEnsemble(times=rec * dtau, values=out.transpose(1, 0, 2),
                         kind="action" if real else "state")
 
@@ -398,7 +392,7 @@ def _perturbed_kick(spec, psi):
 
 
 def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
-                       record_times=None, threads=1) -> PerturbedEnsemble:
+                       record_times=None) -> PerturbedEnsemble:
     """Integrate the perturbed system and its interaction representation.
 
     One step applies the perturbation explicitly and the fast rotation
@@ -416,7 +410,7 @@ def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
         return rot * (v + evaluate_entries(drift, v) * dtau + kick(v, db))
 
     v_ens = _integrate(v0, spec.n1, T, dtau, record_times, n_paths, seed,
-                       STATE_STREAM, step, threads, "perturbed")
+                       STATE_STREAM, step, "perturbed")
     return PerturbedEnsemble(v=v_ens, freqs=spec.freqs.as_array(), epsilon=spec.epsilon)
 
 
@@ -488,7 +482,7 @@ def _cutoff_step(rule, dtau, R, stopped, tau_R):
 
 
 def simulate_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths, seed,
-                       record_times=None, threads=1) -> PathEnsemble:
+                       record_times=None) -> PathEnsemble:
     """Euler-Maruyama for the (modified) effective equation.
 
     ``variant="full"`` uses the averaged full drift <<P1 + P2>>;
@@ -497,11 +491,11 @@ def simulate_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths, seed,
     v0 = validate_state(v0, spec.n, "v0")
     rule = _effective_rule(spec, variant, dtau)
     return _integrate(v0, spec.n, T, dtau, record_times, n_paths, seed, STATE_STREAM,
-                      lambda a, db, m, sl: rule(a, db), threads, variant)
+                      lambda a, db, m, sl: rule(a, db), variant)
 
 
 def simulate_cutoff_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths,
-                              seed, R, record_times=None, threads=1) -> CutoffEnsemble:
+                              seed, R, record_times=None) -> CutoffEnsemble:
     """Effective dynamics switched to the trivial system da_k = dbeta_k from
     the first grid node with |a|^2 >= R onward.
 
@@ -516,7 +510,7 @@ def simulate_cutoff_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths,
     tau_R = np.full(n_paths, _grid(T, dtau) * dtau)
     step = _cutoff_step(_effective_rule(spec, variant, dtau), dtau, R, stopped, tau_R)
     ens = _integrate(v0, spec.n, T, dtau, record_times, n_paths, seed, STATE_STREAM,
-                     lambda a, db, m, sl: step(a, db, m, sl)[0], threads, variant)
+                     lambda a, db, m, sl: step(a, db, m, sl)[0], variant)
     ens.extras["stopped"] = stopped
     return CutoffEnsemble(paths=ens, tau_R=tau_R)
 
@@ -527,7 +521,7 @@ def simulate_cutoff_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths,
 
 
 def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
-                        record_times=None, threads=1) -> PathEnsemble:
+                        record_times=None) -> PathEnsemble:
     """Euler-Maruyama for dI = F(I) dtau + K(I) dW on the positive cone.
 
     Finite negative components are clamped at zero (reflecting boundary to
@@ -559,7 +553,7 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
         return np.where(neg, 0.0, I)
 
     ens = _integrate(I0, spec.n, T, dtau, record_times, n_paths, seed, ACTION_STREAM,
-                     step, threads, "action")
+                     step, "action")
     ens.extras["clamp_counts"] = clamp_counts.sum(axis=1)
     return ens
 

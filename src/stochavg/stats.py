@@ -24,6 +24,7 @@ marginal distances never exceed the joint distance).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -457,7 +458,7 @@ def _state_tag(v):
 
 
 def mixing_profile(spec, variant, v1, v2, T, dtau, n_paths, seed, times,
-                   feature_count=256, bootstrap=BOOTSTRAP_RESAMPLES, threads=1):
+                   feature_count=256, bootstrap=BOOTSTRAP_RESAMPLES):
     """Empirical mixing profile: distance between the laws started at v1, v2,
     as one ``ConvergenceRow`` (eps = spec.epsilon) per time, in ascending
     order of time.
@@ -469,11 +470,9 @@ def mixing_profile(spec, variant, v1, v2, T, dtau, n_paths, seed, times,
     """
     times = sorted(float(t) for t in times)
     e1 = sde.simulate_effective(spec, variant, v1, T, dtau, n_paths,
-                                seed=(seed, _state_tag(v1)), record_times=times,
-                                threads=threads)
+                                seed=(seed, _state_tag(v1)), record_times=times)
     e2 = sde.simulate_effective(spec, variant, v2, T, dtau, n_paths,
-                                seed=(seed, _state_tag(v2)), record_times=times,
-                                threads=threads)
+                                seed=(seed, _state_tag(v2)), record_times=times)
     rows = []
     for t in times:
         rep = bl_distance_nd(law_from_ensemble(e1, t), law_from_ensemble(e2, t),
@@ -500,8 +499,42 @@ def _row(eps, time, rep):
                           ci_hi=rep.bootstrap_ci[1], noise_floor=rep.noise_floor)
 
 
+def map_units(fn, units, workers):
+    """``[fn(u) for u in units]``, in unit order.  With more than one worker and
+    more than one unit the calls run in min(workers, units) spawned processes:
+    ``fn`` and the units must pickle, and a calling script needs a ``__main__`` guard."""
+    units = list(units)
+    if workers <= 1 or len(units) <= 1:
+        return [fn(u) for u in units]
+    # imported here: a run that starts no pool does not load multiprocessing
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(min(workers, len(units)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, units))
+
+
+def _epsilon_rows(spec, v0, T, n_paths, times, seed, bootstrap, unit):
+    """The rows of ``convergence_table`` for unit (i, eps), the i-th epsilon."""
+    i, eps = unit
+    spec_eps = dataclasses.replace(spec, epsilon=eps)
+    pert_dtau = min(eps / 5.0, EFF_DTAU)
+    pert = sde.simulate_perturbed(spec_eps, v0, T, pert_dtau, n_paths,
+                                  seed=(seed, 101, i), record_times=times)
+    eff = sde.simulate_effective(spec_eps, "full", v0, T, EFF_DTAU, n_paths,
+                                 seed=(seed, 202, i), record_times=times)
+    act_pert, act_eff = pert.actions(), eff.actions()
+    rows = []
+    for t in times:
+        rep = bl_distance_nd(law_from_ensemble(act_pert, t), law_from_ensemble(act_eff, t),
+                             seed=seed, bootstrap=bootstrap)
+        rows.append(_row(eps, t, rep))
+    return rows
+
+
 def convergence_table(spec, v0, eps_list, T, n_paths, times, seed,
-                      bootstrap=BOOTSTRAP_RESAMPLES, threads=1):
+                      bootstrap=BOOTSTRAP_RESAMPLES, workers=1):
     """Action-law distances between the perturbed system and the effective
     equation across an epsilon sweep.
 
@@ -509,29 +542,15 @@ def convergence_table(spec, v0, eps_list, T, n_paths, times, seed,
     the effective one at dtau = EFF_DTAU and the perturbed one at
     dtau = min(eps/5, EFF_DTAU), so that discretization bias never grows as
     epsilon shrinks.  Rows report the distance between the action laws at
-    each requested time.
+    each requested time.  Each epsilon seeds its own noise, so the rows do
+    not depend on how many ``workers`` processes ``map_units`` uses.
     """
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     times = sorted(float(t) for t in times)
-    rows = []
-    for i, eps in enumerate(eps_list):
-        spec_eps = dataclasses.replace(spec, epsilon=eps)
-        pert_dtau = min(eps / 5.0, EFF_DTAU)
-        pert = sde.simulate_perturbed(spec_eps, v0, T, pert_dtau, n_paths,
-                                      seed=(seed, 101, i), record_times=times,
-                                      threads=threads)
-        eff = sde.simulate_effective(spec_eps, "full", v0, T, EFF_DTAU, n_paths,
-                                     seed=(seed, 202, i), record_times=times,
-                                     threads=threads)
-        act_pert = pert.actions()
-        act_eff = eff.actions()
-        for t in times:
-            rep = bl_distance_nd(law_from_ensemble(act_pert, t), law_from_ensemble(act_eff, t),
-                                 seed=seed, bootstrap=bootstrap)
-            rows.append(_row(eps, t, rep))
-    return rows
+    rows_of = functools.partial(_epsilon_rows, spec, v0, T, n_paths, times, seed, bootstrap)
+    return [r for rows in map_units(rows_of, enumerate(eps_list), workers) for r in rows]
 
 
 def write_distance_csv(rows, path, metric="bl_action_distance"):

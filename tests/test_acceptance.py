@@ -14,7 +14,7 @@ SEED = 2024
 
 @pytest.mark.parametrize("index", sorted(CRITERIA))
 def test_criterion(index):
-    result = CRITERIA[index](n_paths=N_PATHS, seed=SEED, threads=1)
+    result = CRITERIA[index](n_paths=N_PATHS, seed=SEED)
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {result.index}: {result.name} -- {result.detail}")
     assert result.passed, f"criterion {result.index} ({result.name}): {result.detail}"

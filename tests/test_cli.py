@@ -420,17 +420,39 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
 
 
 def test_threaded_run_matches_reference(tmp_path, resonant_cfg):
+    # --threads 3 over 2 epsilon rows: one worker process per row
     ref = tmp_path / "ref"
     thr = tmp_path / "thr"
     base = ["compare", "--config", str(resonant_cfg), "--eps-list", "0.5,0.1",
             "--times", "0.25", "--T", "0.25", "--paths", "80", "--seed", "2"]
     assert cli.main(base + ["--out", str(ref), "--threads", "1"]) == EXIT_OK
     assert cli.main(base + ["--out", str(thr), "--threads", "3"]) == EXIT_OK
-    a = json.loads((ref / "convergence.json").read_text())
-    b = json.loads((thr / "convergence.json").read_text())
-    for ra, rb in zip(a, b):
-        assert abs(ra["estimate"] - rb["estimate"]) <= 1e-12
-        assert abs(ra["noise_floor"] - rb["noise_floor"]) <= 1e-12
+    for name in ("convergence.csv", "convergence.json", "plotdata.csv"):
+        assert filecmp.cmp(ref / name, thr / name, shallow=False), name
+
+
+def test_acceptance_report_does_not_depend_on_threads(tmp_path):
+    # criterion 11 runs compare --threads 2, so with --threads 2 it starts a
+    # pool inside a worker
+    argv = ["acceptance", "--criteria", "2,3,10,11", "--paths", "200"]
+    for threads in ("1", "2"):
+        assert cli.main(argv + ["--threads", threads, "--out", str(tmp_path / threads)]) \
+            == EXIT_OK
+    assert filecmp.cmp(tmp_path / "1" / "acceptance_report.json",
+                       tmp_path / "2" / "acceptance_report.json", shallow=False)
+
+
+def test_nonfinite_in_a_worker_exits_3_with_one_line(tmp_path, capfd):
+    cfg = tmp_path / "explosive.cfg"
+    cfg.write_text(EXPLOSIVE_CONFIG)
+    out = tmp_path / "run"
+    rc = cli.main(["compare", "--config", str(cfg), "--out", str(out), "--eps-list", "0.5,0.1",
+                   "--times", "0.01", "--T", "0.01", "--paths", "2", "--threads", "2"])
+    assert rc == EXIT_NONFINITE
+    captured = capfd.readouterr()
+    assert captured.err.startswith("simulation diverged: ") and \
+        len(captured.err.strip().splitlines()) == 1, captured.err
+    assert not (out / "manifest.json").exists()
 
 
 def test_check_hamiltonian_prints_the_check_report_residual(tmp_path, resonant_cfg, capsys):

@@ -156,12 +156,13 @@ def test_finitely_many_segments_reported():
     assert res.segment_count() < 16 * res.times.size
 
 
-def test_coupled_determinism_across_threads():
+def test_coupled_determinism_across_chunks(monkeypatch):
     spec = acceptance_system()
     r1 = build_coupled(spec, V0, T=0.5, dtau=1e-3, delta=0.1, R=16.0,
                        n_paths=130, seed=5)
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", 8)  # 16 chunks of 8 and one of 2
     r2 = build_coupled(spec, V0, T=0.5, dtau=1e-3, delta=0.1, R=16.0,
-                       n_paths=130, seed=5, threads=4)
+                       n_paths=130, seed=5)
     np.testing.assert_array_equal(r1.coupled_actions.values, r2.coupled_actions.values)
     np.testing.assert_array_equal(r1.reference_actions.values, r2.reference_actions.values)
     assert [len(s) for s in r1.schedules] == [len(s) for s in r2.schedules]
@@ -198,18 +199,18 @@ def test_delta_shrinking_distance_trend():
         assert later.estimate <= earlier.estimate + width
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunks", [1, 2])
 @pytest.mark.parametrize("R", [16.0, 2.3])
-def test_reference_half_is_the_cutoff_run_bitwise(monkeypatch, R, threads):
+def test_reference_half_is_the_cutoff_run_bitwise(monkeypatch, R, chunks):
     # couple-demo reads occupation times off the reference half instead of
-    # re-running the cut-off effective equation; small chunks put the
-    # paths on several threads
-    monkeypatch.setattr(sde, "_CHUNK_PATHS", 64)
+    # re-running the cut-off effective equation; the 200 paths go in one
+    # chunk or in two (128 + 72)
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", 200 if chunks == 1 else 128)
     spec = acceptance_system()
     res = build_coupled(spec, V0, T=1.0, dtau=1e-3, delta=0.1, R=R, n_paths=200,
-                        seed=(4, 1), threads=threads)
+                        seed=(4, 1))
     cut = simulate_cutoff_effective(spec, "full", V0, T=1.0, dtau=1e-3, n_paths=200,
-                                    seed=(4, 1), R=R, threads=threads)
+                                    seed=(4, 1), R=R)
     # the coupling keeps states at T only, and actions at every node
     np.testing.assert_array_equal(res.reference_states.times, cut.paths.times[-1:])
     np.testing.assert_array_equal(res.reference_states.values, cut.paths.values[:, -1:])
@@ -306,7 +307,7 @@ def three_mode_spec():
     )
 
 
-def slow_coupled(spec, v0, T, dtau, delta, R, n_paths, seed, threads):
+def slow_coupled(spec, v0, T, dtau, delta, R, n_paths, seed):
     """``build_coupled`` with a step that recomputes e^{i theta} every step,
     handles entering paths one row at a time, reduces rows with numpy's
     ``sum``/``min`` and stacks the next state with ``np.concatenate``."""
@@ -360,7 +361,7 @@ def slow_coupled(spec, v0, T, dtau, delta, R, n_paths, seed, threads):
         return np.concatenate([a_ref, a_cpl], axis=1)
 
     states = _integrate(np.concatenate([v0, v0]), n, T, dtau, None, n_paths, seed,
-                        STATE_STREAM, step, threads, "coupled")
+                        STATE_STREAM, step, "coupled")
     for p in range(n_paths):
         if seg_start[p] < M:
             schedules[p].append(Segment(DELTA if in_delta[p] else LAMBDA, int(seg_start[p]), M))
@@ -373,17 +374,17 @@ def _same_bits(a, b):
         == np.ascontiguousarray(b).tobytes()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunks", [1, 2])
 @pytest.mark.parametrize("system, R", [("acceptance", 16.0), ("acceptance", 2.3),
                                        ("three_mode", 16.0)])
-def test_coupled_step_matches_slow_form_bitwise(monkeypatch, system, R, threads):
-    # 256 paths in chunks of 64: four chunks, spread over threads when asked
-    monkeypatch.setattr(sde, "_CHUNK_PATHS", 64)
+def test_coupled_step_matches_slow_form_bitwise(monkeypatch, system, R, chunks):
+    # 256 paths in one chunk or in two (192 + 64)
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", 256 if chunks == 1 else 192)
     spec = acceptance_system() if system == "acceptance" else three_mode_spec()
     v0 = np.ones(spec.n, dtype=complex)
     args = (spec, v0, 0.5, 1e-3, 0.1, R, 256, 9)
-    res = build_coupled(*args, threads=threads)
-    slow = slow_coupled(*args, threads)
+    res = build_coupled(*args)
+    slow = slow_coupled(*args)
     n = spec.n
     # states at T, actions at every node
     assert _same_bits(res.reference_states.values, slow["states"][:, -1:, :n])

@@ -178,9 +178,10 @@ def test_perturbed_modulus_identity():
     np.testing.assert_array_equal(ens.actions().values, ens.v.actions().values)
 
 
-def _assert_thread_invariant(monkeypatch, run):
-    """``run(threads)`` gives bitwise the same ensemble on 1 and 2 threads
-    with the paths split into chunks of at most 8."""
+def _assert_chunk_invariant(monkeypatch, run):
+    """``run()`` gives bitwise the same ensemble with its 64 paths in one
+    chunk and in chunks of 8."""
+    one = run()
     monkeypatch.setattr(sde, "_CHUNK_PATHS", 8)
     starts = set()
     check = sde._check_finite
@@ -190,17 +191,17 @@ def _assert_thread_invariant(monkeypatch, run):
         return check(x, lo, t, what)
 
     monkeypatch.setattr(sde, "_check_finite", spy)
-    one = run(1)
+    chunked = run()
     assert len(starts) == 8  # 64 paths in chunks of 8
-    for a, b in zip(one, run(2)):
-        np.testing.assert_array_equal(a, b)
+    for a, b in zip(one, chunked):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def test_perturbed_seed_determinism_across_threads(monkeypatch):
+def test_perturbed_seed_determinism_across_chunks(monkeypatch):
     spec = acceptance_system(epsilon=0.2)
     v0 = np.array([1 + 0j, 1 + 0j])
-    _assert_thread_invariant(monkeypatch, lambda threads: [simulate_perturbed(
-        spec, v0, T=0.3, dtau=1e-3, n_paths=64, seed=9, threads=threads).v.values])
+    _assert_chunk_invariant(monkeypatch, lambda: [simulate_perturbed(
+        spec, v0, T=0.3, dtau=1e-3, n_paths=64, seed=9).v.values])
 
 
 def _cross_psi_spec():
@@ -209,26 +210,26 @@ def _cross_psi_spec():
                      psi_kind="smooth")
 
 
-def _smooth_run(system, threads):
+def _smooth_run(system):
     spec = _cross_psi_spec()
     if system == "effective":
         return [simulate_effective(spec, "full", np.array([1 + 0j, 0.5j]), T=0.3, dtau=1e-3,
-                                   n_paths=64, seed=9, threads=threads).values]
+                                   n_paths=64, seed=9).values]
     ens = simulate_action_sde(spec, np.array([0.5, 0.1]), T=0.3, dtau=1e-3, n_paths=64,
-                              seed=9, threads=threads)
+                              seed=9)
     return [ens.values, ens.extras["clamp_counts"]]
 
 
 @pytest.mark.parametrize("system", ["effective", "action"])
-def test_smooth_psi_seed_determinism_across_threads(monkeypatch, system):
-    _assert_thread_invariant(monkeypatch, lambda threads: _smooth_run(system, threads))
+def test_smooth_psi_seed_determinism_across_chunks(monkeypatch, system):
+    _assert_chunk_invariant(monkeypatch, lambda: _smooth_run(system))
 
 
 @pytest.mark.parametrize("system", ["effective", "action"])
 def test_smooth_psi_closed_form_sqrt_matches_eigh_path(monkeypatch, system):
-    fast = _smooth_run(system, 1)
+    fast = _smooth_run(system)
     monkeypatch.setattr(averaging, "principal_sqrt_batched", averaging._sqrt_eigh)
-    slow = _smooth_run(system, 1)
+    slow = _smooth_run(system)
     np.testing.assert_allclose(fast[0], slow[0], rtol=0, atol=1e-12)
     if system == "action":
         np.testing.assert_array_equal(fast[1], slow[1])
@@ -294,13 +295,13 @@ def test_actions_match_actions_of_bitwise_in_the_same_layout():
         assert got.tobytes() == want.tobytes()
 
 
-def _block_run(kind, threads):
+def _block_run(kind):
     """Arrays of one small run of ``kind`` that records nodes 3, 9, 50 and
     100 of its 100 steps, none of them the last node of a block of 7."""
     spec = acceptance_system(epsilon=0.2)
     v0 = np.array([1 + 0j, 0.5j])
     rec = [0.0, 0.003, 0.009, 0.05, 0.1]
-    kw = dict(T=0.1, dtau=1e-3, n_paths=20, seed=11, threads=threads)
+    kw = dict(T=0.1, dtau=1e-3, n_paths=20, seed=11)
     if kind == "perturbed":
         return [simulate_perturbed(spec, v0, record_times=rec, **kw).v.values]
     if kind == "effective":
@@ -322,16 +323,16 @@ def _block_run(kind, threads):
             res.tau_R_cpl]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunks", [1, 2])
 @pytest.mark.parametrize("kind", ["perturbed", "effective", "cutoff", "action", "coupled"])
-def test_noise_blocks_leave_ensembles_bitwise_unchanged(monkeypatch, kind, threads):
-    # 20 paths in chunks of 8, stepped through blocks of 7 steps and then
-    # through one block that holds all 100 steps
-    monkeypatch.setattr(sde, "_CHUNK_PATHS", 8)
+def test_noise_blocks_leave_ensembles_bitwise_unchanged(monkeypatch, kind, chunks):
+    # 20 paths in one chunk or in two (16 + 4), stepped through blocks of 7
+    # steps and then through one block that holds all 100 steps
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", 20 if chunks == 1 else 16)
     monkeypatch.setattr(sde, "_BLOCK_STEPS", 7)
-    blocks = _block_run(kind, threads)
+    blocks = _block_run(kind)
     monkeypatch.setattr(sde, "_BLOCK_STEPS", 100)
-    whole = _block_run(kind, threads)
+    whole = _block_run(kind)
     for a, b in zip(blocks, whole):
         assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
