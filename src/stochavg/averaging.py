@@ -7,12 +7,13 @@ e^{i(w_k - w_l)}.  On polynomials the integrals are exact: a monomial
 v^alpha conj(v)^beta survives averaging against e^{i d.w} iff
 alpha - beta = d, which gives the symbolic backend that every command and
 integrator uses.  ``average_function``, ``average_field`` and
-``averaged_diffusion`` also take ``method="quadrature"``: the
-tensor-product rectangle rule, spectrally exact on trigonometric
-polynomials below the grid's Nyquist order, so the two backends must agree
-to rounding on polynomial inputs; acceptance criteria 1 and 2 keep it as the
-oracle of the symbolic backend.  The action coefficients F(I), S(I) and
-K(I) are symbolic only; their quadrature oracle lives in the tests.
+``averaged_diffusion`` also take ``method="quadrature"`` with the caller's
+``grid_per_dim``: the tensor-product rectangle rule, spectrally exact on
+trigonometric polynomials below the grid's Nyquist order, so the two
+backends must agree to rounding on polynomial inputs; acceptance criteria
+1 and 2 keep it as the oracle of the symbolic backend.  The action
+coefficients F(I), S(I) and K(I) are symbolic only; their quadrature oracle
+lives in the tests.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPSDError
-from .poly import Polynomial, PowerTable, as_poly, evaluate_entries, lower_monomials
-
-DEFAULT_GRID = 64
+from .poly import Field, Polynomial, as_poly, lower_monomials
 
 # eigenvalue dust in (-FAIL_TOL, 0) is clamped to zero before square-rooting;
 # anything below -FAIL_TOL is a genuine PSD violation
@@ -39,14 +38,14 @@ def _torus_grid(n, method, grid_per_dim):
     """Angles of the quadrature backend: the tensor-product grid on [0, 2pi)^n."""
     if method != "quadrature":
         raise ValueError(f"unknown averaging method {method!r}")
-    if grid_per_dim < 2:
-        raise ValueError("quadrature grid must have at least 2 nodes per dimension")
+    if grid_per_dim is None or grid_per_dim < 2:
+        raise ValueError("quadrature needs grid_per_dim, at least 2 nodes per dimension")
     w = 2.0 * np.pi * np.arange(grid_per_dim) / grid_per_dim
     mesh = np.meshgrid(*([w] * n), indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-def average_with_phase(field, shift, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
+def average_with_phase(field, shift, a, method="symbolic", *, grid_per_dim=None):
     """Average ``e^{i shift.w} field(Phi_{-w} a)`` over the torus.
 
     ``shift`` is an integer vector; the symbolic backend keeps exactly the
@@ -66,13 +65,13 @@ def average_with_phase(field, shift, a, method="symbolic", *, grid_per_dim=DEFAU
     return complex(vals.mean())
 
 
-def average_function(f, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
+def average_function(f, a, method="symbolic", *, grid_per_dim=None):
     """Torus average of a scalar function at the point ``a``."""
     a = np.asarray(a, dtype=complex)
     return average_with_phase(f, (0,) * a.shape[-1], a, method, grid_per_dim=grid_per_dim)
 
 
-def average_field(P, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
+def average_field(P, a, method="symbolic", *, grid_per_dim=None):
     """Torus average of a vector field; component k carries the phase e^{i w_k}."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1]
@@ -115,7 +114,7 @@ def averaged_diffusion_polys(psi_polys):
     return tuple(out)
 
 
-def averaged_diffusion(psi, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
+def averaged_diffusion(psi, a, method="symbolic", *, grid_per_dim=None):
     """Averaged diffusion matrix A(a); Hermitian PSD up to rounding.
 
     For constant dispersion this reduces to diag{sum_j |Psi_kj|^2}: the
@@ -127,11 +126,11 @@ def averaged_diffusion(psi, a, method="symbolic", *, grid_per_dim=DEFAULT_GRID):
         raise ValueError(f"dispersion needs {n} rows, got {len(psi)}")
     psi_polys = tuple(tuple(as_poly(e, n) for e in row) for row in psi)
     if method == "symbolic":
-        A = evaluate_entries(averaged_diffusion_polys(psi_polys), a)
+        A = Field(averaged_diffusion_polys(psi_polys))(a)
         return 0.5 * (A + A.conj().T)
     angles = _torus_grid(n, method, grid_per_dim)
     states = np.exp(-1j * angles) * a
-    rotated = np.exp(1j * angles)[:, :, None] * evaluate_entries(psi_polys, states)
+    rotated = np.exp(1j * angles)[:, :, None] * Field(psi_polys)(states)
     A = np.einsum("gkl,gml->km", rotated, rotated.conj()) / angles.shape[0]
     return 0.5 * (A + A.conj().T)
 
@@ -268,13 +267,13 @@ class ActionPolynomial:
     null terms and drop exactly).
     """
 
-    __slots__ = ("n", "coeffs", "expos", "_monomials")
+    __slots__ = ("n", "coeffs", "expos", "lowered")
 
     def __init__(self, n, coeffs, expos):
         self.n = n
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.expos = np.asarray(expos, dtype=int).reshape(len(self.coeffs), n)
-        self._monomials = lower_monomials(self.expos.tolist())
+        self.lowered = (lower_monomials(self.expos.tolist()), list(self.coeffs))
 
     @classmethod
     def from_resonant_poly(cls, p):
@@ -290,20 +289,13 @@ class ActionPolynomial:
         return cls(p.n, coeffs, expos)
 
     @staticmethod
-    def power_table(actions):
-        """PowerTable of the points 2 I for actions I of shape (..., n)."""
+    def columns(actions):
+        """The columns of the points 2 I for actions I of shape (..., n), and
+        the zero sums start from."""
         x = 2.0 * np.asarray(actions, dtype=float)
-        return PowerTable(lambda j: x[..., j], np.zeros(x.shape[:-1]))
+        return lambda j: x[..., j], np.zeros(x.shape[:-1])
 
-    def evaluate(self, actions, table=None):
-        """Evaluate at actions of shape (..., n); broadcasts over leading axes.
-
-        ``table`` is ``power_table(actions)`` when several action polynomials
-        are evaluated at the same points (``evaluate_entries``).
-        """
-        if table is None:
-            table = self.power_table(actions)
-        return table.sum(self._monomials, self.coeffs)
+    evaluate = Polynomial.evaluate  # at actions of shape (..., n)
 
 
 def action_drift_polys(spec):
@@ -352,7 +344,7 @@ def action_drift_F(spec, actions):
     actions = np.asarray(actions, dtype=float)
     if (actions < 0).any():
         raise ValueError("actions must be nonnegative")
-    return evaluate_entries(action_drift_polys(spec), actions)
+    return Field(action_drift_polys(spec))(actions)
 
 
 def action_diffusion_SK(spec, actions):
@@ -364,7 +356,7 @@ def action_diffusion_SK(spec, actions):
     actions = np.asarray(actions, dtype=float)
     if (actions < 0).any():
         raise ValueError("actions must be nonnegative")
-    S = evaluate_entries(action_diffusion_polys(spec), actions)
+    S = Field(action_diffusion_polys(spec))(actions)
     S = 0.5 * (S + S.T)
     K = principal_sqrt(S)
     return S, K

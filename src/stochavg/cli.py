@@ -10,9 +10,9 @@ content hash, the package version, seed and the command line (argv, less
 the recorded system text and reproduces all numeric artifacts bit-exactly,
 at any --threads, under single-threaded BLAS (OPENBLAS_NUM_THREADS=1).
 
-Exit codes: 0 success, 2 configuration or schema violation (including
-invalid option values and missing artifacts), 3 a simulated path left the
-finite range, 4 an assertion-style acceptance failure under ``--strict``.
+Exit codes: 0 success, 2 configuration or schema violation (invalid option
+values, missing artifacts, workers that could not run), 3 a simulated path
+left the finite range, 4 an assertion-style acceptance failure (--strict).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .config import parse_system_text, system_to_text
 from .errors import ConfigError, NonFiniteError, StochavgError
 from .hamiltonian import HamiltonianSpec, orthogonality_residual
 from .model import check_ellipticity, check_nonresonance, estimate_growth, random_states
-from .poly import evaluate_entries
+from .poly import Field
 from .systems import ACCEPTANCE_V0, acceptance_system
 
 EXIT_OK = 0
@@ -214,7 +214,7 @@ def cmd_average(args):
     payload = {"averaged_drift": list(lines)}
     if args.at:
         a = _parse_v0(args.at, spec.n)
-        vals = evaluate_entries(polys, a)
+        vals = Field(polys)(a)
         payload["at"] = args.at
         payload["values"] = [[v.real, v.imag] for v in vals]
         for k, v in enumerate(vals, start=1):
@@ -515,6 +515,13 @@ def main(argv=None):
         return EXIT_NONFINITE
     except (StochavgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except RuntimeError as exc:  # a dead worker; the pool's module loads with a pool only
+        pool = sys.modules.get("concurrent.futures.process")
+        if pool is None or not isinstance(exc, pool.BrokenProcessPool):
+            raise
+        print(f"error: a worker process ended abruptly ({exc}); the calling script must run "
+              f'the command under `if __name__ == "__main__":`', file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -1,8 +1,9 @@
 """Coupled construction transferring action laws between the effective and
 modified effective dynamics.
 
-Per path, two processes run on one grid, as one step of the integration
-driver in ``sde`` over the stacked state (a_ref, a_cpl):
+Per path, two processes run on one grid, as one cut-off step of ``sde``
+(one Euler update with compiled drift fields, one action computation, one
+R-test) on the stacked mode-major state (a_ref, a_cpl), (2, k, paths):
 
 * the reference follows the cut-off effective equation; its half of the
   step is the step of ``sde.simulate_cutoff_effective``, so with the same
@@ -27,8 +28,8 @@ distributional closeness elsewhere.
 The construction keeps what its readers use: the actions of both processes
 at every grid node, the schedules, rotations and stopping times.  The
 stacked complex states are kept at the final node only; the step writes the
-reference actions it already computes into a node-major array beside the
-coupled ones, so nothing is derived from recorded states afterwards.  Like
+actions of both processes it already computes into node-major arrays,
+so nothing is derived from recorded states afterwards.  Like
 the ensembles of ``sde``, the action ensembles of a ``CoupledResult`` are
 (paths, nodes, k) views of node-major arrays, not C-contiguous.
 """
@@ -50,7 +51,7 @@ from .sde import (
     _effective_rule,
     _grid,
     _integrate,
-    _mark_stops,
+    _put,
     _row_reduce,
 )
 
@@ -130,68 +131,69 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed) -> Cou
     M = _grid(T, dtau)
     _check_paths(n_paths)
     n = spec.n
-    stop_ref = np.zeros(n_paths, dtype=bool)
-    stop_cpl = np.zeros(n_paths, dtype=bool)
-    tau_R_ref = np.full(n_paths, M * dtau)
-    tau_R_cpl = np.full(n_paths, M * dtau)
-    ref_step = _cutoff_step(_effective_rule(spec, "full", dtau), dtau, R, stop_ref, tau_R_ref)
-    modified = _effective_rule(spec, "modified", dtau)
+    # per half (reference, coupled) and path
+    stopped = np.zeros((2, n_paths), dtype=bool)
+    tau_R = np.full((2, n_paths), M * dtau)
     in_delta = np.zeros(n_paths, dtype=bool)
-    rot = np.zeros((n_paths, n), dtype=complex)  # e^{i theta} of the current Delta-segment
-    seg_start = np.zeros(n_paths, dtype=int)
-    # node-major, like the states the driver records
-    I_ref_rec = np.empty((M + 1, n_paths, n))
-    I_cpl = np.empty((M + 1, n_paths, n))
-    I_ref_rec[0] = I_cpl[0] = I0
+    rot = np.zeros((n, n_paths), dtype=complex)  # e^{i theta} of the current Delta-segment
+    seg_start = [0] * n_paths
+    # per half, node-major like the states the driver records
+    I_rec = np.empty((2, M + 1, n_paths, n))
+    I_rec[:, 0] = I0
     schedules: List[List[Segment]] = [[] for _ in range(n_paths)]
     rotations: List[List[RotationEvent]] = [[] for _ in range(n_paths)]
-    overshoot_counts = np.zeros(n_paths, dtype=int)
+    overshoots = 0
+
+    def tie(a, I, sl):
+        # on Delta-segments the coupled state is the rotated reference, and
+        # its actions are the reference's
+        d = in_delta[sl]
+        if d.any():
+            np.copyto(a[1], rot[:, sl] * a[0], where=d)
+            np.copyto(I[1], I[0], where=d)
+
+    # one cut-off step of both halves: the reference on the full, the coupled
+    # on the modified effective drift, by the same increments
+    cutoff = _cutoff_step(_effective_rule(spec, ("full", "modified"), dtau), dtau, R,
+                          stopped, tau_R, tie)
 
     def step(x, db, m, sl):
-        a_ref, I_ref = ref_step(x[:, :n], db, m, sl)
-        # coupled: modified dynamics on Lambda, rotated copy on Delta, driven
-        # by the same Wiener increments as the reference
-        evolved = modified(x[:, n:], db, stop_cpl[sl])
-        d = in_delta[sl]
-        a_cpl = np.where(d[:, None], rot[sl] * a_ref, evolved)
-        I_new = np.where(d[:, None], I_ref, actions_of(a_cpl))
-        _mark_stops(2.0 * _row_reduce(np.add, I_new) >= R, stop_cpl, tau_R_cpl,
-                    (m + 1) * dtau, sl)
-
+        nonlocal overshoots
+        a, I = cutoff(x.reshape(2, n, -1), db, m, sl)
         # segment switching at node m+1; on Delta-segments the coupled
         # actions are the copied reference actions, so the up-crossing is
         # read off the shared values
-        min_I = _row_reduce(np.minimum, I_new)
-        down = ~d & (min_I <= delta)
+        d = in_delta[sl]
+        min_I = _row_reduce(np.minimum, I[1])
+        down = np.greater(min_I <= delta, d)  # and not on a Delta-segment
         up = d & (min_I >= 2.0 * delta)
         if down.any():
-            p = np.flatnonzero(down)
-            q = sl.start + p
-            pre_jump = a_cpl[p]
-            theta = np.angle(pre_jump) - np.angle(a_ref[p])
-            rot[q] = np.exp(1j * theta)
-            a_cpl[p] = rot[q] * a_ref[p]
-            I_new[p] = I_ref[p]
-            overshoot_counts[q] += _row_reduce(np.minimum, I_ref[p]) > 2.0 * delta
-            for r, th, pre in zip(q.tolist(), theta, pre_jump):
+            p = down.nonzero()[0]
+            a_p = a[:, :, p]  # (reference, pre-jump coupled) states of the entering paths
+            phase = np.arctan2(a_p.imag, a_p.real)  # np.angle of both halves
+            theta = (phase[1] - phase[0]).T
+            e = np.exp(1j * theta).T
+            rot[:, sl][:, p] = e
+            a[1][:, p] = e * a_p[0]
+            I[1][:, p] = I_p = I[0][:, p]
+            overshoots += int(np.count_nonzero(_row_reduce(np.minimum, I_p) > 2.0 * delta))
+            for r, th, pre in zip((sl.start + p).tolist(), theta, a_p[1].T):
                 rotations[r].append(RotationEvent(node=m + 1, theta=th, pre_jump=pre))
-                schedules[r].append(Segment(LAMBDA, int(seg_start[r]), m + 1))
-            seg_start[q] = m + 1
-        for r in (sl.start + np.flatnonzero(up)).tolist():
-            schedules[r].append(Segment(DELTA, int(seg_start[r]), m + 1))
+                schedules[r].append(Segment(LAMBDA, seg_start[r], m + 1))
+                seg_start[r] = m + 1
+        for r in (sl.start + up.nonzero()[0]).tolist():
+            schedules[r].append(Segment(DELTA, seg_start[r], m + 1))
             seg_start[r] = m + 1
-        in_delta[sl] = (d | down) & ~up
-        I_ref_rec[m + 1, sl] = I_ref
-        I_cpl[m + 1, sl] = I_new
-        x[:, :n] = a_ref
-        x[:, n:] = a_cpl
-        return x
+        d ^= down  # enter: down paths were not on a Delta-segment
+        d ^= up  # leave: up paths were
+        _put(I_rec[:, m + 1, sl], I)
+        return a.reshape(2 * n, -1)
 
     final = _integrate(np.concatenate([v0, v0]), n, T, dtau, [M * dtau], n_paths, seed,
                        STATE_STREAM, step, "coupled")
     for p in range(n_paths):
         if seg_start[p] < M:
-            schedules[p].append(Segment(DELTA if in_delta[p] else LAMBDA, int(seg_start[p]), M))
+            schedules[p].append(Segment(DELTA if in_delta[p] else LAMBDA, seg_start[p], M))
 
     times = np.arange(M + 1) * dtau
     # the actions cover the whole grid, the states only its final node
@@ -199,16 +201,16 @@ def build_coupled(spec: SystemSpec, v0, T, dtau, delta, R, n_paths, seed) -> Cou
     states = lambda vals: PathEnsemble(times=final.times, values=vals, kind="state")
     return CoupledResult(
         times=times,
-        coupled_actions=actions(I_cpl),
-        reference_actions=actions(I_ref_rec),
+        coupled_actions=actions(I_rec[1]),
+        reference_actions=actions(I_rec[0]),
         coupled_states=states(final.values[:, :, n:]),
         reference_states=states(final.values[:, :, :n]),
         schedules=schedules,
         rotations=rotations,
-        tau_R_ref=tau_R_ref,
-        tau_R_cpl=tau_R_cpl,
+        tau_R_ref=tau_R[0],
+        tau_R_cpl=tau_R[1],
         delta=delta,
-        overshoots=int(overshoot_counts.sum()),
+        overshoots=overshoots,
     )
 
 

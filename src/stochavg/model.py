@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .poly import Polynomial, as_poly, evaluate_entries, monomial_text
+from .poly import Field, Polynomial, as_poly, monomial_text
 
 PSI_KINDS = ("constant", "elliptic", "smooth")
 
@@ -191,13 +191,6 @@ class SystemSpec:
             dtype=complex,
         )
 
-    def psi_at(self, v):
-        """Evaluate the dispersion matrix at states v of shape (..., n).
-
-        Returns an array of shape (..., n, n1).
-        """
-        return evaluate_entries(self.psi_polys, v)
-
 
 def validate_state(v, n, name="state"):
     """Coerce to a finite complex vector of length n."""
@@ -298,7 +291,7 @@ def check_ellipticity(spec: SystemSpec, sample_count: int, seed: int) -> Ellipti
     rng = np.random.default_rng(seed)
     pts = random_states(spec.n, sample_count, 10.0, rng)
     pts = np.concatenate([np.zeros((1, spec.n), dtype=complex), pts])
-    psi = spec.psi_at(pts)
+    psi = Field(spec.psi_polys)(pts)
     gram = psi @ np.conj(np.swapaxes(psi, -1, -2))
     eigs = np.linalg.eigvalsh(gram)
     lo = float(eigs.min())

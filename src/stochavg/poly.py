@@ -17,49 +17,21 @@ from __future__ import annotations
 import numpy as np
 
 
-class PowerTable:
-    """Products of powers of the columns x_j of one set of points, memoised
-    so that every entry of a field evaluated there shares them.
-
-    ``column(j)`` returns x_j; it is called at most once per column.  A
-    monomial is the tuple of its (column, exponent) pairs with positive
-    exponent, in column order; its product multiplies left to right, with
-    x_j^e = x_j^(e-1) * x_j.  ``zero``, the array every sum starts from,
-    fixes the shape and dtype of the results.
-    """
-
-    __slots__ = ("column", "zero", "_products")
-
-    def __init__(self, column, zero):
-        self.column = column
-        self.zero = zero
-        self._products = {}
-
-    def product(self, monomial):
-        t = self._products.get(monomial)
-        if t is None:
-            (j, e) = monomial[-1]
-            if len(monomial) > 1:
-                t = self.product(monomial[:-1]) * self.product(monomial[-1:])
-            elif e > 1:
-                t = self.product(((j, e - 1),)) * self.product(((j, 1),))
-            else:
-                t = self.column(j)
-            self._products[monomial] = t
-        return t
-
-    def sum(self, monomials, coeffs):
-        """Sum over terms of ``coeffs[t] * product(monomials[t])``, in term order."""
-        out = self.zero
-        for mono, c in zip(monomials, coeffs):
-            out = out + (c * self.product(mono) if mono else c)
-        return out
-
-
 def lower_monomials(expos):
-    """(column, exponent) tuples of the rows of an exponent array, for
-    ``PowerTable.sum``."""
+    """(column, exponent) tuples of the rows of an exponent array."""
     return [tuple((j, e) for j, e in enumerate(row) if e) for row in expos]
+
+
+def _sum_terms(table, monomials, coeffs, out=None):
+    """Sum over terms of ``coeffs[t] * product(monomials[t])`` in term order,
+    starting from the table's zero; in place in ``out`` if given."""
+    products, slot, total = table
+    for mono, c in zip(monomials, coeffs):
+        total = np.add(total, c * products[slot[mono]] if mono else c, out)
+    if out is None or total is out:
+        return total
+    np.copyto(out, total)  # no terms
+    return out
 
 
 class Polynomial:
@@ -208,30 +180,34 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     # -- evaluation ------------------------------------------------------
-    def power_table(self, v):
-        """PowerTable of the points ``v`` of shape (..., n): columns
-        v_1..v_n, then cv_1..cv_n."""
+    @property
+    def lowered(self):
+        """(monomials, coefficients) of the terms in insertion order."""
+        if self._lowered is None:
+            self._lowered = (lower_monomials(a + b for a, b in self.terms),
+                             list(self.terms.values()))
+        return self._lowered
+
+    def columns(self, v):
+        """The columns v_1..v_n, then cv_1..cv_n, of the points ``v`` of shape
+        (..., n), as a function of j, and the zero sums start from."""
         v = np.asarray(v, dtype=complex)
         if v.shape[-1] != self.n:
             raise ValueError(f"state has {v.shape[-1]} components, polynomial has {self.n}")
         n = self.n
         # conjugate per column: a 0-d column conjugates to a numpy scalar,
         # whose products round differently from those of a 0-d array
-        return PowerTable(lambda j: v[..., j] if j < n else np.conj(v[..., j - n]),
-                          np.zeros(v.shape[:-1], dtype=complex))
+        return (lambda j: v[..., j] if j < n else np.conj(v[..., j - n]),
+                np.zeros(v.shape[:-1], dtype=complex))
 
-    def evaluate(self, v, table=None):
+    def evaluate(self, v, table=None, out=None):
         """Evaluate at ``v`` of shape (..., n); broadcasts over leading axes.
 
-        ``table`` is ``power_table(v)`` when several polynomials are
-        evaluated at the same points (``evaluate_entries``).
+        ``table`` is the table of a Field holding this polynomial when
+        several entries are evaluated at the same points, and ``out`` an
+        array to sum into.
         """
-        if table is None:
-            table = self.power_table(v)
-        if self._lowered is None:
-            self._lowered = (lower_monomials(a + b for a, b in self.terms),
-                             list(self.terms.values()))
-        return table.sum(*self._lowered)
+        return _sum_terms(table or Field(self).table(v), *self.lowered, out)
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.n == other.n and self.terms == other.terms
@@ -281,26 +257,63 @@ def monomial_text(alpha, beta):
     ) or "1"
 
 
-def evaluate_entries(polys, x):
-    """Evaluate a nested sequence of polynomials (or action polynomials) at
-    points x of shape (..., m).
+class Field:
+    """A nested sequence of polynomials (or action polynomials), with the
+    products of its monomials compiled once into steps: a column, or the
+    product of two earlier steps (left to right in column order, with
+    x_j^e = x_j^(e-1) * x_j), so a monomial that several entries share is
+    multiplied out once per call.  A call sums each entry through its own
+    ``evaluate``, looked up on its class at every call."""
 
-    The result has shape x.shape[:-1] + the nesting shape: (..., n) for a
-    field, (..., n, n1) for a matrix of entries.  All entries share one
-    PowerTable of x.
-    """
-    if hasattr(polys, "evaluate"):
-        return polys.evaluate(x)
-    shape, leaves = [], [polys]
-    while not hasattr(leaves[0], "evaluate"):
-        shape.append(len(leaves[0]))
-        leaves = [p for row in leaves for p in row]
-    table = leaves[0].power_table(x)
-    lead = table.zero.shape
-    out = np.empty((*lead, len(leaves)), dtype=table.zero.dtype)
-    for i, p in enumerate(leaves):
-        out[..., i] = p.evaluate(x, table)
-    return out.reshape(*lead, *shape)
+    __slots__ = ("shape", "leaves", "steps", "slot")
+
+    def __init__(self, polys):
+        shape, leaves = [], [polys]
+        while not hasattr(leaves[0], "evaluate"):
+            shape.append(len(leaves[0]))
+            leaves = [p for row in leaves for p in row]
+        self.shape, self.leaves = tuple(shape), leaves
+        self.steps, self.slot = [], {}  # (None, column) or (left, right) step numbers
+
+        def visit(mono):
+            if mono not in self.slot:
+                (j, e) = mono[-1]
+                two = ((mono[:-1], mono[-1:]) if len(mono) > 1
+                       else (((j, e - 1),), ((j, 1),)) if e > 1 else None)
+                for factor in two or ():
+                    visit(factor)
+                self.slot[mono] = len(self.steps)
+                self.steps.append((self.slot[two[0]], self.slot[two[1]]) if two else (None, j))
+
+        for p in leaves:
+            for mono in p.lowered[0]:
+                if mono:
+                    visit(mono)
+
+    def table(self, x):
+        """(products, slots, zero) at points x of shape (..., m)."""
+        column, zero = self.leaves[0].columns(x)
+        products = []
+        for left, right in self.steps:
+            products.append(column(right) if left is None else products[left] * products[right])
+        return products, self.slot, zero
+
+    def __call__(self, x, out=None):
+        """The entries at points x of shape (..., m), of shape x.shape[:-1]
+        + the nesting shape: (..., n) for a field, (..., n, n1) for a matrix
+        of entries.  A field's entries can go to ``out`` in any layout: a
+        mode-major state's ``.T`` takes them as contiguous rows."""
+        table = self.table(x)
+        lead = table[2].shape
+        if out is None:
+            out = np.empty((*lead, *self.shape), dtype=table[2].dtype)
+        flat = out.reshape(*lead, len(self.leaves))  # a view: out is new, or flat
+        for i, p in enumerate(self.leaves):
+            if lead:
+                p.evaluate(x, table, flat[..., i])
+            else:  # single points sum in numpy scalars, as evaluate does
+                flat[i] = p.evaluate(x, table)
+        return out
 
 
 def as_poly(field, n: int) -> Polynomial:

@@ -4,10 +4,11 @@ Every process runs through one driver, ``_integrate``.  It owns the grid
 and the recorded nodes, streams each path's noise in blocks of steps, runs
 the paths in chunks, silences overflow warnings and raises
 ``NonFiniteError`` at the first step where a path leaves the finite range.
-A process is a step function ``step(x, dW, m, sl)`` that advances the states
-``x`` of the paths ``sl`` from node m to node m + 1; per-path counters
-(stops, clamp events, ...) live in arrays over all paths that the step
-indexes with ``sl``.  The steps:
+A process is a step function ``step(x, dW, m, sl)`` that advances the
+mode-major states ``x``, of shape (k, paths), of the paths ``sl`` from node
+m to node m + 1, with fields compiled once per run (``poly.Field``);
+per-path counters (stops, clamp events, ...) live in arrays over all paths
+that the step indexes with ``sl``.  The steps:
 
 * the perturbed system, by a splitting scheme whose fast rotation factor
   e^{-i Lambda dtau / eps} is applied exactly after an explicit step of the
@@ -16,7 +17,8 @@ indexes with ``sl``.  The steps:
   is recorded alongside (the rotation preserves moduli, so actions are read
   off v);
 * the effective equation da = <<P>> dtau + B(a) dbeta and the modified
-  effective equation with <<P1>> in place of <<P>> (Euler-Maruyama);
+  effective equation with <<P1>> in place of <<P>> (Euler-Maruyama), by one
+  rule over a stack of halves, (halves, k, paths), each with its own drift;
 * cut-off variants that switch to the trivial system da_k = dbeta_k after
   the first grid node with |a|^2 >= R;
 * the averaged action equation dI = F(I) dtau + K(I) dW, clamped at the
@@ -24,18 +26,19 @@ indexes with ``sl``.  The steps:
 * the pathwise action identity check, which carries the integrated action
   increments beside one perturbed path.
 
-The coupled construction in ``coupling`` is one more step over the stacked
-(reference, coupled) state.
+The coupled construction in ``coupling`` is the cut-off step of two halves,
+(reference, coupled).
 
 Each path owns an independent noise stream derived from
 (master_seed, path_index, stream_id), so ensembles are bit-reproducible
 regardless of chunking: its PCG64 gets the seed words of
 numpy's SeedSequence(master_seed, spawn_key=(path_index, stream_id)), which
 a chunk derives for all its paths in one vectorised pass of numpy's hash (a
-test pins them to numpy's).  The driver records the states node
-by node; ``PathEnsemble.values`` is the (paths, nodes, k) view of that
-node-major array and is not C-contiguous.  An ensemble carries values and
-counters only: a run's ``manifest.json`` is the one record of how it was made.
+test pins them to numpy's).  Only the step state is mode-major: the driver
+records the states node by node into a (nodes, paths, k) array, and
+``PathEnsemble.values`` is the (paths, nodes, k) view of that node-major
+array and is not C-contiguous.  An ensemble carries values and counters
+only: a run's ``manifest.json`` is the one record of how it was made.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from . import averaging
 from .averaging import actions_of
 from .errors import NonFiniteError, NotPSDError, StepTooLargeError
 from .model import SystemSpec, validate_state
-from .poly import evaluate_entries
+from .poly import Field
 
 STATE_STREAM = 0
 ACTION_STREAM = 1
@@ -251,7 +254,7 @@ def _record_indices(M, dtau, record_times):
 def _check_finite(x, lo, t, what):
     if np.isfinite(x.view(np.float64)).all():  # complex entries as float pairs
         return
-    bad = lo + int(np.argmin(np.isfinite(x).all(axis=1)))
+    bad = lo + int(np.argmin(np.isfinite(x).all(axis=0)))
     raise NonFiniteError(f"{what} path {bad} became non-finite at tau={t:.6g}",
                          path_index=bad, time=t)
 
@@ -278,15 +281,23 @@ _FOLD_MAX = 7
 
 
 def _row_reduce(ufunc, x):
-    """``ufunc.reduce(x, axis=1)`` of a (paths, k) array, bit for bit.  Up
-    to 7 columns it folds the columns left to right, which at a few modes
-    costs a fraction of the reduction's fixed overhead."""
-    if x.shape[1] > _FOLD_MAX:
-        return ufunc.reduce(x, axis=1)
-    out = x[:, 0]
-    for j in range(1, x.shape[1]):
-        out = ufunc(out, x[:, j])
+    """``ufunc.reduce`` over the modes of mode-major x, (..., k, paths), bit
+    for bit as over the C-ordered rows of its (..., paths, k) transpose.  Up
+    to 7 modes it folds the modes left to right, which at a few modes costs
+    a fraction of the reduction's fixed overhead."""
+    if x.shape[-2] > _FOLD_MAX:
+        return ufunc.reduce(np.ascontiguousarray(np.swapaxes(x, -1, -2)), axis=-1)
+    out = x[..., 0, :]
+    for j in range(1, x.shape[-2]):
+        out = ufunc(out, x[..., j, :])
     return out
+
+
+def _put(dst, x):
+    """dst[...] = the (..., paths, k) transpose of x, one mode at a time, which
+    copies several times faster than numpy's loop over the k modes."""
+    for j in range(x.shape[-2]):
+        dst[..., j] = x[..., j, :]
 
 
 def _check_paths(n_paths):
@@ -300,10 +311,11 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
 
     Path p draws its increments from NoisePath(seed, p, stream), real on
     ACTION_STREAM, complex otherwise, _BLOCK_STEPS at a time into a node-major
-    block.  Paths go in chunks of _CHUNK_PATHS, one after another.
-    ``step(x, dW, m, sl)`` gets the states x, of shape (len(sl), k), of the
-    paths in slice ``sl`` at node m and their increments dW, and returns
-    their states at node m + 1 (it may reuse x for them).  Returns the
+    (steps, paths, width) block.  Paths go in chunks of _CHUNK_PATHS, one
+    after another.  ``step(x, dW, m, sl)`` gets the C-ordered states x, of
+    shape (k, len(sl)), of the paths in slice ``sl`` at node m and their
+    increments dW, the transpose of the block's row m, and returns their
+    C-ordered states at node m + 1 (it may reuse x for them).  Returns the
     states at the recorded nodes as a PathEnsemble; they are recorded into
     a node-major array, and ``values`` is its (paths, nodes, k) transpose.
     A NotPSDError from the batched square root (whose batch rows are the paths
@@ -323,9 +335,9 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
         words = _seed_words(seed, range(sl.start, sl.stop), stream)
         paths = [NoisePath(seed, sl.start + j, stream, dtau, w) for j, w in enumerate(words)]
         block = _noise_block((_BLOCK_STEPS, len(paths), width), float if real else complex)
-        x = np.broadcast_to(x0, (len(paths), x0.size)).copy()
+        x = np.broadcast_to(x0[:, None], (x0.size, len(paths))).copy()
         if 0 in slot:
-            out[slot[0], sl] = x
+            _put(out[slot[0], sl], x)
         # non-finite states are raised as NonFiniteError; the warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(M):
@@ -334,7 +346,7 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
                     for i, path in enumerate(paths):
                         draw(path, n, width, out=block[:n, i])
                 try:
-                    x = step(x, block[m % _BLOCK_STEPS], m, sl)
+                    x = step(x, block[m % _BLOCK_STEPS].T, m, sl)
                 except NotPSDError as err:
                     if err.row is None:
                         raise
@@ -346,7 +358,7 @@ def _integrate(x0, width, T, dtau, record_times, n_paths, seed, stream, step,
                 _check_finite(x, sl.start, (m + 1) * dtau, what)
                 j = slot.get(m + 1)
                 if j is not None:
-                    out[j, sl] = x
+                    _put(out[j, sl], x)
 
     for lo in range(0, n_paths, _CHUNK_PATHS):
         run(slice(lo, min(lo + _CHUNK_PATHS, n_paths)))
@@ -364,31 +376,38 @@ def _check_resolution(spec, dtau):
         raise StepTooLargeError(f"dtau={dtau} exceeds epsilon/5={spec.epsilon / 5:.6g}")
 
 
+def _rows(field, x):
+    """A field of k entries at mode-major states x, as (k, paths) rows."""
+    return field(x.T, np.empty_like(x).T).T
+
+
+def _scaled(db, b):
+    """db * b for per-mode amplitudes b, into C-ordered rows: over the
+    transposed increments numpy's own loop order runs several times slower."""
+    return np.multiply(db, b, np.empty_like(db, order="C"))
+
+
 def _perturbed_parts(spec, dtau):
-    """Fast rotation factor of one splitting step, and Psi as a function of
-    the states (the constant matrix when Psi is constant)."""
-    lam = spec.freqs.as_array()
-    rot = np.exp(-1j * lam * dtau / spec.epsilon)
-    if spec.psi_is_constant:
-        const_psi = spec.psi_constant_matrix()
-        return rot, lambda v: const_psi
-    return rot, spec.psi_at
+    """Fast rotation factor of one splitting step, as a (k, 1) column, Psi at
+    mode-major states (the constant matrix when Psi is constant), and
+    Psi(v) dbeta as a function of (v, dbeta); a constant diagonal Psi scales
+    the increments instead of multiplying matrices."""
+    rot = np.exp(-1j * spec.freqs.as_array() * dtau / spec.epsilon)[:, None]
+    if not spec.psi_is_constant:
+        field = Field(spec.psi_polys)
+        psi = lambda v: field(v.T)
+        return rot, psi, lambda v, db: _kick(psi(v), db)
+    const_psi = spec.psi_constant_matrix()
+    diag = np.diagonal(const_psi).copy()
+    if const_psi.shape[0] == const_psi.shape[1] and np.array_equal(const_psi, np.diag(diag)):
+        return rot, lambda v: const_psi, lambda v, db: _scaled(db, diag[:, None])
+    return rot, lambda v: const_psi, lambda v, db: _kick(const_psi, db)
 
 
 def _kick(psi, db):
-    """Psi dbeta per path, for one constant Psi or a batch of them."""
-    return db @ psi.T if psi.ndim == 2 else np.einsum("pkl,pl->pk", psi, db)
-
-
-def _perturbed_kick(spec, psi):
-    """Psi(v) dbeta as a function of (v, dbeta); a constant diagonal Psi
-    scales the increments instead of multiplying matrices."""
-    if spec.psi_is_constant:
-        const_psi = spec.psi_constant_matrix()
-        diag = np.diagonal(const_psi).copy()
-        if const_psi.shape[0] == const_psi.shape[1] and np.array_equal(const_psi, np.diag(diag)):
-            return lambda v, db: db * diag
-    return lambda v, db: _kick(psi(v), db)
+    """Psi dbeta as (k, paths) rows, for one constant Psi or a (paths, k, n1)
+    batch; the product runs on the path-major increments db.T."""
+    return (db.T @ psi.T if psi.ndim == 2 else np.einsum("pkl,pl->pk", psi, db.T)).T
 
 
 def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
@@ -402,12 +421,11 @@ def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
     """
     _check_resolution(spec, dtau)
     v0 = validate_state(v0, spec.n, "v0")
-    rot, psi = _perturbed_parts(spec, dtau)
-    kick = _perturbed_kick(spec, psi)
-    drift = spec.drift_polys
+    rot, _, kick = _perturbed_parts(spec, dtau)
+    drift = Field(spec.drift_polys)
 
     def step(v, db, m, sl):
-        return rot * (v + evaluate_entries(drift, v) * dtau + kick(v, db))
+        return rot * (v + _rows(drift, v) * dtau + kick(v, db))
 
     v_ens = _integrate(v0, spec.n1, T, dtau, record_times, n_paths, seed,
                        STATE_STREAM, step, "perturbed")
@@ -426,55 +444,68 @@ def _effective_drift_polys(spec, variant):
     return averaging.averaged_field_polys(source, spec.n)
 
 
-def _effective_rule(spec, variant, dtau):
+def _effective_rule(spec, variants, dtau):
     """One Euler-Maruyama step a + <<P>>(a) dtau + B(a) dbeta of the
-    (modified) effective equation; rows flagged in ``stop`` take the trivial
-    step a + dbeta instead.
+    (modified) effective equation for the halves a[h], of shape (k, paths),
+    half h with the drift of ``variants[h]``, all driven by one dbeta;
+    where ``stop[h, p]`` holds, path p of half h takes the trivial step
+    a + dbeta instead.
 
     Constant dispersion uses the closed form B = diag{b_k}, so B dbeta is
     dbeta scaled by b; otherwise the symbolic averaged diffusion entries are
     evaluated per path and the principal square roots B(a) = sqrt(A(a))
     taken batched.
     """
-    drift = _effective_drift_polys(spec, variant)
+    drifts = [Field(_effective_drift_polys(spec, v)) for v in variants]
     if spec.psi_is_constant:
-        b = averaging.constant_psi_b(spec)
+        b = averaging.constant_psi_b(spec)[:, None]
     else:
-        entries = averaging.averaged_diffusion_polys(spec.psi_polys)
+        entries = Field(averaging.averaged_diffusion_polys(spec.psi_polys))
 
     def dispersion(a, db):
         if spec.psi_is_constant:
-            return db * b
-        A = evaluate_entries(entries, a)
-        A = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
-        return np.einsum("pkl,pl->pk", averaging.principal_sqrt_batched(A), db)
+            return _scaled(db, b)
+        out = np.empty_like(a)
+        for h, half in enumerate(a):
+            A = entries(half.T)
+            A = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
+            out[h] = _kick(averaging.principal_sqrt_batched(A), db)
+        return out
 
     def rule(a, db, stop=None):
-        nxt = a + evaluate_entries(drift, a) * dtau + dispersion(a, db)
+        nxt = np.empty_like(a)
+        for h, field in enumerate(drifts):
+            field(a[h].T, nxt[h].T)
+        nxt *= dtau  # a + <<P>>(a) dtau + B(a) dbeta, in place
+        nxt += a
+        nxt += dispersion(a, db)
         if stop is not None and stop.any():
-            nxt = np.where(stop[:, None], a + db, nxt)
+            np.copyto(nxt, a + db, where=stop[:, None])
         return nxt
 
     return rule
 
 
 def _mark_stops(hit, stopped, tau_R, t, sl):
-    """Stop the not yet stopped paths of ``sl`` where ``hit`` holds, at time t."""
-    newly = ~stopped[sl] & hit
+    """Stop, per half, the not yet stopped paths of ``sl`` where ``hit`` holds, at t."""
+    newly = np.greater(hit, stopped[:, sl])  # hit and not yet stopped
     if newly.any():
-        tau_R[sl][newly] = t
-        stopped[sl] |= newly
+        tau_R[:, sl][newly] = t
+        stopped[:, sl] |= newly
 
 
-def _cutoff_step(rule, dtau, R, stopped, tau_R):
-    """Step of the cut-off dynamics: ``rule`` until the first node with
-    |a|^2 >= R, the trivial system from there on.  It returns the states and
-    their actions I, and tests 2 sum_k I_k >= R, the same boolean as
+def _cutoff_step(rule, dtau, R, stopped, tau_R, tie=None):
+    """Step of the cut-off dynamics for a stack of halves: ``rule`` until
+    the first node with |a|^2 >= R, the trivial system from there on.  It
+    returns the states and their actions I, which ``tie(a, I, sl)`` may
+    overwrite first, and tests 2 sum_k I_k >= R, the same boolean as
     |a|^2 >= R: halving and doubling are exact for normal floats."""
 
     def step(a, db, m, sl):
-        a = rule(a, db, stopped[sl])
+        a = rule(a, db, stopped[:, sl])
         I = actions_of(a)
+        if tie is not None:
+            tie(a, I, sl)
         _mark_stops(2.0 * _row_reduce(np.add, I) >= R, stopped, tau_R, (m + 1) * dtau, sl)
         return a, I
 
@@ -489,9 +520,9 @@ def simulate_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths, seed,
     ``variant="modified"`` averages only the non-hamiltonian part P1.
     """
     v0 = validate_state(v0, spec.n, "v0")
-    rule = _effective_rule(spec, variant, dtau)
+    rule = _effective_rule(spec, (variant,), dtau)
     return _integrate(v0, spec.n, T, dtau, record_times, n_paths, seed, STATE_STREAM,
-                      lambda a, db, m, sl: rule(a, db), variant)
+                      lambda a, db, m, sl: rule(a[None], db)[0], variant)
 
 
 def simulate_cutoff_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths,
@@ -506,13 +537,13 @@ def simulate_cutoff_effective(spec: SystemSpec, variant, v0, T, dtau, n_paths,
     if not R > float(np.sum(np.abs(v0) ** 2)):
         raise ValueError("R must exceed |v0|^2")
     _check_paths(n_paths)
-    stopped = np.zeros(n_paths, dtype=bool)
-    tau_R = np.full(n_paths, _grid(T, dtau) * dtau)
-    step = _cutoff_step(_effective_rule(spec, variant, dtau), dtau, R, stopped, tau_R)
+    stopped = np.zeros((1, n_paths), dtype=bool)
+    tau_R = np.full((1, n_paths), _grid(T, dtau) * dtau)
+    step = _cutoff_step(_effective_rule(spec, (variant,), dtau), dtau, R, stopped, tau_R)
     ens = _integrate(v0, spec.n, T, dtau, record_times, n_paths, seed, STATE_STREAM,
-                     lambda a, db, m, sl: step(a, db, m, sl)[0], variant)
-    ens.extras["stopped"] = stopped
-    return CutoffEnsemble(paths=ens, tau_R=tau_R)
+                     lambda a, db, m, sl: step(a[None], db, m, sl)[0][0], variant)
+    ens.extras["stopped"] = stopped[0]
+    return CutoffEnsemble(paths=ens, tau_R=tau_R[0])
 
 
 # ---------------------------------------------------------------------------
@@ -532,29 +563,29 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
     I0 = np.asarray(I0, dtype=float)
     if I0.shape != (spec.n,) or (I0 < 0).any():
         raise ValueError("I0 must be a nonnegative action vector")
-    F = averaging.action_drift_polys(spec)
+    F = Field(averaging.action_drift_polys(spec))
     if spec.psi_is_constant:
-        b = averaging.constant_psi_b(spec)
+        b = averaging.constant_psi_b(spec)[:, None]
     else:
-        S_entries = averaging.action_diffusion_polys(spec)
+        S_entries = Field(averaging.action_diffusion_polys(spec))
     _check_paths(n_paths)
-    clamp_counts = np.zeros((n_paths, spec.n), dtype=int)  # per path and mode
+    clamp_counts = np.zeros((spec.n, n_paths), dtype=int)  # per mode and path
 
     def step(I, dW, m, sl):
         if spec.psi_is_constant:
             kick = b * np.sqrt(2.0 * I) * dW
         else:
-            S = evaluate_entries(S_entries, I)
+            S = S_entries(I.T)
             S = 0.5 * (S + np.swapaxes(S, 1, 2))
-            kick = np.einsum("pkj,pj->pk", averaging.principal_sqrt_batched(S), dW)
-        I = I + evaluate_entries(F, I) * dtau + kick
+            kick = _kick(averaging.principal_sqrt_batched(S), dW)
+        I = I + _rows(F, I) * dtau + kick
         neg = (I < 0) & (I > -np.inf)
-        clamp_counts[sl] += neg
+        clamp_counts[:, sl] += neg
         return np.where(neg, 0.0, I)
 
     ens = _integrate(I0, spec.n, T, dtau, record_times, n_paths, seed, ACTION_STREAM,
                      step, "action")
-    ens.extras["clamp_counts"] = clamp_counts.sum(axis=1)
+    ens.extras["clamp_counts"] = clamp_counts.sum(axis=0)
     return ens
 
 
@@ -575,20 +606,20 @@ def ito_action_consistency(spec: SystemSpec, v0, T, dtau, seed) -> float:
     """
     _check_resolution(spec, dtau)
     v0 = validate_state(v0, spec.n, "v0")
-    rot, psi = _perturbed_parts(spec, dtau)
-    drift = spec.drift_polys
-    I_int = actions_of(v0)[None, :]
+    rot, psi, _ = _perturbed_parts(spec, dtau)
+    drift = Field(spec.drift_polys)
+    I_int = actions_of(v0)[:, None]
     sup_err = np.zeros(1)
 
     def step(v, db, m, sl):
-        pv = evaluate_entries(drift, v)
+        pv = _rows(drift, v)
         P = psi(v)
         dv = _kick(P, db)
         # integrated action increment, left-endpoint rule
-        I_int[sl] += ((v * np.conj(pv)).real * dtau + (v * np.conj(dv)).real
-                      + (np.abs(P) ** 2).sum(axis=-1) * dtau)
+        I_int[:, sl] += ((v * np.conj(pv)).real * dtau + (v * np.conj(dv)).real
+                         + np.atleast_2d((np.abs(P) ** 2).sum(axis=-1)).T * dtau)
         v = rot * (v + pv * dtau + dv)
-        sup_err[sl] = np.maximum(sup_err[sl], np.abs(actions_of(v) - I_int[sl]).max(axis=1))
+        sup_err[sl] = np.maximum(sup_err[sl], np.abs(actions_of(v) - I_int[:, sl]).max(axis=0))
         return v
 
     _integrate(v0, spec.n1, T, dtau, (), 1, seed, STATE_STREAM, step, what="ito")

@@ -26,6 +26,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -506,6 +508,10 @@ def map_units(fn, units, workers):
     units = list(units)
     if workers <= 1 or len(units) <= 1:
         return [fn(u) for u in units]
+    path = getattr(sys.modules["__main__"], "__file__", None)
+    if path and not os.path.isfile(path):  # read from stdin: spawned workers cannot import it
+        raise StochavgError(f"worker processes cannot import __main__ ({path}); run the command "
+                            f'from a script file, under `if __name__ == "__main__":`')
     # imported here: a run that starts no pool does not load multiprocessing
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor

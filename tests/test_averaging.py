@@ -21,7 +21,7 @@ from stochavg.averaging import (
     principal_sqrt_batched,
 )
 from stochavg.model import Frequencies, SystemSpec
-from stochavg.poly import evaluate_entries
+from stochavg.poly import Field
 
 QUAD = dict(method="quadrature", grid_per_dim=32)
 
@@ -44,8 +44,8 @@ def action_drift_quadrature(spec, actions, grid_per_dim):
     """Oracle of ``action_drift_F``: the angle average of
     v_k . P_k(v) + sum_l |Psi_kl(v)|^2 by the rectangle rule on the torus."""
     v = _angle_states(actions, _torus_grid(spec.n, "quadrature", grid_per_dim))
-    P = evaluate_entries(spec.drift_polys, v)
-    integrand = (v * np.conj(P)).real + (np.abs(spec.psi_at(v)) ** 2).sum(axis=2)
+    P = Field(spec.drift_polys)(v)
+    integrand = (v * np.conj(P)).real + (np.abs(Field(spec.psi_polys)(v)) ** 2).sum(axis=2)
     return integrand.mean(axis=0)
 
 
@@ -54,7 +54,7 @@ def action_diffusion_quadrature(spec, actions, grid_per_dim):
     sum_l (v_k conj(Psi_kl)) . (v_j conj(Psi_jl)) by the rectangle rule."""
     angles = _torus_grid(spec.n, "quadrature", grid_per_dim)
     v = _angle_states(actions, angles)
-    w = v[:, :, None] * np.conj(spec.psi_at(v))  # (g, n, n1): v_k conj(Psi_kl)
+    w = v[:, :, None] * np.conj(Field(spec.psi_polys)(v))  # (g, n, n1): v_k conj(Psi_kl)
     S = np.einsum("gkl,gjl->kj", w, np.conj(w)).real / angles.shape[0]
     return 0.5 * (S + S.T)
 
@@ -163,6 +163,18 @@ def test_averaged_diffusion_hermitian_psd_at_random_points():
 
 
 # -- principal square root -----------------------------------------------------
+
+def test_quadrature_needs_a_grid():
+    # the quadrature backend has no default grid; the symbolic one needs none
+    a = np.array([1.0 + 0.5j, 0.5 - 1j])
+    psi = ((expr("1", 2), expr("0.5*v1", 2)), (expr("0", 2), expr("1", 2)))
+    field = (expr("-v1 + v1*v2*cv2", 2), expr("-v2", 2))
+    for average, arg in ((average_function, expr("v1*cv1", 2)), (average_field, field),
+                         (averaged_diffusion, psi)):
+        with pytest.raises(ValueError, match="grid_per_dim"):
+            average(arg, a, method="quadrature")
+        np.testing.assert_allclose(average(arg, a), average(arg, a, **QUAD), atol=1e-12)
+
 
 def test_principal_sqrt_2x2_closed_form():
     A = np.array([[2.0, 1.0], [1.0, 2.0]])

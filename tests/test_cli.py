@@ -455,6 +455,43 @@ def test_nonfinite_in_a_worker_exits_3_with_one_line(tmp_path, capfd):
     assert not (out / "manifest.json").exists()
 
 
+def test_workers_from_a_script_on_stdin_exit_2_with_one_line(tmp_path):
+    # spawned workers import __main__ again from its file, and a script piped
+    # to `python -` has none: the run stops before any worker starts
+    out = tmp_path / "run"
+    script = ("import sys\nfrom stochavg import cli\n"
+              f"sys.exit(cli.main(['compare', '--config', 'acceptance', '--out', {str(out)!r}, "
+              "'--eps-list', '0.2,0.1', '--times', '0.1', '--T', '0.1', '--paths', '20', "
+              "'--threads', '2']))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-"], input=script, env=env, capture_output=True,
+                         text=True, cwd=tmp_path, timeout=120)
+    assert run.returncode == EXIT_CONFIG
+    lines = run.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), run.stderr
+    assert 'if __name__ == "__main__":' in lines[0]
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_broken_worker_pool_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    def broken(*args, **kwargs):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(stats, "convergence_table", broken)
+    out = tmp_path / "run"
+    rc = cli.main(["compare", "--config", "acceptance", "--out", str(out), "--eps-list",
+                   "0.2,0.1", "--times", "0.1", "--T", "0.1", "--paths", "20", "--threads", "2"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process ended abruptly") and \
+        len(err.strip().splitlines()) == 1, err
+    assert 'if __name__ == "__main__":' in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_check_hamiltonian_prints_the_check_report_residual(tmp_path, resonant_cfg, capsys):
     # --samples drives the residual scan of both commands
     for seed, samples in ((0, "128"), (7, "64")):

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stochavg import acceptance_system, bl_distance_nd, law_from_ensemble, parse_field_expr, sde
+from stochavg import (acceptance_system, averaging, bl_distance_nd, law_from_ensemble,
+                      parse_field_expr, sde)
 from stochavg.averaging import actions_of
 from stochavg.coupling import (
     DELTA,
@@ -14,13 +15,8 @@ from stochavg.coupling import (
     occupation_time,
 )
 from stochavg.model import Frequencies, SystemSpec
-from stochavg.sde import (
-    STATE_STREAM,
-    _effective_rule,
-    _integrate,
-    _mark_stops,
-    simulate_cutoff_effective,
-)
+from stochavg.poly import Field
+from stochavg.sde import STATE_STREAM, _integrate, simulate_cutoff_effective
 
 V0 = np.array([1.0 + 0.0j, 1.0 + 0.0j])
 
@@ -308,17 +304,21 @@ def three_mode_spec():
 
 
 def slow_coupled(spec, v0, T, dtau, delta, R, n_paths, seed):
-    """``build_coupled`` with a step that recomputes e^{i theta} every step,
-    handles entering paths one row at a time, reduces rows with numpy's
-    ``sum``/``min`` and stacks the next state with ``np.concatenate``."""
+    """``build_coupled`` for constant Psi with a step of its own: path-major
+    Euler lines for each process, stops marked per process, e^{i theta}
+    recomputed every step, entering paths handled one row at a time, rows
+    reduced with numpy's ``sum``/``min`` and the next state stacked with
+    ``np.concatenate``.  It shares only the driver (grid and noise) and the
+    polynomial fields with ``build_coupled``."""
     n = spec.n
     M = int(round(T / dtau))
+    full = averaging.averaged_field_polys(spec.drift_polys, n)
+    modified = averaging.averaged_field_polys(spec.p1_polys, n)
+    b = averaging.constant_psi_b(spec)
     stop_ref = np.zeros(n_paths, dtype=bool)
     stop_cpl = np.zeros(n_paths, dtype=bool)
     tau_R_ref = np.full(n_paths, M * dtau)
     tau_R_cpl = np.full(n_paths, M * dtau)
-    full = _effective_rule(spec, "full", dtau)
-    modified = _effective_rule(spec, "modified", dtau)
     in_delta = np.zeros(n_paths, dtype=bool)
     theta = np.zeros((n_paths, n))
     seg_start = np.zeros(n_paths, dtype=int)
@@ -328,16 +328,27 @@ def slow_coupled(spec, v0, T, dtau, delta, R, n_paths, seed):
     rotations = [[] for _ in range(n_paths)]
     overshoots = np.zeros(n_paths, dtype=int)
 
+    def euler(drift, a, db, stop):
+        nxt = a + Field(drift)(a) * dtau + db * b
+        return np.where(stop[:, None], a + db, nxt)
+
+    def mark(hit, stop, tau_R, t, sl):
+        newly = hit & ~stop[sl]
+        tau_R[sl][newly] = t
+        stop[sl] |= newly
+
     def step(x, db, m, sl):
-        a_ref = full(x[:, :n], db, stop_ref[sl])
-        _mark_stops((a_ref.real**2 + a_ref.imag**2).sum(axis=1) >= R, stop_ref, tau_R_ref,
-                    (m + 1) * dtau, sl)
+        # the driver's states and increments are mode-major: (k, paths)
+        x, db = np.ascontiguousarray(x.T), db.T
+        a_ref = euler(full, x[:, :n], db, stop_ref[sl])
+        mark((a_ref.real**2 + a_ref.imag**2).sum(axis=1) >= R, stop_ref, tau_R_ref,
+             (m + 1) * dtau, sl)
         I_ref = actions_of(a_ref)
-        evolved = modified(x[:, n:], db, stop_cpl[sl])
+        evolved = euler(modified, x[:, n:], db, stop_cpl[sl])
         d = in_delta[sl]
         a_cpl = np.where(d[:, None], np.exp(1j * theta[sl]) * a_ref, evolved)
         I_new = np.where(d[:, None], I_ref, actions_of(a_cpl))
-        _mark_stops(2.0 * I_new.sum(axis=1) >= R, stop_cpl, tau_R_cpl, (m + 1) * dtau, sl)
+        mark(2.0 * I_new.sum(axis=1) >= R, stop_cpl, tau_R_cpl, (m + 1) * dtau, sl)
         min_I = I_new.min(axis=1)
         down = ~d & (min_I <= delta)
         up = d & (min_I >= 2.0 * delta)
@@ -358,7 +369,7 @@ def slow_coupled(spec, v0, T, dtau, delta, R, n_paths, seed):
             seg_start[q] = m + 1
         in_delta[sl] = (d | down) & ~up
         I_cpl[sl, m + 1] = I_new
-        return np.concatenate([a_ref, a_cpl], axis=1)
+        return np.ascontiguousarray(np.concatenate([a_ref, a_cpl], axis=1).T)
 
     states = _integrate(np.concatenate([v0, v0]), n, T, dtau, None, n_paths, seed,
                         STATE_STREAM, step, "coupled")

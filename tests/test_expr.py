@@ -6,7 +6,7 @@ import pytest
 from stochavg import averaging, parse_field_expr, ParseError
 from stochavg.acceptance import _random_monomial_poly
 from stochavg.averaging import ActionPolynomial
-from stochavg.poly import Polynomial, as_poly, evaluate_entries
+from stochavg.poly import Field, Polynomial, as_poly
 
 
 def rand_points(rng, count, n):
@@ -279,6 +279,6 @@ def test_shared_table_matches_entry_by_entry_bitwise(n, kind):
             flat += (Polynomial.zero(n), Polynomial.const(2.5 - 1j, n))
         for polys in (flat, nest, flat[0]):
             for x in points:  # batched, and single points (0-d columns)
-                got, want = evaluate_entries(polys, x), _entries_alone(polys, x)
+                got, want = Field(polys)(x), _entries_alone(polys, x)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()

@@ -16,7 +16,7 @@ from stochavg import (
 from stochavg.acceptance import _rand_state, _random_monomial_poly
 from stochavg.config import parse_system_text, system_to_text
 from stochavg.hamiltonian import HamiltonianSpec
-from stochavg.poly import Polynomial
+from stochavg.poly import Field, Polynomial
 from stochavg.systems import acceptance_system
 
 
@@ -199,7 +199,7 @@ def test_ellipticity_unit_determinant_shear():
     assert rep.passed
     # eigenvalue oracle at a specific sampled state
     v = np.array([2.0 + 1.0j, 0.3 - 0.2j])
-    psi = spec.psi_at(v)
+    psi = Field(spec.psi_polys)(v)
     eigs = np.linalg.eigvalsh(psi @ psi.conj().T)
     assert eigs.min() > 0
 

@@ -102,8 +102,13 @@ def test_consecutive_requests_continue_one_stream(draw, dtype):
 def test_row_reduce_is_numpy_reduce_bitwise(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal((500, n)) * 10.0 ** rng.integers(-8, 9, (500, n))
-    assert sde._row_reduce(np.add, x).tobytes() == x.sum(axis=1).tobytes()
-    assert sde._row_reduce(np.minimum, x).tobytes() == x.min(axis=1).tobytes()
+    # the helper reads mode-major states, (modes, paths), also stacked
+    modes = np.ascontiguousarray(x.T)
+    assert sde._row_reduce(np.add, modes).tobytes() == x.sum(axis=1).tobytes()
+    assert sde._row_reduce(np.minimum, modes).tobytes() == x.min(axis=1).tobytes()
+    stack = np.stack([modes, modes[:, ::-1]])
+    want = np.stack([x.sum(axis=1), x[::-1].sum(axis=1)])
+    assert sde._row_reduce(np.add, stack).tobytes() == want.tobytes()
     fold = x[:, 0]
     for j in range(1, n):
         fold = fold + x[:, j]
@@ -240,10 +245,11 @@ def test_not_psd_inside_integrator_names_path_and_time(monkeypatch):
     monkeypatch.setattr(sde, "_CHUNK_PATHS", 3)
 
     def step(x, db, m, sl):
-        A = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
+        # mode-major states and increments: (modes, paths)
+        A = np.broadcast_to(np.eye(2), (x.shape[1], 2, 2)).copy()
         if m == 4 and sl.start <= 5 < sl.stop:
             A[5 - sl.start] = np.diag([1.0, -0.25])
-        return x + np.einsum("pkl,pl->pk", averaging.principal_sqrt_batched(A), db)
+        return x + np.einsum("pkl,pl->pk", averaging.principal_sqrt_batched(A), db.T).T
 
     with pytest.raises(NotPSDError) as err:
         sde._integrate(np.zeros(2, dtype=complex), 2, T=0.01, dtau=1e-3, record_times=None,
@@ -263,13 +269,13 @@ def test_errors_at_the_first_step_of_a_block_name_path_and_time(monkeypatch, err
 
     def step(x, db, m, sl):
         bad = m == 7 and sl.start <= 5 < sl.stop
-        A = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
+        A = np.broadcast_to(np.eye(2), (x.shape[1], 2, 2)).copy()
         if bad and error is NotPSDError:
             A[5 - sl.start] = np.diag([1.0, -0.25])
-        x = x + np.einsum("pkl,pl->pk", averaging.principal_sqrt_batched(A), db)
+        x = x + np.einsum("pkl,pl->pk", averaging.principal_sqrt_batched(A), db.T).T
         if bad and error is NonFiniteError:
-            x[5 - sl.start, 1] = np.inf
-        return x
+            x[1, 5 - sl.start] = np.inf
+        return np.ascontiguousarray(x)
 
     with pytest.raises(error) as err:
         sde._integrate(np.zeros(2, dtype=complex), 2, T=0.02, dtau=1e-3, record_times=None,
