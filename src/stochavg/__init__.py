@@ -28,13 +28,13 @@ from .errors import (
     StochavgError,
 )
 from .expr import parse_field_expr
-from .hamiltonian import HamiltonianSpec, orthogonality_residual
 from .model import (
     Frequencies,
     SystemSpec,
     check_ellipticity,
     check_nonresonance,
     estimate_growth,
+    orthogonality_residual,
 )
 from .poly import Polynomial
 from .sde import (
@@ -54,4 +54,4 @@ from .stats import (
     law_from_ensemble,
     mixing_profile,
 )
-from .systems import ACCEPTANCE_V0, acceptance_system, ou_system_1d
+from .systems import ACCEPTANCE_V0, acceptance_system

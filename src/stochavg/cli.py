@@ -1,8 +1,8 @@
 """Experiment orchestration command line.
 
 Subcommands: check | average | simulate | compare | couple-demo | mixing |
-acceptance, plus check-hamiltonian (residual scan) and plot-data (re-emit
-plot-ready CSV from a finished run directory).
+acceptance, plus plot-data (re-emit plot-ready CSV from a finished run
+directory).
 
 Every run writes a ``manifest.json`` capturing the resolved system text, a
 content hash, the package version, seed and the command line (argv, less
@@ -29,8 +29,8 @@ from . import __version__, acceptance as acceptance_mod
 from . import averaging, coupling, sde, stats
 from .config import parse_system_text, system_to_text
 from .errors import ConfigError, NonFiniteError, StochavgError
-from .hamiltonian import HamiltonianSpec, orthogonality_residual
-from .model import check_ellipticity, check_nonresonance, estimate_growth, random_states
+from .model import (check_ellipticity, check_nonresonance, estimate_growth,
+                    orthogonality_residual, random_states)
 from .poly import Field
 from .systems import ACCEPTANCE_V0, acceptance_system
 
@@ -119,14 +119,6 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _worst_orthogonality_residual(spec, samples, seed):
-    """Largest |orthogonality residual| of the system's Hamiltonian over
-    ``samples`` random states drawn from ``seed``."""
-    ham = HamiltonianSpec(h=spec.h_poly, n=spec.n)
-    pts = random_states(spec.n, samples, 3.0, np.random.default_rng(seed))
-    return max(float(np.abs(orthogonality_residual(ham, v)).max()) for v in pts)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -157,9 +149,10 @@ def cmd_check(args):
         },
         "growth_c_estimates": growth,
     }
-    if spec.h is not None:
-        report["hamiltonian_max_orthogonality_residual"] = _worst_orthogonality_residual(
-            spec, args.samples, args.seed)
+    if spec.h is not None:  # the largest residual over --samples states drawn from --seed
+        pts = random_states(spec.n, args.samples, 3.0, np.random.default_rng(args.seed))
+        report["hamiltonian_max_orthogonality_residual"] = max(
+            float(np.abs(orthogonality_residual(spec.h_poly, v)).max()) for v in pts)
     _write_manifest(out, text, args)
     _write_json(out / "check_report.json", report)
     flag = "RESONANT" if nonres.resonant else "non-resonant"
@@ -171,15 +164,6 @@ def cmd_check(args):
     if "hamiltonian_max_orthogonality_residual" in report:
         print(f"hamiltonian orthogonality residual: "
               f"{report['hamiltonian_max_orthogonality_residual']:.3e}")
-    return EXIT_OK
-
-
-def cmd_check_hamiltonian(args):
-    spec, _, _ = _resolve_system(args)
-    if spec.h is None:
-        raise ConfigError("the system has no hamiltonian section")
-    worst = _worst_orthogonality_residual(spec, args.samples, args.seed)
-    print(f"max orthogonality residual over {args.samples} states: {worst:.3e}")
     return EXIT_OK
 
 
@@ -258,8 +242,7 @@ def cmd_compare(args):
     times = _floats(args.times)
     rows = stats.convergence_table(spec, v0, eps_list, args.T, args.paths, times,
                                    args.seed, workers=args.threads)
-    stats.write_distance_csv(rows, out / "convergence.csv")
-    _write_json(out / "convergence.json", stats.distance_rows_json(rows))
+    stats.write_distance_table(rows, out, "convergence")
     emit_plot_data(out)
     _write_manifest(out, text, args)
     for r in rows:
@@ -309,9 +292,7 @@ def cmd_mixing(args):
     v2 = _parse_v0(args.v0_b, spec.n)
     rows = stats.mixing_profile(spec, args.variant, v1, v2, args.T, args.dtau, args.paths,
                                 args.seed, _floats(args.times))
-    stats.write_distance_csv(rows, out / "mixing.csv", metric="bl_state_distance")
-    _write_json(out / "mixing.json",
-                stats.distance_rows_json(rows, metric="bl_state_distance"))
+    stats.write_distance_table(rows, out, "mixing", metric="bl_state_distance")
     emit_plot_data(out)
     _write_manifest(out, text, args)
     for r in rows:
@@ -434,11 +415,6 @@ def build_parser():
                    help="random states for the ellipticity sample and for the "
                         "hamiltonian residual scan")
     p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("check-hamiltonian", help="max orthogonality residual over sampled states")
-    _add_common(p)
-    p.add_argument("--samples", type=int, default=64)
-    p.set_defaults(func=cmd_check_hamiltonian)
 
     p = sub.add_parser("average", help="print the averaged drift, symbolically or at a point")
     _add_common(p)

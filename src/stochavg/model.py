@@ -1,6 +1,7 @@
-"""Domain types for a perturbed conservative linear system, plus the
-standing-assumption diagnostics (non-resonance scan, ellipticity and growth
-sampling).
+"""Domain types for a perturbed conservative linear system, the
+real-Hamiltonian check and the null-contribution identity of hamiltonian
+drift parts, plus the standing-assumption diagnostics (non-resonance scan,
+ellipticity and growth sampling).
 
 The system under study is, in slow time,
 
@@ -50,6 +51,33 @@ def entry_poly(entry, n, name):
         return as_poly(entry, n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+
+
+def orthogonality_residual(h, v):
+    """Residuals (i d<h>/dconj(v_k))(v) . v_k, with z1 . z2 = Re(z1 conj(z2)),
+    of the real Hamiltonian ``h`` (a Polynomial over len(v) variables or a
+    number; anything else, or a complex-valued h, is a ConfigError).
+
+    A field with components i * dh/dconj(v_k) for a real C^1 function h is
+    hamiltonian; ``SystemSpec.hamiltonian_drift_polys`` builds it from the
+    Wirtinger derivatives ``Polynomial.dvbar``.  Averaging commutes with
+    i*d/dconj(v): the averaged field is the hamiltonian field of the averaged
+    Hamiltonian <h>.  Because <h> depends only on the actions, the averaged
+    hamiltonian field is tangent to the torus fibers and the scalar product
+    above vanishes identically: hamiltonian drift parts leave the action
+    dynamics untouched.  The residuals are returned as the test quantity
+    rather than asserted here.
+    """
+    v = np.asarray(v, dtype=complex)
+    n = len(v)
+    h = entry_poly(h, n, "h")
+    check_real(h)
+    avg = h.keep_resonant((0,) * n)
+    out = np.empty(n, dtype=float)
+    for k in range(1, n + 1):
+        g = 1j * avg.dvbar(k).evaluate(v)
+        out[k - 1] = float(np.real(g * np.conj(v[k - 1])))
+    return out
 
 
 def random_states(n, count, radius, rng):

@@ -26,9 +26,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import json
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -485,7 +487,7 @@ def mixing_profile(spec, variant, v1, v2, T, dtau, n_paths, seed, times,
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One row of a distance table (the schema of ``write_distance_csv``):
+    """One row of a distance table (the schema of ``write_distance_table``):
     convergence tables and mixing profiles both write them."""
 
     eps: float
@@ -559,27 +561,12 @@ def convergence_table(spec, v0, eps_list, T, n_paths, times, seed,
     return [r for rows in map_units(rows_of, enumerate(eps_list), workers) for r in rows]
 
 
-def write_distance_csv(rows, path, metric="bl_action_distance"):
-    """CSV schema: eps,time,metric,estimate,ci_lo,ci_hi,noise_floor."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("eps,time,metric,estimate,ci_lo,ci_hi,noise_floor\n")
-        for r in rows:
-            fh.write(
-                f"{r.eps!r},{r.time!r},{metric},{r.estimate!r},"
-                f"{r.ci_lo!r},{r.ci_hi!r},{r.noise_floor!r}\n"
-            )
-
-
-def distance_rows_json(rows, metric="bl_action_distance"):
-    return [
-        {
-            "eps": r.eps,
-            "time": r.time,
-            "metric": metric,
-            "estimate": r.estimate,
-            "ci_lo": r.ci_lo,
-            "ci_hi": r.ci_hi,
-            "noise_floor": r.noise_floor,
-        }
-        for r in rows
-    ]
+def write_distance_table(rows, out, stem, metric="bl_action_distance"):
+    """Write the rows as ``<stem>.csv`` and ``<stem>.json`` in directory ``out``,
+    one record per row: eps,time,metric,estimate,ci_lo,ci_hi,noise_floor."""
+    fields = ("eps", "time", "metric", "estimate", "ci_lo", "ci_hi", "noise_floor")
+    records = [dict(dataclasses.asdict(r), metric=metric) for r in rows]
+    lines = [",".join(fields)] + [
+        ",".join(metric if k == "metric" else repr(rec[k]) for k in fields) for rec in records]
+    Path(out, f"{stem}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(out, f"{stem}.json").write_text(json.dumps(records, indent=2, sort_keys=True))

@@ -53,15 +53,3 @@ def acceptance_system(epsilon=0.05) -> SystemSpec:
 
 
 ACCEPTANCE_V0 = np.array([1.0 + 0.0j, 1.0 + 0.0j])
-
-
-def ou_system_1d(epsilon=0.2) -> SystemSpec:
-    """Single-mode complex Ornstein-Uhlenbeck system: P = -v, Psi = 1."""
-    return SystemSpec(
-        freqs=Frequencies((1.0,)),
-        epsilon=epsilon,
-        p1=(parse_field_expr("-v1", 1),),
-        psi=((parse_field_expr("1", 1),),),
-        psi_kind="constant",
-        m0=1.0,
-    )

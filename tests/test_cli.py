@@ -11,7 +11,7 @@ import pytest
 
 from stochavg import acceptance_system, cli, parse_field_expr, parse_system_text, stats
 from stochavg.cli import EXIT_CONFIG, EXIT_NONFINITE, EXIT_OK, EXIT_STRICT
-from stochavg.model import Frequencies, SystemSpec
+from stochavg.model import Frequencies, SystemSpec, orthogonality_residual, random_states
 
 RESONANT_CONFIG = """\
 format = 1
@@ -492,20 +492,20 @@ def test_a_broken_worker_pool_exits_2_with_one_line(tmp_path, capsys, monkeypatc
     assert not (out / "manifest.json").exists()
 
 
-def test_check_hamiltonian_prints_the_check_report_residual(tmp_path, resonant_cfg, capsys):
-    # --samples drives the residual scan of both commands
-    for seed, samples in ((0, "128"), (7, "64")):
+def test_check_residual_is_a_direct_scan_of_the_hamiltonian(tmp_path, resonant_cfg):
+    # --samples states drawn from --seed, each scanned on its own
+    h = acceptance_system().h
+    for seed, samples in ((0, 128), (7, 64)):
         assert cli.main(["check", "--config", "acceptance", "--seed", str(seed),
-                         "--samples", samples, "--out", str(tmp_path)]) == EXIT_OK
+                         "--samples", str(samples), "--out", str(tmp_path)]) == EXIT_OK
         report = json.loads((tmp_path / "check_report.json").read_text())
-        capsys.readouterr()
-        assert cli.main(["check-hamiltonian", "--config", "acceptance", "--samples", samples,
-                         "--seed", str(seed)]) == EXIT_OK
-        worst = report["hamiltonian_max_orthogonality_residual"]
-        assert capsys.readouterr().out == \
-            f"max orthogonality residual over {samples} states: {worst:.3e}\n"
+        pts = random_states(2, samples, 3.0, np.random.default_rng(seed))
+        worst = max(float(np.abs(orthogonality_residual(h, v)).max()) for v in pts)
+        assert report["hamiltonian_max_orthogonality_residual"] == worst
     # the resonant config has no [hamiltonian] section
-    assert cli.main(["check-hamiltonian", "--config", str(resonant_cfg)]) == EXIT_CONFIG
+    assert cli.main(["check", "--config", str(resonant_cfg), "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert "hamiltonian_max_orthogonality_residual" not in report
 
 
 def test_acceptance_subcommand_subset(tmp_path, capsys):

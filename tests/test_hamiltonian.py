@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from scipy import stats
 
-from stochavg import ConfigError, HamiltonianSpec, orthogonality_residual, parse_field_expr
+from stochavg import (
+    ACCEPTANCE_V0,
+    ConfigError,
+    acceptance_system,
+    orthogonality_residual,
+    parse_field_expr,
+    simulate_effective,
+)
 from stochavg.averaging import action_drift_F, average_field, average_function
-from stochavg.hamiltonian import averaged_hamiltonian_poly
 from stochavg.model import Frequencies, SystemSpec
-
-
-def ham(text, n):
-    return HamiltonianSpec(h=parse_field_expr(text, n), n=n)
 
 
 def rand_state(rng, n):
@@ -17,7 +20,7 @@ def rand_state(rng, n):
 
 def dvbar(h, v):
     """dh/dconj(v_k) = (dh/dx_k + i dh/dy_k) / 2 at v, symbolically."""
-    return np.array([h.poly.dvbar(k).evaluate(v) for k in range(1, h.n + 1)])
+    return np.array([h.dvbar(k).evaluate(v) for k in range(1, h.n + 1)])
 
 
 def dvbar_finite_difference(h, v, step=1e-5):
@@ -26,8 +29,8 @@ def dvbar_finite_difference(h, v, step=1e-5):
     for k in range(h.n):
         e = np.zeros(h.n, dtype=complex)
         e[k] = step
-        dx = h.poly.evaluate(v + e) - h.poly.evaluate(v - e)
-        dy = h.poly.evaluate(v + 1j * e) - h.poly.evaluate(v - 1j * e)
+        dx = h.evaluate(v + e) - h.evaluate(v - e)
+        dy = h.evaluate(v + 1j * e) - h.evaluate(v - 1j * e)
         out[k] = (dx + 1j * dy) / (4 * step)
     return out
 
@@ -35,7 +38,7 @@ def dvbar_finite_difference(h, v, step=1e-5):
 def drift_field(h):
     """The hamiltonian drift part i*dh/dconj(v_k) of a system with Hamiltonian h."""
     spec = SystemSpec(freqs=Frequencies(tuple(float(k) for k in range(1, h.n + 1))),
-                      epsilon=0.5, p1=(0,) * h.n, psi=((1,),) * h.n, h=h.poly)
+                      epsilon=0.5, p1=(0,) * h.n, psi=((1,),) * h.n, h=h)
     return spec.hamiltonian_drift_polys
 
 
@@ -57,29 +60,23 @@ def random_real_hamiltonian(rng, n, degree=4):
         terms.append("*".join(bits))
     text = " + ".join(terms) if terms else "abs2(v1)"
     q = parse_field_expr(text, n)
-    return HamiltonianSpec(h=q + q.conj(), n=n)
+    return q + q.conj()
 
 
 def test_hamiltonian_requires_real_values():
     with pytest.raises(ConfigError):
-        ham("v1", 1)
-
-
-def test_hamiltonian_is_lowered_once():
-    h = ham("abs2(v1)*abs2(v2)", 2)
-    assert h.poly is h.poly
-    assert h.poly == parse_field_expr("abs2(v1)*abs2(v2)", 2)
+        orthogonality_residual(parse_field_expr("v1", 1), np.array([1j]))
 
 
 def test_wirtinger_power_rule():
     # h = (v1 cv1)^2: dh/dconj(v1) = 2 |v1|^2 v1 -> 2 at v1 = 1
-    h = ham("(v1*cv1)^2", 1)
+    h = parse_field_expr("(v1*cv1)^2", 1)
     out = dvbar(h, np.array([1 + 0j]))
     np.testing.assert_allclose(out, [2.0], atol=1e-12)
 
 
 def test_wirtinger_product_rule():
-    h = ham("abs2(v1)*abs2(v2)", 2)
+    h = parse_field_expr("abs2(v1)*abs2(v2)", 2)
     v = np.array([1 + 1j, 2 + 0j])
     out = dvbar(h, v)
     np.testing.assert_allclose(out[0], v[0] * abs(v[1]) ** 2, atol=1e-12)
@@ -98,7 +95,7 @@ def test_wirtinger_symbolic_vs_finite_difference():
 
 
 def test_hamiltonian_field_components():
-    h = ham("abs2(v1)*abs2(v2)", 2)
+    h = parse_field_expr("abs2(v1)*abs2(v2)", 2)
     field = drift_field(h)
     rng = np.random.default_rng(3)
     v = rand_state(rng, 2)
@@ -110,22 +107,22 @@ def test_hamiltonian_field_components():
 
 
 def test_hamiltonian_field_zero_and_quadratic():
-    h0 = ham("0", 2)
+    h0 = parse_field_expr("0", 2)
     assert all(abs(f.evaluate(np.array([1 + 1j, 2 - 1j]))) < 1e-15
                for f in drift_field(h0))
-    h2 = ham("abs2(v1)", 1)
+    h2 = parse_field_expr("abs2(v1)", 1)
     v = np.array([0.5 - 2j])
     np.testing.assert_allclose(drift_field(h2)[0].evaluate(v), 1j * v[0], rtol=1e-12)
 
 
 def test_averaged_hamiltonian_values():
-    h = ham("abs2(v1)*abs2(v2)", 2)
+    h = parse_field_expr("abs2(v1)*abs2(v2)", 2)
     rng = np.random.default_rng(4)
     a = rand_state(rng, 2)
-    assert average_function(h.poly, a).real == pytest.approx(abs(a[0]) ** 2 * abs(a[1]) ** 2)
+    assert average_function(h, a).real == pytest.approx(abs(a[0]) ** 2 * abs(a[1]) ** 2)
     # Re(v1^2) has no resonant monomials
-    h2 = ham("0.5*v1^2 + 0.5*cv1^2", 1)
-    assert average_function(h2.poly, np.array([1 + 2j])).real == pytest.approx(0.0, abs=1e-12)
+    h2 = parse_field_expr("0.5*v1^2 + 0.5*cv1^2", 1)
+    assert average_function(h2, np.array([1 + 2j])).real == pytest.approx(0.0, abs=1e-12)
 
 
 def test_averaged_hamiltonian_symbolic_vs_quadrature():
@@ -133,8 +130,8 @@ def test_averaged_hamiltonian_symbolic_vs_quadrature():
     for _ in range(4):
         h = random_real_hamiltonian(rng, 2)
         a = rand_state(rng, 2)
-        sym = average_function(h.poly, a).real
-        quad = average_function(h.poly, a, method="quadrature", grid_per_dim=16).real
+        sym = average_function(h, a).real
+        quad = average_function(h, a, method="quadrature", grid_per_dim=16).real
         assert sym == pytest.approx(quad, abs=1e-10 * (1 + abs(sym)))
 
 
@@ -144,7 +141,7 @@ def test_averaging_commutes_with_hamiltonian_field():
     for _ in range(4):
         h = random_real_hamiltonian(rng, 2)
         field = drift_field(h)
-        avg_poly = averaged_hamiltonian_poly(h)
+        avg_poly = h.keep_resonant((0, 0))
         a = rand_state(rng, 2)
         lhs = average_field(field, a)
         rhs = np.array([1j * avg_poly.dvbar(k).evaluate(a) for k in (1, 2)])
@@ -152,10 +149,10 @@ def test_averaging_commutes_with_hamiltonian_field():
 
 
 def test_orthogonality_residual_concrete():
-    h = ham("abs2(v1)*abs2(v2)", 2)
+    h = parse_field_expr("abs2(v1)*abs2(v2)", 2)
     res = orthogonality_residual(h, np.array([1 + 1j, 2 + 0j]))
     np.testing.assert_allclose(res, [0.0, 0.0], atol=1e-12)
-    res0 = orthogonality_residual(ham("0", 2), np.array([1 + 1j, 2 + 0j]))
+    res0 = orthogonality_residual(parse_field_expr("0", 2), np.array([1 + 1j, 2 + 0j]))
     np.testing.assert_array_equal(res0, [0.0, 0.0])
 
 
@@ -188,3 +185,26 @@ def test_action_drift_ignores_hamiltonian_part():
         I = rng.random(n) * 2
         np.testing.assert_allclose(
             action_drift_F(with_h, I), action_drift_F(without_h, I), atol=1e-9)
+
+
+# seeds fixed before the statistics were first computed
+OU_LAW_SEEDS = {"full": 1901, "modified": 1902}
+
+
+@pytest.mark.parametrize("variant", ["full", "modified"])
+def test_effective_actions_follow_the_hamiltonian_free_ou_law(variant):
+    # The modified effective equation of the acceptance system is the complex OU
+    # system da = -a dtau + dbeta; the full one adds the hamiltonian part, which
+    # only rotates phases.  Both carry the OU action law: |a_k|^2 / s2 is
+    # ncx2(df=2, nc=|a_k(0)|^2 e^{-2 tau} / s2) with s2 = (1 - e^{-2 tau}) / 2.
+    paths, times = 10_000, (0.5, 1.0)
+    ens = simulate_effective(acceptance_system(), variant, ACCEPTANCE_V0, T=1.0, dtau=1e-3,
+                             n_paths=paths, seed=OU_LAW_SEEDS[variant], record_times=times)
+    # 1% for the family of four statistics (Bonferroni), not for each one
+    critical = stats.kstwo.isf(0.01 / 4, paths)
+    for t in times:
+        s2 = (1.0 - np.exp(-2.0 * t)) / 2.0
+        for k in range(2):
+            law = stats.ncx2(df=2, nc=abs(ACCEPTANCE_V0[k]) ** 2 * np.exp(-2.0 * t) / s2)
+            ks = stats.kstest(np.abs(ens.at_time(t)[:, k]) ** 2 / s2, law.cdf).statistic
+            assert ks <= critical, f"{variant}: tau={t} mode {k + 1} KS {ks:.4f} > {critical:.4f}"

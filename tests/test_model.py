@@ -11,17 +11,23 @@ from stochavg import (
     check_ellipticity,
     check_nonresonance,
     estimate_growth,
+    orthogonality_residual,
     parse_field_expr,
 )
 from stochavg.acceptance import _rand_state, _random_monomial_poly
 from stochavg.config import parse_system_text, system_to_text
-from stochavg.hamiltonian import HamiltonianSpec
 from stochavg.poly import Field, Polynomial
 from stochavg.systems import acceptance_system
 
 
 def expr(text, n):
     return parse_field_expr(text, n)
+
+
+def residual_at_origin(h, n):
+    """The orthogonality residual of ``h`` at v = 0 in C^n: it checks h as a
+    Hamiltonian over n modes before it evaluates anything."""
+    return orthogonality_residual(h, np.zeros(n, dtype=complex))
 
 
 def make_spec(n=2, h=None, psi_texts=None, p1_texts=None, psi_kind="constant", **kw):
@@ -66,9 +72,9 @@ def test_realness_error_names_the_monomial():
     with pytest.raises(ConfigError, match=r"of v1\*v2 is not the conjugate .* of cv1\*cv2"):
         make_spec(h="v1*v2")
     with pytest.raises(ConfigError, match=r"of v1 is not the conjugate .* of cv1"):
-        HamiltonianSpec(h=expr("abs2(v1) + v1", 1), n=1)
+        residual_at_origin(expr("abs2(v1) + v1", 1), 1)
     with pytest.raises(ConfigError, match=r"of 1 is not"):
-        HamiltonianSpec(h=expr("i", 1), n=1)
+        residual_at_origin(expr("i", 1), 1)
 
 
 def _two_mode_spec(p2=Polynomial.var(2, 2), psi12=0.0, h=None):
@@ -88,20 +94,20 @@ def test_spec_names_a_bad_entry_at_construction(entry, bad, message):
         _two_mode_spec(**{entry: bad})
     if entry == "h":
         with pytest.raises(ConfigError, match="^" + re.escape(message)):
-            HamiltonianSpec(h=bad, n=2)
+            residual_at_origin(bad, 2)
     with pytest.raises(ConfigError, match="^h: polynomial is over 2 variables, expected 1"):
-        HamiltonianSpec(h=Polynomial.abs2(1, 2), n=1)
+        residual_at_origin(Polynomial.abs2(1, 2), 1)
 
 
 def test_realness_is_read_off_the_coefficients():
     def h(c_conj):
         return Polynomial(1, {((1,), (0,)): 1.0 + 2j, ((0,), (1,)): c_conj})
 
-    HamiltonianSpec(h=h(1.0 - 2j + 1e-12), n=1)  # within the 1e-10 tolerance
+    residual_at_origin(h(1.0 - 2j + 1e-12), 1)  # within the 1e-10 tolerance
     with pytest.raises(ConfigError):
-        HamiltonianSpec(h=h(1.0 - 2j + 1e-6), n=1)
+        residual_at_origin(h(1.0 - 2j + 1e-6), 1)
     with pytest.raises(ConfigError):
-        HamiltonianSpec(h=h(1.0 + 2j), n=1)
+        residual_at_origin(h(1.0 + 2j), 1)
 
 
 def test_spec_accepts_real_hamiltonian_and_imag_vanishes():
@@ -115,8 +121,9 @@ def test_spec_accepts_real_hamiltonian_and_imag_vanishes():
 @pytest.mark.parametrize("text", ["(v1 + cv1)^2", "abs2(v1)*abs2(v2)"])
 def test_real_hamiltonians_are_accepted(text):
     spec = make_spec(h=text)
-    ham = HamiltonianSpec(h=spec.h, n=2)
-    assert ham.poly == spec.h_poly
+    v = np.array([1 + 1j, 2 - 0.5j])
+    np.testing.assert_array_equal(orthogonality_residual(spec.h, v),
+                                  orthogonality_residual(spec.h_poly, v))
 
 
 def test_criterion_3_hamiltonians_are_accepted():
@@ -126,13 +133,12 @@ def test_criterion_3_hamiltonians_are_accepted():
         n = int(rng.integers(1, 4))
         q = _random_monomial_poly(rng, n, degree=4, terms=3)
         h = q + q.conj()
-        HamiltonianSpec(h=h, n=n)
         one, zero = Polynomial.const(1.0, n), Polynomial.zero(n)
         SystemSpec(freqs=Frequencies(tuple(range(1, n + 1))), epsilon=0.5,
                    p1=(zero,) * n, h=h, psi_kind="constant",
                    psi=tuple(tuple(one if k == l else zero for l in range(n))
                              for k in range(n)))
-        _rand_state(rng, n)
+        orthogonality_residual(h, _rand_state(rng, n))
 
 
 def test_spec_drift_includes_hamiltonian_part():

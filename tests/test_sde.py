@@ -7,7 +7,6 @@ from stochavg import (
     StepTooLargeError,
     acceptance_system,
     ito_action_consistency,
-    ou_system_1d,
     parse_field_expr,
     simulate_action_sde,
     simulate_cutoff_effective,
@@ -30,6 +29,18 @@ def make_spec(n, p1, psi, h=None, psi_kind="constant", epsilon=0.2):
         psi=tuple(tuple(parse_field_expr(t, n) for t in row) for row in psi),
         h=parse_field_expr(h, n) if h else None,
         psi_kind=psi_kind,
+    )
+
+
+def ou_system_1d(epsilon=0.2):
+    """Single-mode complex Ornstein-Uhlenbeck system: P = -v, Psi = 1."""
+    return SystemSpec(
+        freqs=Frequencies((1.0,)),
+        epsilon=epsilon,
+        p1=(parse_field_expr("-v1", 1),),
+        psi=((parse_field_expr("1", 1),),),
+        psi_kind="constant",
+        m0=1.0,
     )
 
 
