@@ -11,7 +11,6 @@ hamiltonian part exercise the averaging machinery nontrivially.
 from __future__ import annotations
 
 import filecmp
-import json
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -299,20 +298,18 @@ def criterion_11(n_paths, seed):
                  "--times", "0.5", "--T", "0.5", "--paths", "300",
                  "--seed", str(seed)]
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        d1, d2, d3 = tmp / "a", tmp / "b", tmp / "c"
-        assert cli.main(argv_base + ["--out", str(d1), "--threads", "1"]) == 0
-        assert cli.main(argv_base + ["--out", str(d2), "--threads", "1"]) == 0
-        byte_equal = filecmp.cmp(d1 / "convergence.csv", d2 / "convergence.csv",
-                                 shallow=False)
-        assert cli.main(argv_base + ["--out", str(d3), "--threads", "2"]) == 0
-        r1 = json.loads((d1 / "convergence.json").read_text())
-        r3 = json.loads((d3 / "convergence.json").read_text())
-        gap = max(abs(a["estimate"] - b["estimate"]) + abs(a["noise_floor"] - b["noise_floor"])
-                  for a, b in zip(r1, r3))
-    passed = byte_equal and gap <= 1e-12
+        out = [Path(tmp, name) for name in "abc"]
+        codes = [cli.main(argv_base + ["--out", str(d), "--threads", n])
+                 for d, n in zip(out, ("1", "1", "2"))]
+        ran = codes == [0, 0, 0]
+        repeated = ran and filecmp.cmp(out[0] / "convergence.csv", out[1] / "convergence.csv",
+                                       shallow=False)
+        threaded = ran and all(filecmp.cmp(out[0] / f, out[2] / f, shallow=False)
+                               for f in ("convergence.csv", "convergence.json"))
+    passed = repeated and threaded
     return _result(11, "bit-exact reference runs, thread-stable statistics", passed,
-                   f"repeated CSV byte-equal={byte_equal}, threaded gap {gap:.2e} (<=1e-12)")
+                   f"exit codes {codes}, repeated CSV byte-equal={repeated}, "
+                   f"--threads 2 CSV and JSON byte-equal={threaded}")
 
 
 CRITERIA = {

@@ -473,16 +473,9 @@ def mixing_profile(spec, variant, v1, v2, T, dtau, n_paths, seed, times,
     under-estimates the uniform-over-ball mixing envelope.
     """
     times = sorted(float(t) for t in times)
-    e1 = sde.simulate_effective(spec, variant, v1, T, dtau, n_paths,
-                                seed=(seed, _state_tag(v1)), record_times=times)
-    e2 = sde.simulate_effective(spec, variant, v2, T, dtau, n_paths,
-                                seed=(seed, _state_tag(v2)), record_times=times)
-    rows = []
-    for t in times:
-        rep = bl_distance_nd(law_from_ensemble(e1, t), law_from_ensemble(e2, t),
-                             feature_count=feature_count, seed=seed, bootstrap=bootstrap)
-        rows.append(_row(spec.epsilon, t, rep))
-    return rows
+    e1, e2 = (sde.simulate_effective(spec, variant, v, T, dtau, n_paths, seed=(seed, _state_tag(v)),
+                                     record_times=times) for v in (v1, v2))
+    return _distance_rows(spec.epsilon, e1, e2, times, seed, bootstrap, feature_count)
 
 
 @dataclass(frozen=True)
@@ -498,9 +491,16 @@ class ConvergenceRow:
     noise_floor: float
 
 
-def _row(eps, time, rep):
-    return ConvergenceRow(eps=eps, time=time, estimate=rep.estimate, ci_lo=rep.bootstrap_ci[0],
-                          ci_hi=rep.bootstrap_ci[1], noise_floor=rep.noise_floor)
+def _distance_rows(eps, ens1, ens2, times, seed, bootstrap, feature_count=256):
+    """One ``ConvergenceRow`` per time: the distance between the laws of two
+    ensembles recorded at ``times``."""
+    rows = []
+    for t in times:
+        rep = bl_distance_nd(law_from_ensemble(ens1, t), law_from_ensemble(ens2, t),
+                             feature_count=feature_count, seed=seed, bootstrap=bootstrap)
+        rows.append(ConvergenceRow(eps=eps, time=t, estimate=rep.estimate, ci_lo=rep.bootstrap_ci[0],
+                                   ci_hi=rep.bootstrap_ci[1], noise_floor=rep.noise_floor))
+    return rows
 
 
 def map_units(fn, units, workers):
@@ -523,22 +523,14 @@ def map_units(fn, units, workers):
         return list(pool.map(fn, units))
 
 
-def _epsilon_rows(spec, v0, T, n_paths, times, seed, bootstrap, unit):
-    """The rows of ``convergence_table`` for unit (i, eps), the i-th epsilon."""
+def _epsilon_rows(spec, v0, T, n_paths, times, seed, bootstrap, act_eff, unit):
+    """The rows of ``convergence_table`` for unit (i, eps), the i-th epsilon,
+    against the effective actions ``act_eff``."""
     i, eps = unit
-    spec_eps = dataclasses.replace(spec, epsilon=eps)
-    pert_dtau = min(eps / 5.0, EFF_DTAU)
-    pert = sde.simulate_perturbed(spec_eps, v0, T, pert_dtau, n_paths,
-                                  seed=(seed, 101, i), record_times=times)
-    eff = sde.simulate_effective(spec_eps, "full", v0, T, EFF_DTAU, n_paths,
-                                 seed=(seed, 202, i), record_times=times)
-    act_pert, act_eff = pert.actions(), eff.actions()
-    rows = []
-    for t in times:
-        rep = bl_distance_nd(law_from_ensemble(act_pert, t), law_from_ensemble(act_eff, t),
-                             seed=seed, bootstrap=bootstrap)
-        rows.append(_row(eps, t, rep))
-    return rows
+    pert = sde.simulate_perturbed(dataclasses.replace(spec, epsilon=eps), v0, T,
+                                  min(eps / 5.0, EFF_DTAU), n_paths, seed=(seed, 101, i),
+                                  record_times=times)
+    return _distance_rows(eps, pert.actions(), act_eff, times, seed, bootstrap)
 
 
 def convergence_table(spec, v0, eps_list, T, n_paths, times, seed,
@@ -546,18 +538,22 @@ def convergence_table(spec, v0, eps_list, T, n_paths, times, seed,
     """Action-law distances between the perturbed system and the effective
     equation across an epsilon sweep.
 
-    For each epsilon both systems are simulated afresh (independent noise),
-    the effective one at dtau = EFF_DTAU and the perturbed one at
-    dtau = min(eps/5, EFF_DTAU), so that discretization bias never grows as
-    epsilon shrinks.  Rows report the distance between the action laws at
-    each requested time.  Each epsilon seeds its own noise, so the rows do
-    not depend on how many ``workers`` processes ``map_units`` uses.
+    The effective equation does not depend on epsilon, so it is simulated
+    once, in the calling process, at dtau = EFF_DTAU, and every row compares
+    against that one ensemble.  The perturbed system is simulated for each
+    epsilon at dtau = min(eps/5, EFF_DTAU), so that discretization bias
+    never grows as epsilon shrinks.  Rows report the distance between the
+    action laws at each requested time.  Each epsilon seeds its own
+    perturbed noise, so the rows do not depend on how many ``workers``
+    processes ``map_units`` uses.
     """
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     times = sorted(float(t) for t in times)
-    rows_of = functools.partial(_epsilon_rows, spec, v0, T, n_paths, times, seed, bootstrap)
+    act_eff = sde.simulate_effective(spec, "full", v0, T, EFF_DTAU, n_paths, seed=(seed, 202, 0),
+                                     record_times=times).actions()
+    rows_of = functools.partial(_epsilon_rows, spec, v0, T, n_paths, times, seed, bootstrap, act_eff)
     return [r for rows in map_units(rows_of, enumerate(eps_list), workers) for r in rows]
 
 

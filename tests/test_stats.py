@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from stochavg import (
+    ACCEPTANCE_V0,
     EmpiricalLaw,
     acceptance_system,
     bl_distance_1d,
@@ -14,7 +16,9 @@ from stochavg import (
     law_from_ensemble,
     mixing_profile,
     parse_field_expr,
+    sde,
     simulate_effective,
+    simulate_perturbed,
 )
 from stochavg.model import Frequencies, SystemSpec
 from stochavg.stats import (
@@ -545,3 +549,56 @@ def test_convergence_trend_small_scale():
                              T=1.0, n_paths=1200, times=[1.0], seed=3, bootstrap=0)
     assert rows[0].estimate > rows[1].estimate
     assert rows[1].estimate <= 3 * rows[1].noise_floor
+
+
+def test_effective_equation_does_not_read_epsilon():
+    # convergence_table simulates it once for every epsilon of a table
+    spec = acceptance_system()
+    for variant in ("full", "modified"):
+        a, b = (simulate_effective(dataclasses.replace(spec, epsilon=e), variant, ACCEPTANCE_V0,
+                                   T=0.2, dtau=1e-3, n_paths=64, seed=(9, 1)).values
+                for e in (0.2, 0.0125))
+        assert a.tobytes() == b.tobytes()
+
+
+def test_convergence_table_simulates_the_effective_equation_once(monkeypatch):
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(kw["seed"])
+        return simulate_effective(*args, **kw)
+
+    monkeypatch.setattr(sde, "simulate_effective", spy)
+    spec = acceptance_system()
+    kw = dict(T=1.0, n_paths=200, times=[0.5, 1.0], seed=4, bootstrap=20)
+    rows = convergence_table(spec, ACCEPTANCE_V0, [0.2, 0.05, 0.0125], **kw)
+    assert calls == [(4, 202, 0)]
+    assert [r.eps for r in rows] == [0.2, 0.2, 0.05, 0.05, 0.0125, 0.0125]
+    # row 0 of any table is the one-epsilon table, bit for bit
+    alone = convergence_table(spec, ACCEPTANCE_V0, [0.2], **kw)
+    assert [repr(dataclasses.astuple(r)) for r in rows[:2]] == \
+        [repr(dataclasses.astuple(r)) for r in alone]
+
+
+def test_perturbed_states_converge_to_the_full_effective_law_only():
+    # Krylov-Bogoliubov sense: the interaction representation a^eps tends in
+    # law, as states in R^4, to the full effective equation, which carries the
+    # hamiltonian part; the modified one has the same action law but not the
+    # same state law
+    spec = acceptance_system()
+    n_paths, seed = 2000, 2024
+    eff = {variant: law_from_ensemble(simulate_effective(
+        spec, variant, ACCEPTANCE_V0, T=1.0, dtau=1e-3, n_paths=n_paths, seed=(seed, 131, k),
+        record_times=[1.0]), 1.0) for k, variant in enumerate(("full", "modified"))}
+    to_full, to_modified = [], []
+    for i, eps in enumerate([0.2, 0.05, 0.0125]):
+        pert = simulate_perturbed(dataclasses.replace(spec, epsilon=eps), ACCEPTANCE_V0, T=1.0,
+                                  dtau=1e-3, n_paths=n_paths, seed=(seed, 132, i),
+                                  record_times=[1.0])
+        a = law_from_ensemble(pert.a, 1.0)
+        to_full.append(bl_distance_nd(a, eff["full"], seed=seed, bootstrap=0))
+        to_modified.append(bl_distance_nd(a, eff["modified"], seed=seed, bootstrap=0))
+    est = [r.estimate for r in to_full]
+    assert est[0] > est[1] > est[2]
+    assert est[2] <= 2.0 * to_full[2].noise_floor
+    assert all(r.estimate > 3.0 * r.noise_floor for r in to_modified)
