@@ -18,7 +18,9 @@ minimum over partial transport plans of max(transport cost, unmatched mass)
 (Piccoli & Rossi, ARMA 2014).  In higher dimension the supremum is
 approximated from below by a family of rescaled ramp functions plus the
 coordinate-marginal exact distances (projections are 1-Lipschitz, so
-marginal distances never exceed the joint distance).
+marginal distances never exceed the joint distance).  A noise floor is a max
+of half-sample distances; a solve stops where it cannot raise the running
+max (``_noise_floor``), so floors are unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -105,6 +107,8 @@ class DistanceReport:
 
 
 def _merged_support(x1, x2):
+    """The merged support x, its signed weights w, and the end slopes of g:
+    g = L W1 near L = 0 and g = (1 - L) mass near L = 1 (``_bl1d_exact``)."""
     xs = np.concatenate([x1, x2])
     ws = np.concatenate(
         [np.full(x1.size, 1.0 / x1.size), np.full(x2.size, -1.0 / x2.size)]
@@ -112,11 +116,11 @@ def _merged_support(x1, x2):
     uniq, inv = np.unique(xs, return_inverse=True)
     w = np.zeros(uniq.size)
     np.add.at(w, inv, ws)
-    return uniq, w
+    return uniq, w, float(np.diff(uniq) @ np.abs(np.cumsum(w)[:-1])), float(np.abs(w).sum())
 
 
-# On the laws of an epsilon sweep a solve takes 6-11 DP passes; the cap only
-# ends a tangent search that rounding keeps from closing its gap.
+# On the laws of an epsilon sweep a solve takes 6-11 DP passes, a pruned floor
+# solve fewer; the cap only ends a search that rounding keeps from closing.
 _BL1D_MAX_PASSES = 64
 
 
@@ -235,7 +239,7 @@ def _bl1d_pass(X, w, L):
     return res
 
 
-def _bl1d_exact(x1, x2):
+def _bl1d_exact(x, w, w1, mass, below=-np.inf):
     """Exact BL distance in 1d plus the optimal potential on the merged grid.
 
     With x_1 < ... < x_m the merged support, w_i the signed empirical weights
@@ -253,27 +257,31 @@ def _bl1d_exact(x1, x2):
     points away from; each new tangent is a new linear piece of g.  The search
     stops when g meets the crossing height, which bounds g from above.  If
     it goes on after a tied pass, a pass at the next float gives the slope.
+    It also stops before a pass whose crossing height is at or below ``below``
+    less a rounding margin: a solve worth more than ``below`` is unchanged
+    bit for bit, and a stopped one returns at most ``below``.
     """
-    x, w = _merged_support(np.asarray(x1, float).ravel(), np.asarray(x2, float).ravel())
     m = x.size
     best, fbest = 0.0, np.zeros(m)  # f = 0 is optimal at L = 0 and L = 1
     if m == 1 or not np.any(w):
         return best, x, fbest
     X, wl = (x - x[0]).tolist(), w.tolist()
-    mass = float(np.abs(w).sum())
-    lo = (0.0, 0.0, float(np.diff(x) @ np.abs(np.cumsum(w)[:-1])))
+    lo = (0.0, 0.0, w1)
     hi = (1.0, 0.0, -mass)
     for _ in range(_BL1D_MAX_PASSES):
         (l0, g0, s0), (l1, g1, s1) = lo, hi
         L = (g1 - g0 + s0 * l0 - s1 * l1) / (s0 - s1)
         if not l0 < L < l1:
             break
+        top = g0 + s0 * (L - l0)  # where the tangents cross: g <= top
+        if top <= below - 1e-9 * mass:
+            break
         alpha, beta = res = _bl1d_pass(X, wl, L)
         f = alpha + beta * L
         g, s = float(w @ f), float(w @ beta)
         if g > best:
             best, fbest = g, f
-        closed = g0 + s0 * (L - l0) - g <= 1e-15 * mass
+        closed = top - g <= 1e-15 * mass
         if res.tied and not closed:  # the slope just right of L, where no lines tie
             s = float(w @ _bl1d_pass(X, wl, float(np.nextafter(L, 2.0)))[1])
         if closed or s == 0.0:
@@ -283,6 +291,16 @@ def _bl1d_exact(x1, x2):
         else:
             hi = (L, g, s)
     return best, x, fbest
+
+
+def _noise_floor(floor, samples):
+    """max(floor, the distance between each sample's odd and even halves), bit
+    for bit: largest end-tangent crossing W1 mass / (W1 + mass) first, and a
+    solve stops where it cannot raise the running max."""
+    halves = [_merged_support(s[0::2], s[1::2]) for s in samples]
+    for h in sorted(halves, key=lambda h: h[2] * h[3] / (h[2] + h[3] or 1.0), reverse=True):
+        floor = max(floor, _bl1d_exact(*h, below=floor)[0])
+    return floor
 
 
 def _canonical_pair(p1, p2):
@@ -336,19 +354,17 @@ def bl_distance_1d(law1: EmpiricalLaw, law2: EmpiricalLaw,
     The point estimate and the noise floor (the same distance between the
     odd and even halves of each sample) come from ``_bl1d_exact``: a
     slope-trick DP at fixed Lipschitz budget inside a tangent-line search
-    over the budget.  The bootstrap CI resamples the means of the *optimal*
-    potential found on the full samples (a fixed 1-Lipschitz-plus-sup-
-    normalized test function): cheap, and adequate for the trend assertions
-    the CI feeds.
+    over the budget; a floor solve stops where it cannot raise the floor,
+    which is unchanged bit for bit.  The bootstrap CI resamples the means of
+    the *optimal* potential found on the full samples (a fixed 1-Lipschitz-
+    plus-sup-normalized test function): cheap, and adequate for the trend
+    assertions the CI feeds.
     """
     if law1.dim != 1 or law2.dim != 1:
         raise ValueError("bl_distance_1d needs one-dimensional laws")
     a, b = _canonical_pair(law1.points.ravel(), law2.points.ravel())
-    est, grid, fstar = _bl1d_exact(a, b)
-    floor = max(
-        _bl1d_exact(a[0::2], a[1::2])[0],
-        _bl1d_exact(b[0::2], b[1::2])[0],
-    )
+    est, grid, fstar = _bl1d_exact(*_merged_support(a, b))
+    floor = _noise_floor(0.0, (a, b))
     fa = np.interp(a, grid, fstar)
     fb = np.interp(b, grid, fstar)
     rng = np.random.default_rng(seed)
@@ -363,6 +379,13 @@ def bl_distance_1d(law1: EmpiricalLaw, law2: EmpiricalLaw,
 # ---------------------------------------------------------------------------
 # multi-dimensional lower-bound estimator
 # ---------------------------------------------------------------------------
+
+
+def _sorted_quantile(rows, q):
+    """np.quantile(rows, q, axis=1), 0 <= q < 1, of rows sorted along axis 1."""
+    i, t = divmod((rows.shape[1] - 1) * q, 1)
+    a, b = rows[:, int(i)], rows[:, int(i) + 1]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 class _RampFamily:
@@ -381,10 +404,12 @@ class _RampFamily:
         norms[norms == 0] = 1.0
         self.u = u / norms
         self.center = pooled.mean(axis=0)
-        # one contiguous row of projections per feature
+        # one contiguous row of projections per feature, sorted: faster than partitions
         proj = np.array(((pooled - self.center) @ self.u.T).T, order="C")
-        lo, hi = np.quantile(proj, [0.05, 0.95], axis=1)
-        spread = np.maximum(np.quantile(np.abs(proj), 0.9, axis=1), 1e-9)
+        proj.sort(axis=1)
+        lo, hi = _sorted_quantile(proj, 0.05), _sorted_quantile(proj, 0.95)
+        np.abs(proj, out=proj).sort(axis=1)
+        spread = np.maximum(_sorted_quantile(proj, 0.9), 1e-9)
         ladder = 2.0 ** rng.integers(-2, 5, feature_count)
         self.kappa = ladder / spread
         self.b = lo + (hi - lo) * rng.random(feature_count)
@@ -404,6 +429,8 @@ def bl_distance_nd(law1: EmpiricalLaw, law2: EmpiricalLaw, feature_count=256,
     fixed family (ramps plus the optimal marginal potentials), the standard
     cheap linearization.  Being a LOWER bound, threshold acceptance must pair
     it with the exact marginal component, which is included by construction.
+    Its floor's 1-d solves stop where they cannot raise the floor, which
+    starts from the halves' ramp gaps and is unchanged bit for bit.
     """
     if law1.dim != law2.dim:
         raise ValueError("laws have different dimensions")
@@ -421,7 +448,7 @@ def bl_distance_nd(law1: EmpiricalLaw, law2: EmpiricalLaw, feature_count=256,
     pots2 = np.empty((p2.shape[0], d))
     for j in range(d):
         a, b = p1[:, j], p2[:, j]
-        est_j, grid, fstar = _bl1d_exact(a, b)
+        est_j, grid, fstar = _bl1d_exact(*_merged_support(a, b))
         marg_vals.append(est_j)
         pots1[:, j] = np.interp(a, grid, fstar)
         pots2[:, j] = np.interp(b, grid, fstar)
@@ -430,13 +457,9 @@ def bl_distance_nd(law1: EmpiricalLaw, law2: EmpiricalLaw, feature_count=256,
     estimate = max(feature_max, marginal_max)
 
     # noise floor: same estimator between odd/even halves of each law
-    floor = 0.0
-    for pts in (p1, p2):
-        ha, hb = pts[0::2], pts[1::2]
-        fa, fb = family.evaluate(ha), family.evaluate(hb)
-        fm = float(np.abs(_col_means(fa) - _col_means(fb)).max())
-        mm = max(_bl1d_exact(ha[:, j], hb[:, j])[0] for j in range(d))
-        floor = max(floor, fm, mm)
+    ramps = (np.abs(_col_means(family.evaluate(pts[0::2]))
+                    - _col_means(family.evaluate(pts[1::2]))).max() for pts in (p1, p2))
+    floor = _noise_floor(float(max(0.0, *ramps)), [pts[:, j] for pts in (p1, p2) for j in range(d)])
 
     rng = np.random.default_rng(seed + 1)
     ci = _percentile_ci(_bootstrap_gaps(np.concatenate([f1, pots1], axis=1),
@@ -518,6 +541,8 @@ def map_units(fn, units, workers):
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
+    if getattr(multiprocessing.current_process(), "_inheriting", False):
+        raise SystemExit(1)  # a worker re-running an unguarded script: no traceback
     with ProcessPoolExecutor(min(workers, len(units)),
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, units))

@@ -474,6 +474,25 @@ def test_workers_from_a_script_on_stdin_exit_2_with_one_line(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+def test_workers_of_an_unguarded_script_exit_without_tracebacks(tmp_path):
+    # each spawned worker re-runs a script without the __main__ guard as it
+    # starts, reaches the pool there and ends quietly; the caller names the guard
+    out = tmp_path / "run"
+    script = tmp_path / "unguarded.py"
+    script.write_text("import sys\nfrom stochavg import cli\n"
+                      "sys.exit(cli.main(['compare', '--config', 'acceptance', '--out', "
+                      f"{str(out)!r}, '--eps-list', '0.2,0.1', '--times', '0.1', '--T', '0.1', "
+                      "'--paths', '50', '--threads', '2']))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True,
+                         cwd=tmp_path, timeout=120)
+    assert run.returncode == EXIT_CONFIG
+    lines = run.stderr.strip().splitlines()
+    assert len(lines) <= 3 and 'if __name__ == "__main__":' in run.stderr, run.stderr
+    assert not (out / "manifest.json").exists()
+
+
 def test_a_broken_worker_pool_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     from concurrent.futures.process import BrokenProcessPool
 

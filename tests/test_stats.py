@@ -25,9 +25,11 @@ from stochavg.stats import (
     _bl1d_exact,
     _bl1d_pass,
     _bootstrap_gaps,
+    _canonical_pair,
     _col_means,
     _merged_support,
     _RampFamily,
+    _sorted_quantile,
 )
 
 
@@ -43,7 +45,7 @@ def _bl1d_lp(x1, x2):
     Every constraint is linear in (f, L) jointly, so one LP gives the exact
     supremum including the optimal Lip/sup trade-off.
     """
-    x, w = _merged_support(np.asarray(x1, float).ravel(), np.asarray(x2, float).ravel())
+    x, w = _merged_support(np.asarray(x1, float).ravel(), np.asarray(x2, float).ravel())[:2]
     m = x.size
     if m == 1 or not np.any(w):
         return 0.0, x, np.zeros(m)
@@ -195,7 +197,7 @@ def test_bl1d_stack_pass_matches_the_heap_pass_bitwise():
             x1, x2 = np.abs(x1), np.abs(x2)
             x1[rng.random(n1) < 0.4] = 0.0
             x2[rng.random(n2) < 0.3] = 0.0
-        x, w = _merged_support(x1 * np.exp(rng.uniform(-4.0, 2.0)), x2)
+        x, w = _merged_support(x1 * np.exp(rng.uniform(-4.0, 2.0)), x2)[:2]
         X, wl = (x - x[0]).tolist(), w.tolist()
         if k % 5 == 0:
             wl[int(rng.integers(len(wl)))] = 0.0
@@ -221,7 +223,7 @@ def test_bl1d_stack_pass_matches_the_heap_pass_at_the_search_budgets(monkeypatch
         return got
 
     monkeypatch.setattr("stochavg.stats._bl1d_pass", both)
-    _bl1d_exact(rng.normal(size=1000), rng.normal(size=1000) * 1.1 + 0.1)
+    _bl1d_exact(*_merged_support(rng.normal(size=1000), rng.normal(size=1000) * 1.1 + 0.1))
     assert len(seen) >= 4 and all(seen)
 
 
@@ -280,7 +282,7 @@ def test_bl1d_lp_against_dense_profile_search():
     rng = np.random.default_rng(3)
     x1 = rng.normal(size=120)
     x2 = rng.normal(size=130) + 1.0
-    exact, _, _ = _bl1d_exact(x1, x2)
+    exact, _, _ = _bl1d_exact(*_merged_support(x1, x2))
     best = 0.0
     for s in np.geomspace(0.05, 20, 60):
         for b in np.linspace(-3, 4, 80):
@@ -295,7 +297,7 @@ def test_bl1d_dp_matches_lp_oracle_on_random_supports():
     rng = np.random.default_rng(10)
     for k in range(240):
         x1, x2 = _random_support(rng, k)
-        dp, grid, _ = _bl1d_exact(x1, x2)
+        dp, grid, _ = _bl1d_exact(*_merged_support(x1, x2))
         lp, lp_grid, _ = _bl1d_lp(x1, x2)
         np.testing.assert_array_equal(grid, lp_grid)
         assert abs(dp - lp) <= 1e-12, (k, dp, lp)
@@ -307,11 +309,11 @@ def test_bl1d_dp_matches_lp_oracle_on_tied_lattice_supports():
     # tie-broken slope once sent the tangent search the wrong way (the first
     # case read 1/6 against the optimum 4/21)
     rng = np.random.default_rng(16)
-    cases = [([0.0, 1.0, 0.5], [1.5, 1.0, 0.5, 1.5, 0.5, 0.0])]
+    cases = [(np.array([0.0, 1.0, 0.5]), np.array([1.5, 1.0, 0.5, 1.5, 0.5, 0.0]))]
     cases += [[rng.integers(0, 6, int(rng.integers(2, 7))) * 0.5 for _ in range(2)]
               for _ in range(4000)]
     for k, (x1, x2) in enumerate(cases):
-        dp, lp = _bl1d_exact(x1, x2)[0], _bl1d_lp(x1, x2)[0]
+        dp, lp = _bl1d_exact(*_merged_support(x1, x2))[0], _bl1d_lp(x1, x2)[0]
         assert abs(dp - lp) <= 1e-12, (k, x1, x2, dp, lp)
 
 
@@ -319,7 +321,7 @@ def test_bl1d_dp_matches_lp_oracle_at_1000_points():
     rng = np.random.default_rng(11)
     x1 = rng.normal(size=1000)
     x2 = rng.normal(size=1000) * 1.1 + 0.1
-    dp = _bl1d_exact(x1, x2)[0]
+    dp = _bl1d_exact(*_merged_support(x1, x2))[0]
     assert dp > 0.01
     assert abs(dp - _bl1d_lp(x1, x2)[0]) <= 1e-12
 
@@ -332,13 +334,54 @@ def test_bl1d_potential_is_a_certificate():
     rng = np.random.default_rng(12)
     for k in range(200):
         x1, x2 = _random_support(rng, k)
-        est, grid, f = _bl1d_exact(x1, x2)
-        _, w = _merged_support(x1, x2)
+        est, grid, f = _bl1d_exact(*_merged_support(x1, x2))
+        w = _merged_support(x1, x2)[1]
         Lstar = 1.0 - np.abs(f).max()
         assert -1e-12 <= Lstar <= 1.0
         assert np.all(np.abs(f) <= 1.0 - Lstar)
         assert np.all(np.abs(np.diff(f)) <= Lstar * np.diff(grid) + 1e-12)
         assert abs(float(w @ f) - est) <= 1e-15
+
+
+def test_bl1d_below_stops_only_solves_that_cannot_exceed_it():
+    # a solve whose value exceeds ``below``, even by one ulp, runs to closure
+    # and returns the unpruned value and potential; a stopped one returns at
+    # most ``below``
+    rng = np.random.default_rng(17)
+    stopped = 0
+    for k in range(200):
+        problem = _merged_support(*_random_support(rng, k))
+        want, _, fwant = _bl1d_exact(*problem)
+        for below in (np.nextafter(want, 0.0), 0.999 * want, want, 0.5 * want, 1.5 * want,
+                      float(rng.uniform(0.0, 2.0 * want))):
+            got, _, f = _bl1d_exact(*problem, below=below)
+            if want > below:
+                assert got == want and f.tobytes() == fwant.tobytes(), (k, below)
+            else:
+                assert got <= below, (k, below, got)
+                stopped += got < want
+    assert stopped > 100
+
+
+def _passes(monkeypatch):
+    """Count the DP passes run from now on: a one-element list."""
+    count = [0]
+
+    def counted(X, w, L):
+        count[0] += 1
+        return _bl1d_pass(X, w, L)
+
+    monkeypatch.setattr("stochavg.stats._bl1d_pass", counted)
+    return count
+
+
+def test_the_noise_floor_prune_keeps_an_epsilon_sweep_within_its_pass_budget(monkeypatch):
+    # the sizes of the eps_sweep bench workload: run to closure, every solve
+    # takes 149 passes in all; pruned half-sample solves bring that to 91
+    count = _passes(monkeypatch)
+    convergence_table(acceptance_system(), ACCEPTANCE_V0, [0.2, 0.05, 0.0125], T=1.0,
+                      n_paths=1000, times=[1.0], seed=12345, bootstrap=0)
+    assert 0 < count[0] <= 99
 
 
 def test_bootstrap_counts_match_indexed_resample_loop():
@@ -383,6 +426,19 @@ def test_ramp_quantiles_and_column_means_match_their_axis0_forms(points, feature
     before = vals.copy()
     _col_means(vals)
     assert vals.tobytes() == before.tobytes()  # sorts a copy
+
+
+def test_sorted_quantile_matches_np_quantile():
+    # rows of 2..300 values, a third of them on a lattice with ties; signed
+    # zeros are normalised, as sort and partition may order -0.0 and 0.0 apart
+    rng = np.random.default_rng(18)
+    for k in range(600):
+        rows = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(2, 300))))
+        if k % 3 == 0:
+            rows = np.round(3 * rows) / 3 + 0.0
+        for q in (0.05, 0.9, 0.95, float(rng.random())):
+            want = np.quantile(rows, q, axis=1)
+            assert _sorted_quantile(np.sort(rows, axis=1), q).tobytes() == want.tobytes(), (k, q)
 
 
 def test_blnd_identical_and_relabeled():
@@ -457,6 +513,64 @@ def test_noise_floor_consistency():
         if rep.estimate <= 3 * rep.noise_floor:
             hits += 1
     assert hits >= int(0.85 * trials)
+
+
+def _unpruned_floor_nd(p1, p2, feature_count, seed):
+    """Oracle for the noise floor of ``bl_distance_nd``: every half-sample
+    1-d problem solved to closure, in law and coordinate order."""
+    p1, p2 = _canonical_pair(p1, p2)
+    family = _RampFamily(np.concatenate([p1, p2], axis=0), feature_count, seed)
+    floor = 0.0
+    for pts in (p1, p2):
+        ha, hb = pts[0::2], pts[1::2]
+        fm = float(np.abs(_col_means(family.evaluate(ha)) - _col_means(family.evaluate(hb))).max())
+        mm = max(_bl1d_exact(*_merged_support(ha[:, j], hb[:, j]))[0] for j in range(pts.shape[1]))
+        floor = max(floor, fm, mm)
+    return floor
+
+
+def _floor_case(rng, k):
+    """A law pair in R^d, d = 1..4: continuous, on a tied lattice, point
+    masses, samples whose odd and even halves are equal (W1 = mass = 0), or
+    a sample and a copy moved by 1e-7 (floor candidates within 1e-6)."""
+    d = 1 + k % 4
+    n1, n2 = (int(n) for n in rng.integers(4, 80, 2))
+    p1 = rng.normal(size=(n1, d))
+    p2 = rng.normal(size=(n2, d)) * rng.uniform(0.5, 2.0) + rng.normal(size=d)
+    kind = k // 4 % 5
+    if kind == 1:
+        p1, p2 = np.round(2 * p1) / 2, np.round(2 * p2) / 2
+    elif kind == 2:
+        p1 = np.tile(p1[:1], (n1, 1))
+        p2 = np.tile(p2[:1] if k % 8 else p1[:1], (n2, 1))
+    elif kind == 3:
+        p1 = np.repeat(p1[: n1 // 2 + 1], 2, axis=0)
+        if k % 8:
+            p2 = np.repeat(p2[: n2 // 2 + 1], 2, axis=0)
+    elif kind == 4:
+        p2 = p1 + 1e-7 * rng.normal(size=p1.shape)
+    return p1, p2
+
+
+def test_pruned_noise_floors_equal_the_unpruned_oracle(monkeypatch):
+    rng = np.random.default_rng(19)
+    count = _passes(monkeypatch)
+    pruned = unpruned = 0
+    for k in range(240):
+        p1, p2 = _canonical_pair(*_floor_case(rng, k))
+        a, b = _canonical_pair(p1[:, 0].copy(), p2[:, 0].copy())
+        count[0] = 0
+        rep = bl_distance_nd(law(p1), law(p2), feature_count=64, seed=k, bootstrap=0)
+        rep1 = bl_distance_1d(law(a), law(b), bootstrap=0)
+        pruned, count[0] = pruned + count[0], 0
+        want = _unpruned_floor_nd(p1, p2, 64, k)
+        want1 = max(_bl1d_exact(*_merged_support(s[0::2], s[1::2]))[0] for s in (a, b))
+        for x1, x2 in [(a, b)] + [(p1[:, j], p2[:, j]) for j in range(p1.shape[1])]:
+            _bl1d_exact(*_merged_support(x1, x2))  # the estimates' solves
+        unpruned += count[0]
+        assert repr(rep.noise_floor) == repr(want), (k, rep.noise_floor, want)
+        assert repr(rep1.noise_floor) == repr(want1), (k, rep1.noise_floor, want1)
+    assert pruned < unpruned
 
 
 # -- ensemble laws ------------------------------------------------------------------
