@@ -22,7 +22,6 @@ from .averaging import action_drift_F, averaged_diffusion, principal_sqrt
 from .expr import parse_field_expr
 from .model import Frequencies, SystemSpec, orthogonality_residual
 from .poly import Polynomial
-from .stats import law_from_ensemble
 from .systems import ACCEPTANCE_V0, acceptance_system
 
 
@@ -195,14 +194,10 @@ def criterion_7(n_paths, seed):
     modified = sde.simulate_effective(spec, "modified", ACCEPTANCE_V0, T=10.0,
                                       dtau=1e-3, n_paths=n_paths, seed=(seed, 72),
                                       record_times=record)
-    act_f, act_m = full.actions(), modified.actions()
-    dist_ok = []
-    details = []
-    for t in (1.0, 4.0):
-        rep = stats.bl_distance_nd(law_from_ensemble(act_f, t),
-                                   law_from_ensemble(act_m, t), seed=seed)
-        dist_ok.append(rep.estimate <= 2.0 * rep.noise_floor)
-        details.append(f"tau={t:g}: {rep.estimate:.4f}<=2*{rep.noise_floor:.4f}")
+    act_m = modified.actions()
+    rows = stats.distance_rows(spec.epsilon, full.actions(), act_m, [1.0, 4.0], seed, bootstrap=0)
+    dist_ok = [r.estimate <= 2.0 * r.noise_floor for r in rows]
+    details = [f"tau={r.time:g}: {r.estimate:.4f}<=2*{r.noise_floor:.4f}" for r in rows]
 
     # stationary action marginals of the modified equation: Exponential(1/2)
     I = act_m.at_time(10.0)
@@ -230,15 +225,11 @@ def criterion_8(n_paths, seed):
     I0 = averaging.actions_of(ACCEPTANCE_V0)
     act = sde.simulate_action_sde(spec, I0, T=1.0, dtau=1e-3, n_paths=n_paths,
                                   seed=(seed, 82), record_times=times)
-    eff_act = eff.actions()
-    oks, details = [], []
-    for t in times:
-        rep = stats.bl_distance_nd(law_from_ensemble(eff_act, t),
-                                   law_from_ensemble(act, t), seed=seed)
-        oks.append(rep.estimate <= 2.0 * rep.noise_floor)
-        details.append(f"tau={t:g}: {rep.estimate:.4f}<=2*{rep.noise_floor:.4f}")
+    rows = stats.distance_rows(spec.epsilon, eff.actions(), act, times, seed, bootstrap=0)
     return _result(8, "effective actions match the averaged action equation",
-                   all(oks), "; ".join(details))
+                   all(r.estimate <= 2.0 * r.noise_floor for r in rows),
+                   "; ".join(f"tau={r.time:g}: {r.estimate:.4f}<=2*{r.noise_floor:.4f}"
+                             for r in rows))
 
 
 # --- criterion 9: occupation time near the boundary shrinks with delta ------------

@@ -140,34 +140,19 @@ def averaged_diffusion(psi, a, method="symbolic", *, grid_per_dim=None):
 # ---------------------------------------------------------------------------
 
 
-def hermitian_deviation(A):
-    A = np.asarray(A)
-    return float(np.abs(A - np.conj(A.T)).max()) if A.size else 0.0
-
-
 def principal_sqrt(A):
-    """Principal square root of a Hermitian PSD matrix via eigendecomposition.
+    """Principal square root of a Hermitian PSD matrix, by ``_sqrt_eigh``
+    on its Hermitian part.
 
+    A deviation from Hermitian above 1e-8 (1 + ||A||_max) raises ValueError.
     Eigenvalue dust in (-1e-6, 0) is clamped to zero; a minimum eigenvalue
-    below -1e-6 raises NotPSDError.  The result B is Hermitian with B >= 0 and
-    ||B^2 - A||_max <= 1e-9 (1 + ||A||_max).
+    below -1e-6 raises NotPSDError.  Real input gives real output.
     """
-    real_input = not np.iscomplexobj(np.asarray(A))
-    A = np.asarray(A, dtype=complex)
-    scale = 1.0 + (np.abs(A).max() if A.size else 0.0)
-    dev = hermitian_deviation(A)
-    if dev > 1e-8 * scale:
+    A = np.asarray(A)
+    dev = np.abs(A - np.conj(A.T)).max(initial=0.0)
+    if dev > 1e-8 * (1.0 + np.abs(A).max(initial=0.0)):
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
-    H = 0.5 * (A + np.conj(A.T))
-    eigvals, eigvecs = np.linalg.eigh(H)
-    if eigvals.min() < -FAIL_TOL:
-        raise NotPSDError(f"matrix is not PSD: min eigenvalue {eigvals.min():.3e}")
-    eigvals = np.clip(eigvals, 0.0, None)
-    B = (eigvecs * np.sqrt(eigvals)) @ np.conj(eigvecs.T)
-    B = 0.5 * (B + np.conj(B.T))
-    if real_input:
-        B = B.real
-    return B
+    return _sqrt_eigh(0.5 * (A + np.conj(A.T)))
 
 
 def _psd_gate(lam_min):
@@ -177,7 +162,7 @@ def _psd_gate(lam_min):
     if bad.any():
         row = int(np.argmax(bad))
         lam = float(lam_min.reshape(-1)[row])
-        raise NotPSDError(f"batched matrix not PSD: row {row} has min eigenvalue {lam:.3e}",
+        raise NotPSDError(f"matrix not PSD: row {row} has min eigenvalue {lam:.3e}",
                           row=row, min_eigenvalue=lam)
 
 

@@ -404,10 +404,14 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="stochavg",
         description="stochastic averaging experiments for perturbed oscillator systems",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="non-resonance, ellipticity and growth diagnostics")
+    def add(name, summary):  # options spelled in full only: prefixes are not portable
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    p = add("check", "non-resonance, ellipticity and growth diagnostics")
     _add_common(p)
     p.add_argument("--order-bound", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-9)
@@ -416,12 +420,12 @@ def build_parser():
                         "hamiltonian residual scan")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("average", help="print the averaged drift, symbolically or at a point")
+    p = add("average", "print the averaged drift, symbolically or at a point")
     _add_common(p)
     p.add_argument("--at", help="evaluation point, comma-separated complex entries")
     p.set_defaults(func=cmd_average)
 
-    p = sub.add_parser("simulate", help="simulate one system and export the ensemble CSV")
+    p = add("simulate", "simulate one system and export the ensemble CSV")
     _add_common(p)
     p.add_argument("--system", choices=["perturbed", "effective", "modified", "action"],
                    default="perturbed")
@@ -433,7 +437,7 @@ def build_parser():
     p.add_argument("--record-times", dest="record_times")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="action-law convergence table over an epsilon sweep")
+    p = add("compare", "action-law convergence table over an epsilon sweep")
     _add_common(p)
     p.add_argument("--eps-list", default="0.2,0.05,0.0125")
     p.add_argument("--times", default="1.0")
@@ -442,7 +446,7 @@ def build_parser():
     p.add_argument("--v0")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("couple-demo", help="coupled construction plus occupation-time curve")
+    p = add("couple-demo", "coupled construction plus occupation-time curve")
     _add_common(p)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--dtau", type=float, default=1e-3)
@@ -453,7 +457,7 @@ def build_parser():
     p.add_argument("--v0")
     p.set_defaults(func=cmd_couple_demo)
 
-    p = sub.add_parser("mixing", help="distance profile between two initial states")
+    p = add("mixing", "distance profile between two initial states")
     _add_common(p)
     p.add_argument("--v0-a", required=True)
     p.add_argument("--v0-b", required=True)
@@ -464,13 +468,13 @@ def build_parser():
     p.add_argument("--variant", choices=["full", "modified"], default="full")
     p.set_defaults(func=cmd_mixing)
 
-    p = sub.add_parser("acceptance", help="run the acceptance criteria suite")
+    p = add("acceptance", "run the acceptance criteria suite")
     _add_common(p, config=False)
     p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,3")
     p.add_argument("--paths", type=int, default=4000)
     p.set_defaults(func=cmd_acceptance)
 
-    p = sub.add_parser("plot-data", help="re-emit plot-ready CSV from a run directory")
+    p = add("plot-data", "re-emit plot-ready CSV from a run directory")
     p.add_argument("run_dir")
     p.set_defaults(func=cmd_plot_data)
 

@@ -22,12 +22,11 @@ that the step indexes with ``sl``.  The steps:
 * cut-off variants that switch to the trivial system da_k = dbeta_k after
   the first grid node with |a|^2 >= R;
 * the averaged action equation dI = F(I) dtau + K(I) dW, clamped at the
-  boundary of the positive cone;
-* the pathwise action identity check, which carries the integrated action
-  increments beside one perturbed path.
+  boundary of the positive cone.
 
 The coupled construction in ``coupling`` is the cut-off step of two halves,
-(reference, coupled).
+(reference, coupled).  The pathwise action identity check reads one path of
+the perturbed step and its noise stream, and integrates no step of its own.
 
 Each path owns an independent noise stream derived from
 (master_seed, path_index, stream_id), so ensembles are bit-reproducible
@@ -388,20 +387,18 @@ def _scaled(db, b):
 
 
 def _perturbed_parts(spec, dtau):
-    """Fast rotation factor of one splitting step, as a (k, 1) column, Psi at
-    mode-major states (the constant matrix when Psi is constant), and
+    """Fast rotation factor of one splitting step, as a (k, 1) column, and
     Psi(v) dbeta as a function of (v, dbeta); a constant diagonal Psi scales
     the increments instead of multiplying matrices."""
     rot = np.exp(-1j * spec.freqs.as_array() * dtau / spec.epsilon)[:, None]
     if not spec.psi_is_constant:
         field = Field(spec.psi_polys)
-        psi = lambda v: field(v.T)
-        return rot, psi, lambda v, db: _kick(psi(v), db)
+        return rot, lambda v, db: _kick(field(v.T), db)
     const_psi = spec.psi_constant_matrix()
     diag = np.diagonal(const_psi).copy()
     if const_psi.shape[0] == const_psi.shape[1] and np.array_equal(const_psi, np.diag(diag)):
-        return rot, lambda v: const_psi, lambda v, db: _scaled(db, diag[:, None])
-    return rot, lambda v: const_psi, lambda v, db: _kick(const_psi, db)
+        return rot, lambda v, db: _scaled(db, diag[:, None])
+    return rot, lambda v, db: _kick(const_psi, db)
 
 
 def _kick(psi, db):
@@ -421,7 +418,7 @@ def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
     """
     _check_resolution(spec, dtau)
     v0 = validate_state(v0, spec.n, "v0")
-    rot, _, kick = _perturbed_parts(spec, dtau)
+    rot, kick = _perturbed_parts(spec, dtau)
     drift = Field(spec.drift_polys)
 
     def step(v, db, m, sl):
@@ -600,30 +597,22 @@ def ito_action_consistency(spec: SystemSpec, v0, T, dtau, seed) -> float:
     + v_k . (sum_l Psi_kl dbeta_l) + sum_l |Psi_kl|^2 dtau, driven by the
     same noise.
 
-    The gap is the left-endpoint discretization error of the action
-    increments and shrinks like sqrt(dtau).  A path that leaves the finite
-    range raises NonFiniteError.
+    The path is path 0 of ``simulate_perturbed`` at every node, and its
+    increments are read again from its noise stream; the left-endpoint
+    increments are summed in node order.  The gap is the discretization
+    error of that rule and shrinks like sqrt(dtau).  A path that leaves the
+    finite range raises NonFiniteError.
     """
-    _check_resolution(spec, dtau)
-    v0 = validate_state(v0, spec.n, "v0")
-    rot, psi, _ = _perturbed_parts(spec, dtau)
-    drift = Field(spec.drift_polys)
-    I_int = actions_of(v0)[:, None]
-    sup_err = np.zeros(1)
-
-    def step(v, db, m, sl):
-        pv = _rows(drift, v)
-        P = psi(v)
-        dv = _kick(P, db)
-        # integrated action increment, left-endpoint rule
-        I_int[:, sl] += ((v * np.conj(pv)).real * dtau + (v * np.conj(dv)).real
-                         + np.atleast_2d((np.abs(P) ** 2).sum(axis=-1)).T * dtau)
-        v = rot * (v + pv * dtau + dv)
-        sup_err[sl] = np.maximum(sup_err[sl], np.abs(actions_of(v) - I_int[:, sl]).max(axis=0))
-        return v
-
-    _integrate(v0, spec.n1, T, dtau, (), 1, seed, STATE_STREAM, step, what="ito")
-    return float(sup_err[0])
+    v = simulate_perturbed(spec, v0, T, dtau, 1, seed).v.values[0]
+    x = v[:-1]  # left endpoints, (steps, n)
+    db = NoisePath(seed, 0, STATE_STREAM, dtau).complex_increments(x.shape[0], spec.n1)
+    psi = spec.psi_constant_matrix() if spec.psi_is_constant else Field(spec.psi_polys)(x)
+    pv = Field(spec.drift_polys)(x)
+    dv = _kick(psi, db.T).T  # the nodes in the place of paths
+    inc = ((x * np.conj(pv)).real * dtau + (x * np.conj(dv)).real
+           + (np.abs(psi) ** 2).sum(axis=-1) * dtau)
+    I_int = np.cumsum(np.concatenate([actions_of(v[:1]), inc]), axis=0)
+    return float(np.abs(actions_of(v) - I_int).max())
 
 
 def ito_refinement_study(spec, v0, T, dtaus, seeds):

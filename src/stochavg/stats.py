@@ -487,18 +487,18 @@ def _state_tag(v):
 def mixing_profile(spec, variant, v1, v2, T, dtau, n_paths, seed, times,
                    feature_count=256, bootstrap=BOOTSTRAP_RESAMPLES):
     """Empirical mixing profile: distance between the laws started at v1, v2,
-    as one ``ConvergenceRow`` (eps = spec.epsilon) per time, in ascending
-    order of time.
+    as one ``ConvergenceRow`` (eps = spec.epsilon) per distinct time, in
+    ascending order of time.
 
     Ensembles are independent unless v1 == v2 (seeds derive from the initial
     state, so equal states with equal seeds reproduce identical ensembles and
     the profile is exactly zero).  Sampling finitely many initial pairs
     under-estimates the uniform-over-ball mixing envelope.
     """
-    times = sorted(float(t) for t in times)
+    times = sorted({float(t) for t in times})
     e1, e2 = (sde.simulate_effective(spec, variant, v, T, dtau, n_paths, seed=(seed, _state_tag(v)),
                                      record_times=times) for v in (v1, v2))
-    return _distance_rows(spec.epsilon, e1, e2, times, seed, bootstrap, feature_count)
+    return distance_rows(spec.epsilon, e1, e2, times, seed, bootstrap, feature_count)
 
 
 @dataclass(frozen=True)
@@ -514,9 +514,9 @@ class ConvergenceRow:
     noise_floor: float
 
 
-def _distance_rows(eps, ens1, ens2, times, seed, bootstrap, feature_count=256):
+def distance_rows(eps, ens1, ens2, times, seed, bootstrap, feature_count=256):
     """One ``ConvergenceRow`` per time: the distance between the laws of two
-    ensembles recorded at ``times``."""
+    ensembles recorded at ``times``; with ``bootstrap=0`` its CI is nan."""
     rows = []
     for t in times:
         rep = bl_distance_nd(law_from_ensemble(ens1, t), law_from_ensemble(ens2, t),
@@ -555,7 +555,7 @@ def _epsilon_rows(spec, v0, T, n_paths, times, seed, bootstrap, act_eff, unit):
     pert = sde.simulate_perturbed(dataclasses.replace(spec, epsilon=eps), v0, T,
                                   min(eps / 5.0, EFF_DTAU), n_paths, seed=(seed, 101, i),
                                   record_times=times)
-    return _distance_rows(eps, pert.actions(), act_eff, times, seed, bootstrap)
+    return distance_rows(eps, pert.actions(), act_eff, times, seed, bootstrap)
 
 
 def convergence_table(spec, v0, eps_list, T, n_paths, times, seed,
@@ -568,14 +568,14 @@ def convergence_table(spec, v0, eps_list, T, n_paths, times, seed,
     against that one ensemble.  The perturbed system is simulated for each
     epsilon at dtau = min(eps/5, EFF_DTAU), so that discretization bias
     never grows as epsilon shrinks.  Rows report the distance between the
-    action laws at each requested time.  Each epsilon seeds its own
-    perturbed noise, so the rows do not depend on how many ``workers``
-    processes ``map_units`` uses.
+    action laws at each distinct requested time, in ascending order.  Each
+    epsilon seeds its own perturbed noise, so the rows do not depend on how
+    many ``workers`` processes ``map_units`` uses.
     """
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    times = sorted(float(t) for t in times)
+    times = sorted({float(t) for t in times})
     act_eff = sde.simulate_effective(spec, "full", v0, T, EFF_DTAU, n_paths, seed=(seed, 202, 0),
                                      record_times=times).actions()
     rows_of = functools.partial(_epsilon_rows, spec, v0, T, n_paths, times, seed, bootstrap, act_eff)

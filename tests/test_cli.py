@@ -270,9 +270,10 @@ def test_mixing_writes_the_distance_csv_schema_bytes(tmp_path):
 
 def test_mixing_labels_each_distance_with_its_time_in_any_order(tmp_path):
     # the profile is computed in ascending time; a descending --times list
-    # must not put the tau = 0.1 distance on the tau = 0.2 row
+    # must not put the tau = 0.1 distance on the tau = 0.2 row, and a
+    # repeated time is one row
     outs = []
-    for order in ("0.1,0.2", "0.2,0.1"):
+    for order in ("0.1,0.2", "0.2,0.1", "0.2,0.1,0.2"):
         out = tmp_path / order
         rc = cli.main(["mixing", "--config", "acceptance", "--out", str(out),
                        "--v0-a", "1+0j,0.5+0j", "--v0-b", "0.5+0j,1+0j", "--times", order,
@@ -280,10 +281,41 @@ def test_mixing_labels_each_distance_with_its_time_in_any_order(tmp_path):
         assert rc == EXIT_OK
         outs.append(out)
     for name in ("mixing.csv", "mixing.json", "plotdata.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-    rows = json.loads((outs[1] / "mixing.json").read_text())
+        for out in outs[1:]:
+            assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (name, out)
+    rows = json.loads((outs[2] / "mixing.json").read_text())
     assert [r["time"] for r in rows] == [0.1, 0.2]
     assert rows[0]["estimate"] != rows[1]["estimate"]
+
+
+def test_a_repeated_time_is_one_row(tmp_path):
+    # a repeated time is solved once; before, --strict compared the repeated
+    # row with its own copy and exited 4
+    argv = ["compare", "--config", "acceptance", "--eps-list", "0.2,0.0125", "--T", "0.5",
+            "--paths", "300", "--seed", "3", "--strict"]
+    codes = [cli.main(argv + ["--times", times, "--out", str(tmp_path / times)])
+             for times in ("0.5", "0.5,0.5")]
+    assert codes[0] == codes[1]
+    for name in ("convergence.csv", "convergence.json", "plotdata.csv"):
+        assert (tmp_path / "0.5" / name).read_bytes() == \
+            (tmp_path / "0.5,0.5" / name).read_bytes(), name
+    assert len(json.loads((tmp_path / "0.5,0.5" / "convergence.json").read_text())) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ou", "{out}", "--config", "acceptance"],
+    ["--out", "{out}", "--conf", "acceptance"],
+])
+def test_abbreviated_options_exit_2(tmp_path, monkeypatch, argv):
+    # a prefix would keep --out in the manifest's argv, and stops replaying
+    # once a new option makes it ambiguous
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    argv = ["simulate", "--paths", "2", "--T", "0.01"] + [a.format(out=out) for a in argv]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == EXIT_CONFIG
+    assert not list(tmp_path.rglob("manifest.json"))
 
 
 def test_mixing_artifacts_and_zero_profile(tmp_path, capsys):

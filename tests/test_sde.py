@@ -16,6 +16,7 @@ from stochavg import (
 from stochavg import averaging, sde
 from stochavg.coupling import build_coupled
 from stochavg.model import Frequencies, SystemSpec
+from stochavg.poly import Field
 from stochavg.sde import NoisePath, _seed_words, ito_refinement_study
 
 V0_1 = np.array([1.0 + 0.0j])
@@ -506,6 +507,63 @@ def test_ito_consistency_monotone_refinement():
                                 seeds=range(8))
     med = np.median(errs, axis=0)
     assert med[0] > med[1] > med[2]
+
+
+def _ito_oracle(spec, v0, T, dtau, seed):
+    """The per-step identity check that ``ito_action_consistency`` replaced:
+    its own perturbed step on the driver, carrying the integrated action
+    increments beside the path and the running sup of the gap."""
+    sde._check_resolution(spec, dtau)
+    v0 = np.asarray(v0, dtype=complex)
+    rot = np.exp(-1j * spec.freqs.as_array() * dtau / spec.epsilon)[:, None]
+    if spec.psi_is_constant:
+        const_psi = spec.psi_constant_matrix()
+        psi = lambda v: const_psi
+    else:
+        field = Field(spec.psi_polys)
+        psi = lambda v: field(v.T)
+    drift = Field(spec.drift_polys)
+    I_int = averaging.actions_of(v0)[:, None]
+    sup_err = np.zeros(1)
+
+    def step(v, db, m, sl):
+        pv = drift(v.T, np.empty_like(v).T).T
+        P = psi(v)
+        dv = sde._kick(P, db)
+        I_int[:, sl] += ((v * np.conj(pv)).real * dtau + (v * np.conj(dv)).real
+                         + np.atleast_2d((np.abs(P) ** 2).sum(axis=-1)).T * dtau)
+        v = rot * (v + pv * dtau + dv)
+        sup_err[sl] = np.maximum(sup_err[sl],
+                                 np.abs(averaging.actions_of(v) - I_int[:, sl]).max(axis=0))
+        return v
+
+    sde._integrate(v0, spec.n1, T, dtau, (), 1, seed, sde.STATE_STREAM, step, what="ito")
+    return float(sup_err[0])
+
+
+_ITO_SYSTEMS = {
+    "acceptance": (lambda: acceptance_system(epsilon=0.2), [1 + 0j, 1 + 0j], 0.0),
+    "smooth_psi": (_cross_psi_spec, [1 + 0j, 0.5j], 0.0),
+    # the vectorised Psi dbeta product may sum in another order than one
+    # path's: its last bits may move
+    "constant_psi_n1_3": (lambda: make_spec(2, ["-v1 + 0.3*v2", "-0.5*v2"],
+                                            [["1", "0.5", "0"], ["0.25", "1", "-0.5"]]),
+                          [1 + 0j, 0.5 - 0.5j], 1e-12),
+}
+
+
+@pytest.mark.parametrize("system", sorted(_ITO_SYSTEMS))
+def test_ito_consistency_matches_the_per_step_oracle(system):
+    make, v0, rtol = _ITO_SYSTEMS[system]
+    spec = make()
+    for dtau in (4e-3, 1e-3):
+        for seed in range(6):
+            got = ito_action_consistency(spec, np.array(v0), T=0.5, dtau=dtau, seed=seed)
+            want = _ito_oracle(spec, np.array(v0), T=0.5, dtau=dtau, seed=seed)
+            if rtol:
+                assert got == pytest.approx(want, rel=rtol, abs=0)
+            else:
+                assert got == want, (dtau, seed)
 
 
 # -- cutoff variant --------------------------------------------------------------------
