@@ -4,11 +4,13 @@ Subcommands: check | average | simulate | compare | couple-demo | mixing |
 acceptance, plus plot-data (re-emit plot-ready CSV from a finished run
 directory).
 
-Every run writes a ``manifest.json`` capturing the resolved system text, a
-content hash, the package version, seed and the command line (argv, less
---config and --out); ``run_from_manifest`` replays that command line against
-the recorded system text and reproduces all numeric artifacts bit-exactly,
-at any --threads, under single-threaded BLAS (OPENBLAS_NUM_THREADS=1).
+Every artifact command runs in one frame, ``main``: it resolves the system,
+calls the subcommand's handler, which writes the artifacts, and then writes a
+``manifest.json`` capturing the resolved system text, a content hash, the
+package version, seed and the command line (argv, less --config and --out);
+``run_from_manifest`` replays that command line against the recorded system
+text and reproduces all numeric artifacts bit-exactly, at any --threads,
+under single-threaded BLAS (OPENBLAS_NUM_THREADS=1).
 
 Exit codes: 0 success, 2 configuration or schema violation (invalid option
 values, missing artifacts, workers that could not run), 3 a simulated path
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import __version__, acceptance as acceptance_mod
 from . import averaging, coupling, sde, stats
-from .config import parse_system_text, system_to_text
+from .config import _states, parse_system_text, system_to_text
 from .errors import ConfigError, NonFiniteError, StochavgError
 from .model import (check_ellipticity, check_nonresonance, estimate_growth,
                     orthogonality_residual, random_states)
@@ -40,9 +42,8 @@ EXIT_NONFINITE = 3
 EXIT_STRICT = 4
 
 
-def _resolve_system(args):
+def _resolve_system(name):
     """Load the system named by --config (a path or the bundled name)."""
-    name = getattr(args, "config", None)
     if name is None:
         raise ConfigError("--config is required (path or 'acceptance')")
     if name == "acceptance":
@@ -56,32 +57,20 @@ def _resolve_system(args):
     return cfg.spec, cfg.v0, text
 
 
-def _parse_v0(arg, n):
-    try:
-        v0 = np.array([complex(x.strip()) for x in arg.split(",")])
-    except ValueError as exc:
-        raise ConfigError(f"bad --v0 value {arg!r}") from exc
-    if v0.shape != (n,):
-        raise ConfigError(f"--v0 needs {n} comma-separated complex entries")
-    return v0
-
-
 def _want_v0(args, spec, cfg_v0):
-    if getattr(args, "v0", None):
-        return _parse_v0(args.v0, spec.n)
+    if args.v0 is not None:
+        return _states(args.v0, spec.n, "--v0")
     if cfg_v0 is not None:
         return cfg_v0
     raise ConfigError("no initial state: give --v0 or a v0 line in [system]")
 
 
-def _floats(text):
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _out_dir(args):
-    out = Path(getattr(args, "out", None) or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _values(text, convert, option):
+    """The comma-separated entries of ``option``, each read by ``convert``."""
+    values = [convert(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise ConfigError(f"{option} is empty")
+    return values
 
 
 def _portable_argv(argv):
@@ -99,22 +88,6 @@ def _portable_argv(argv):
     return kept
 
 
-def _write_manifest(out, config_text, args):
-    manifest = {
-        "format": 1,
-        "package_version": __version__,
-        "command": args.command,
-        "config_text": config_text,
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-        "master_seed": args.seed,
-        "threads": args.threads,
-        "strict": bool(getattr(args, "strict", False)),
-        "argv": _portable_argv(args.argv),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return manifest
-
-
 def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -124,9 +97,7 @@ def _write_json(path, payload):
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(args):
-    spec, _, text = _resolve_system(args)
-    out = _out_dir(args)
+def cmd_check(args, spec, cfg_v0, out):
     nonres = check_nonresonance(spec.freqs, args.order_bound, args.tol)
     ellip = check_ellipticity(spec, args.samples, args.seed)
     growth = [
@@ -153,7 +124,6 @@ def cmd_check(args):
         pts = random_states(spec.n, args.samples, 3.0, np.random.default_rng(args.seed))
         report["hamiltonian_max_orthogonality_residual"] = max(
             float(np.abs(orthogonality_residual(spec.h_poly, v)).max()) for v in pts)
-    _write_manifest(out, text, args)
     _write_json(out / "check_report.json", report)
     flag = "RESONANT" if nonres.resonant else "non-resonant"
     wit = f" witness={nonres.witness}" if nonres.resonant else ""
@@ -189,15 +159,13 @@ def _format_avg_monomials(poly, component):
     return " + ".join(bits) if bits else "0"
 
 
-def cmd_average(args):
-    spec, cfg_v0, text = _resolve_system(args)
-    out = _out_dir(args)
+def cmd_average(args, spec, cfg_v0, out):
     polys = averaging.averaged_field_polys(spec.drift_polys, spec.n)
     lines = [f"component {k} = {_format_avg_monomials(p, k)}"
              for k, p in enumerate(polys, start=1)]
     payload = {"averaged_drift": list(lines)}
-    if args.at:
-        a = _parse_v0(args.at, spec.n)
+    if args.at is not None:
+        a = _states(args.at, spec.n, "--at")
         vals = Field(polys)(a)
         payload["at"] = args.at
         payload["values"] = [[v.real, v.imag] for v in vals]
@@ -205,18 +173,16 @@ def cmd_average(args):
             lines.append(f"component {k} at a = {complex(v):.12g}")
     for line in lines:
         print(line)
-    _write_manifest(out, text, args)
     _write_json(out / "average.json", payload)
     return EXIT_OK
 
 
-def cmd_simulate(args):
-    spec, cfg_v0, text = _resolve_system(args)
-    out = _out_dir(args)
-    record = _floats(args.record_times) if args.record_times else None
+def cmd_simulate(args, spec, cfg_v0, out):
+    record = None if args.record_times is None else _values(
+        args.record_times, float, "--record-times")
     if args.system == "action":
-        I0 = np.array(_floats(args.i0)) if args.i0 else averaging.actions_of(
-            _want_v0(args, spec, cfg_v0))
+        I0 = averaging.actions_of(_want_v0(args, spec, cfg_v0)) if args.i0 is None else (
+            np.array(_values(args.i0, float, "--i0")))
         ens = sde.simulate_action_sde(spec, I0, args.T, args.dtau, args.paths,
                                       args.seed, record_times=record)
     else:
@@ -229,22 +195,18 @@ def cmd_simulate(args):
             ens = sde.simulate_effective(spec, variant, v0, args.T, args.dtau,
                                          args.paths, args.seed, record_times=record)
     sde.export_ensemble_csv(ens, out / "paths.csv")
-    _write_manifest(out, text, args)
     print(f"wrote {out / 'paths.csv'} ({ens.n_paths} paths, {ens.times.size} nodes)")
     return EXIT_OK
 
 
-def cmd_compare(args):
-    spec, cfg_v0, text = _resolve_system(args)
+def cmd_compare(args, spec, cfg_v0, out):
     v0 = _want_v0(args, spec, cfg_v0)
-    out = _out_dir(args)
-    eps_list = _floats(args.eps_list)
-    times = _floats(args.times)
+    eps_list = _values(args.eps_list, float, "--eps-list")
+    times = _values(args.times, float, "--times")
     rows = stats.convergence_table(spec, v0, eps_list, args.T, args.paths, times,
                                    args.seed, workers=args.threads)
     stats.write_distance_table(rows, out, "convergence")
     emit_plot_data(out)
-    _write_manifest(out, text, args)
     for r in rows:
         print(f"eps={r.eps:g} tau={r.time:g}: distance={r.estimate:.5f} "
               f"ci=({r.ci_lo:.5f},{r.ci_hi:.5f}) floor={r.noise_floor:.5f}")
@@ -260,11 +222,9 @@ def cmd_compare(args):
     return EXIT_OK
 
 
-def cmd_couple_demo(args):
-    spec, cfg_v0, text = _resolve_system(args)
+def cmd_couple_demo(args, spec, cfg_v0, out):
     v0 = _want_v0(args, spec, cfg_v0)
-    out = _out_dir(args)
-    delta_list = _floats(args.delta_list)
+    delta_list = _values(args.delta_list, float, "--delta-list")
     result = coupling.build_coupled(spec, v0, args.T, args.dtau, args.delta,
                                     args.R, args.paths, args.seed)
     coupling.export_segments_csv(result, out / "segments.csv")
@@ -277,7 +237,6 @@ def cmd_couple_demo(args):
         for d, k, est in occ_rows:
             fh.write(f"{d!r},{k},{est!r}\n")
     emit_plot_data(out)
-    _write_manifest(out, text, args)
     print(f"coupled {result.n_paths} paths: {result.segment_count()} segments, "
           f"{result.overshoots} boundary overshoots")
     for d, k, est in occ_rows:
@@ -285,26 +244,22 @@ def cmd_couple_demo(args):
     return EXIT_OK
 
 
-def cmd_mixing(args):
-    spec, cfg_v0, text = _resolve_system(args)
-    out = _out_dir(args)
-    v1 = _parse_v0(args.v0_a, spec.n)
-    v2 = _parse_v0(args.v0_b, spec.n)
+def cmd_mixing(args, spec, cfg_v0, out):
+    v1 = _states(args.v0_a, spec.n, "--v0-a")
+    v2 = _states(args.v0_b, spec.n, "--v0-b")
     rows = stats.mixing_profile(spec, args.variant, v1, v2, args.T, args.dtau, args.paths,
-                                args.seed, _floats(args.times))
+                                args.seed, _values(args.times, float, "--times"))
     stats.write_distance_table(rows, out, "mixing", metric="bl_state_distance")
     emit_plot_data(out)
-    _write_manifest(out, text, args)
     for r in rows:
         print(f"tau={r.time:g}: distance={r.estimate:.5f} floor={r.noise_floor:.5f}")
     return EXIT_OK
 
 
-def cmd_acceptance(args):
-    out = _out_dir(args)
+def cmd_acceptance(args, spec, cfg_v0, out):
     wanted = None
-    if args.criteria:
-        wanted = {int(x) for x in args.criteria.split(",")}
+    if args.criteria is not None:
+        wanted = set(_values(args.criteria, int, "--criteria"))
         unknown = sorted(wanted - set(acceptance_mod.CRITERIA))
         if unknown:
             raise ConfigError(f"unknown criteria {unknown}; known: {sorted(acceptance_mod.CRITERIA)}")
@@ -318,7 +273,6 @@ def cmd_acceptance(args):
         all_pass &= r.passed
         payload.append({"index": r.index, "name": r.name, "passed": r.passed,
                         "detail": r.detail})
-    _write_manifest(out, system_to_text(acceptance_system()), args)
     _write_json(out / "acceptance_report.json", payload)
     if args.strict and not all_pass:
         return EXIT_STRICT
@@ -472,11 +426,10 @@ def build_parser():
     _add_common(p, config=False)
     p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,3")
     p.add_argument("--paths", type=int, default=4000)
-    p.set_defaults(func=cmd_acceptance)
+    p.set_defaults(func=cmd_acceptance, config="acceptance")
 
     p = add("plot-data", "re-emit plot-ready CSV from a run directory")
     p.add_argument("run_dir")
-    p.set_defaults(func=cmd_plot_data)
 
     return ap
 
@@ -484,9 +437,26 @@ def build_parser():
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    args.argv = argv
     try:
-        return args.func(args)
+        if args.command == "plot-data":
+            return cmd_plot_data(args)
+        # the order of every artifact command: its system, its artifacts, its manifest
+        spec, cfg_v0, text = _resolve_system(args.config)
+        out = Path(args.out or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        code = args.func(args, spec, cfg_v0, out)
+        _write_json(out / "manifest.json", {
+            "format": 1,
+            "package_version": __version__,
+            "command": args.command,
+            "config_text": text,
+            "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "master_seed": args.seed,
+            "threads": args.threads,
+            "strict": args.strict,
+            "argv": _portable_argv(argv),
+        })
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,7 +27,8 @@ versioned header ``format = 1``, followed by INI-style sections::
     psi_2_2 = 1
 
 Expressions use the grammar documented in :mod:`stochavg.expr`.  Values are
-whitespace-insensitive; ``#`` starts a comment.
+whitespace-insensitive; ``#`` starts a comment.  A section or key not shown
+here, or a dispersion entry past row n or column n1, is an error.
 """
 
 from __future__ import annotations
@@ -74,6 +75,17 @@ def _split_header(text):
     return "\n".join(rest)
 
 
+def _states(text, n, where):
+    """The state ``a, b, ...`` of ``where``: n comma-separated complex entries."""
+    try:
+        v = np.array([complex(x.strip()) for x in text.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {where}: {text!r}") from exc
+    if v.shape != (n,):
+        raise ConfigError(f"{where} needs {n} comma-separated complex entries")
+    return v
+
+
 def parse_system_text(text: str) -> SystemConfig:
     body = _split_header(text)
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
@@ -84,74 +96,53 @@ def parse_system_text(text: str) -> SystemConfig:
     if not cp.has_section("system"):
         raise ConfigError("missing [system] section")
     sys_sec = cp["system"]
-    try:
-        n = int(sys_sec["n"])
-    except KeyError as exc:
-        raise ConfigError("missing system.n") from exc
-    except ValueError as exc:
-        raise ConfigError("system.n must be an integer") from exc
+
+    def value(key, convert, default):
+        text_value = sys_sec.get(key, default)
+        if text_value is None:
+            raise ConfigError(f"missing system.{key}")
+        try:
+            return convert(text_value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for system.{key}: {text_value!r}") from exc
+
+    n = value("n", int, None)
     if n < 1:
         raise ConfigError("system.n must be >= 1")
-    n1 = int(sys_sec.get("n1", str(n)))
-    lam_text = sys_sec.get("lambdas")
-    if lam_text is None:
-        raise ConfigError("missing system.lambdas")
-    try:
-        lambdas = tuple(float(x) for x in lam_text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad frequency list {lam_text!r}") from exc
+    n1 = value("n1", int, str(n))
+    lambdas = value("lambdas", lambda s: tuple(float(x) for x in s.split(",")), None)
     if len(lambdas) != n:
         raise ConfigError(f"expected {n} frequencies, got {len(lambdas)}")
-    try:
-        epsilon = float(sys_sec.get("epsilon", "1.0"))
-    except ValueError as exc:
-        raise ConfigError("system.epsilon must be a number") from exc
-    psi_kind = sys_sec.get("psi_kind", "smooth").strip().lower()
-    alpha = float(sys_sec["alpha"]) if "alpha" in sys_sec else None
-    m0 = float(sys_sec.get("m0", "0"))
+    # the schema: every section and every key it may hold
+    keys = {"system": {"n", "n1", "lambdas", "epsilon", "psi_kind", "alpha", "m0", "v0"},
+            "drift": {f"p{k}" for k in range(1, n + 1)},
+            "hamiltonian": {"h"},
+            "dispersion": {f"psi_{k}_{l}" for k in range(1, n + 1) for l in range(1, n1 + 1)}}
+    for section in cp.sections():
+        if section not in keys:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp[section]:
+            if key not in keys[section]:
+                raise ConfigError(f"unknown key {section}.{key}")
 
-    def parse_expr(text_value, where):
+    def entry(section, key):
         try:
-            return parse_field_expr(text_value, n)
+            return parse_field_expr(cp.get(section, key, fallback="0"), n)
         except Exception as exc:
-            raise ConfigError(f"bad expression for {where}: {exc}") from exc
-
-    drift = []
-    drift_sec = cp["drift"] if cp.has_section("drift") else {}
-    for k in range(1, n + 1):
-        drift.append(parse_expr(drift_sec.get(f"p{k}", "0"), f"drift.p{k}"))
-
-    h = None
-    if cp.has_section("hamiltonian") and cp["hamiltonian"].get("h", "").strip():
-        h = parse_expr(cp["hamiltonian"]["h"], "hamiltonian.h")
-
-    psi_sec = cp["dispersion"] if cp.has_section("dispersion") else {}
-    psi = []
-    for k in range(1, n + 1):
-        row = []
-        for l in range(1, n1 + 1):
-            row.append(parse_expr(psi_sec.get(f"psi_{k}_{l}", "0"), f"dispersion.psi_{k}_{l}"))
-        psi.append(tuple(row))
+            raise ConfigError(f"bad expression for {section}.{key}: {exc}") from exc
 
     spec = SystemSpec(
         freqs=Frequencies(lambdas),
-        epsilon=epsilon,
-        p1=tuple(drift),
-        psi=tuple(psi),
-        h=h,
-        psi_kind=psi_kind,
-        alpha=alpha,
-        m0=m0,
+        epsilon=value("epsilon", float, "1.0"),
+        p1=tuple(entry("drift", f"p{k}") for k in range(1, n + 1)),
+        psi=tuple(tuple(entry("dispersion", f"psi_{k}_{l}") for l in range(1, n1 + 1))
+                  for k in range(1, n + 1)),
+        h=entry("hamiltonian", "h") if cp.get("hamiltonian", "h", fallback="") else None,
+        psi_kind=value("psi_kind", str.lower, "smooth"),
+        alpha=value("alpha", float, None) if "alpha" in sys_sec else None,
+        m0=value("m0", float, "0"),
     )
-
-    v0 = None
-    if "v0" in sys_sec:
-        try:
-            v0 = np.array([complex(x.strip()) for x in sys_sec["v0"].split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"bad initial state {sys_sec['v0']!r}") from exc
-        if v0.shape != (n,):
-            raise ConfigError(f"initial state needs {n} components")
+    v0 = _states(sys_sec["v0"], n, "system.v0") if "v0" in sys_sec else None
     return SystemConfig(spec=spec, v0=v0)
 
 

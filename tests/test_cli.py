@@ -12,6 +12,7 @@ import pytest
 from stochavg import acceptance_system, cli, parse_field_expr, parse_system_text, stats
 from stochavg.cli import EXIT_CONFIG, EXIT_NONFINITE, EXIT_OK, EXIT_STRICT
 from stochavg.model import Frequencies, SystemSpec, orthogonality_residual, random_states
+from stochavg.systems import ACCEPTANCE_V0
 
 RESONANT_CONFIG = """\
 format = 1
@@ -141,6 +142,31 @@ def test_bad_config_exits_2(tmp_path):
     assert cli.main(["check", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert cli.main(["check", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("text, named", [
+    (RESONANT_CONFIG.replace("epsilon = 0.5", "epsilom = 0.01"), "system.epsilom"),
+    (FROZEN_CONFIG + "psi_1_2 = 1\n", "dispersion.psi_1_2"),  # n1 = n = 1
+    (RESONANT_CONFIG.replace("[dispersion]", "[dispersoin]"), "[dispersoin]"),
+], ids=["misspelt-key", "psi-past-n1", "misspelt-section"])
+def test_unknown_config_key_or_section_exits_2(tmp_path, capsys, text, named):
+    # each was dropped without a word: the run used another system than the file's
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    assert cli.main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("key, bad", [("n1", "two"), ("m0", "big"), ("alpha", "x")])
+def test_bad_config_number_names_its_key(tmp_path, capsys, key, bad):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(RESONANT_CONFIG.replace("n = 2\n", f"n = 2\n{key} = {bad}\n"))
+    assert cli.main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"configuration error: bad value for system.{key}: {bad!r}\n"
 
 
 def test_nonfinite_exits_3(tmp_path):
@@ -408,6 +434,17 @@ def test_manifest_of_a_spec_built_in_code_replays_bit_exactly(tmp_path, monkeypa
         assert (first / name).read_bytes() == (replay / name).read_bytes(), name
 
 
+def test_acceptance_manifest_records_its_system(tmp_path):
+    # the state the criteria start from is part of the recorded system;
+    # REPLAY_ARGV["acceptance"] replays such a manifest byte for byte
+    assert cli.main(["acceptance", "--criteria", "1", "--paths", "50",
+                     "--out", str(tmp_path)]) == EXIT_OK
+    cfg = parse_system_text(json.loads((tmp_path / "manifest.json").read_text())["config_text"])
+    assert cfg.spec == acceptance_system()
+    assert _term_lists(cfg.spec) == _term_lists(acceptance_system())
+    assert np.array_equal(cfg.v0, ACCEPTANCE_V0)
+
+
 def _term_lists(spec):
     polys = [*spec.p1_polys, spec.h_poly, *(p for row in spec.psi_polys for p in row)]
     return [list(p.terms.items()) for p in polys]
@@ -441,6 +478,13 @@ def test_parse_tree_era_acceptance_text_replays(tmp_path, system):
     ["simulate", "--config", "acceptance", "--record-times", "0.0005"],
     ["couple-demo", "--config", "acceptance", "--paths", "-3"],
     ["simulate", "--config", "acceptance", "--system", "action", "--paths", "-3"],
+    # an empty value is a value, not a missing option
+    ["simulate", "--config", "acceptance", "--v0", ""],
+    ["average", "--config", "acceptance", "--at", ""],
+    ["simulate", "--config", "acceptance", "--system", "action", "--i0", ""],
+    ["simulate", "--config", "acceptance", "--record-times", ""],
+    ["compare", "--config", "acceptance", "--eps-list", ""],
+    ["acceptance", "--criteria", ""],
 ])
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
