@@ -223,11 +223,12 @@ def _sqrt_2x2(A):
 def principal_sqrt_batched(A):
     """Principal square roots over a batch (..., n, n); dust clamped quietly.
 
-    Used inside integrators where A comes from averaged polynomials and is
-    Hermitian by construction (only the lower triangle is read).  Batches
-    of 2x2 matrices get their roots in closed form from the two eigenvalues,
-    elementwise over the batch, with no eigendecomposition; other n (and a
-    single unbatched matrix) go through ``eigh``.
+    Used inside integrators where A comes from averaged polynomials, is
+    Hermitian by construction (only the lower triangle is read) and has a
+    non-zero off-diagonal polynomial (diagonal ones take ``sqrt_diagonal``).
+    Batches of 2x2 matrices get their roots in closed form from the two
+    eigenvalues, elementwise over the batch, with no eigendecomposition;
+    other n (and a single unbatched matrix) go through ``eigh``.
     Both paths clamp eigenvalue dust in (-FAIL_TOL, 0) to zero and raise
     NotPSDError, naming the first offending row, below -FAIL_TOL.  Real
     input gives real output.
@@ -236,6 +237,26 @@ def principal_sqrt_batched(A):
     if A.ndim > 2 and A.shape[-2:] == (2, 2):
         return _sqrt_2x2(A)
     return _sqrt_eigh(A)
+
+
+def diagonal_entries(matrix):
+    """The diagonal of a square matrix of polynomials (or action polynomials)
+    whose off-diagonal entries are all identically zero; None otherwise."""
+    n = len(matrix)
+    if any(any(matrix[k][l].lowered[1]) for k in range(n) for l in range(n) if l != k):
+        return None
+    return tuple(matrix[k][k] for k in range(n))
+
+
+def sqrt_diagonal(d):
+    """Principal square roots of diagonal matrices from their mode-major
+    diagonals d, (k, paths): the correctly rounded sqrt(d), with the dust
+    clamp and the NotPSDError of ``principal_sqrt_batched``, whose batch
+    rows are the paths."""
+    if (d < 0).any():
+        _psd_gate(d.min(axis=0))
+        d = np.maximum(d, 0.0)
+    return np.sqrt(d)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ directory).
 Every artifact command runs in one frame, ``main``: it resolves the system,
 calls the subcommand's handler, which writes the artifacts, and then writes a
 ``manifest.json`` capturing the resolved system text, a content hash, the
-package version, seed and the command line (argv, less --config and --out);
-``run_from_manifest`` replays that command line against the recorded system
-text and reproduces all numeric artifacts bit-exactly, at any --threads,
-under single-threaded BLAS (OPENBLAS_NUM_THREADS=1).
+package version, seed and the command line (argv, less --config and --out),
+and the environment that bit-exactness depends on: the Python and numpy
+versions, the CPU count and OPENBLAS_NUM_THREADS.  ``run_from_manifest``
+replays that command line against the recorded system text, reading no
+environment field, and reproduces all numeric artifacts bit-exactly, at any
+--threads, under single-threaded BLAS (OPENBLAS_NUM_THREADS=1).
 
 Exit codes: 0 success, 2 configuration or schema violation (invalid option
 values, missing artifacts, workers that could not run), 3 a simulated path
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -455,6 +458,9 @@ def main(argv=None):
             "threads": args.threads,
             "strict": args.strict,
             "argv": _portable_argv(argv),
+            "environment": {"python": sys.version.split()[0], "numpy": np.__version__,
+                            "cpu_count": os.cpu_count(),
+                            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
         })
         return code
     except ConfigError as exc:

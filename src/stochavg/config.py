@@ -88,7 +88,11 @@ def _states(text, n, where):
 
 def parse_system_text(text: str) -> SystemConfig:
     body = _split_header(text)
-    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    # no header can name a default section with a newline in it, so a
+    # [DEFAULT] section is an ordinary, unknown one rather than keys that
+    # configparser copies into every section
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",),
+                                   default_section="\n")
     try:
         cp.read_string(body)
     except configparser.Error as exc:
@@ -110,6 +114,8 @@ def parse_system_text(text: str) -> SystemConfig:
     if n < 1:
         raise ConfigError("system.n must be >= 1")
     n1 = value("n1", int, str(n))
+    if n1 < 1:
+        raise ConfigError("system.n1 must be >= 1")
     lambdas = value("lambdas", lambda s: tuple(float(x) for x in s.split(",")), None)
     if len(lambdas) != n:
         raise ConfigError(f"expected {n} frequencies, got {len(lambdas)}")

@@ -24,6 +24,12 @@ that the step indexes with ``sl``.  The steps:
 * the averaged action equation dI = F(I) dtau + K(I) dW, clamped at the
   boundary of the positive cone.
 
+The noise coefficients B(a) = A(a)^{1/2} and K(I) = S(I)^{1/2}, roots of
+the averaged diffusions, are diagonal closed forms for constant Psi.  For a
+state-dependent Psi whose averaged diffusion has only zero polynomials off
+the diagonal (checked once per run) they are the per-mode roots of its
+diagonal entries; otherwise batched matrix roots, per path and step.
+
 The coupled construction in ``coupling`` is the cut-off step of two halves,
 (reference, coupled).  The pathwise action identity check reads one path of
 the perturbed step and its noise stream, and integrates no step of its own.
@@ -449,24 +455,32 @@ def _effective_rule(spec, variants, dtau):
     a + dbeta instead.
 
     Constant dispersion uses the closed form B = diag{b_k}, so B dbeta is
-    dbeta scaled by b; otherwise the symbolic averaged diffusion entries are
-    evaluated per path and the principal square roots B(a) = sqrt(A(a))
-    taken batched.
+    dbeta scaled by b.  Otherwise the symbolic averaged diffusion entries
+    are evaluated per path.  When every off-diagonal entry of A is the zero
+    polynomial (checked once per run), only the diagonal is evaluated, as
+    (k, paths) rows, and B(a) = diag{sqrt(A_kk(a))} scales dbeta the same
+    way; any other A takes its principal square roots B(a) = sqrt(A(a))
+    batched.
     """
     drifts = [Field(_effective_drift_polys(spec, v)) for v in variants]
     if spec.psi_is_constant:
         b = averaging.constant_psi_b(spec)[:, None]
     else:
-        entries = Field(averaging.averaged_diffusion_polys(spec.psi_polys))
+        A_polys = averaging.averaged_diffusion_polys(spec.psi_polys)
+        diag = averaging.diagonal_entries(A_polys)
+        entries = Field(A_polys if diag is None else diag)
 
     def dispersion(a, db):
         if spec.psi_is_constant:
             return _scaled(db, b)
         out = np.empty_like(a)
         for h, half in enumerate(a):
-            A = entries(half.T)
-            A = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
-            out[h] = _kick(averaging.principal_sqrt_batched(A), db)
+            if diag is not None:
+                np.multiply(db, averaging.sqrt_diagonal(_rows(entries, half).real), out[h])
+            else:
+                A = entries(half.T)
+                A = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
+                out[h] = _kick(averaging.principal_sqrt_batched(A), db)
         return out
 
     def rule(a, db, stop=None):
@@ -556,6 +570,12 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
     leading order); clamp events are counted per path in
     ``extras["clamp_counts"]``.  An overflow to -inf is not clamped: it is
     raised as NonFiniteError like any other non-finite step.
+
+    Constant dispersion has K(I) = diag{b_k sqrt(2 I_k)}.  Otherwise the
+    symbolic entries of S(I) are evaluated per path: when every off-diagonal
+    entry is the zero polynomial (checked once per run), only the diagonal,
+    as (k, paths) rows, and K(I) = diag{sqrt(S_kk(I))} scales dW; any other
+    S takes its principal square roots K(I) = sqrt(S(I)) batched.
     """
     I0 = np.asarray(I0, dtype=float)
     if I0.shape != (spec.n,) or (I0 < 0).any():
@@ -564,13 +584,17 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
     if spec.psi_is_constant:
         b = averaging.constant_psi_b(spec)[:, None]
     else:
-        S_entries = Field(averaging.action_diffusion_polys(spec))
+        S_polys = averaging.action_diffusion_polys(spec)
+        diag = averaging.diagonal_entries(S_polys)
+        S_entries = Field(S_polys if diag is None else diag)
     _check_paths(n_paths)
     clamp_counts = np.zeros((spec.n, n_paths), dtype=int)  # per mode and path
 
     def step(I, dW, m, sl):
         if spec.psi_is_constant:
             kick = b * np.sqrt(2.0 * I) * dW
+        elif diag is not None:
+            kick = _scaled(dW, averaging.sqrt_diagonal(_rows(S_entries, I)))
         else:
             S = S_entries(I.T)
             S = 0.5 * (S + np.swapaxes(S, 1, 2))

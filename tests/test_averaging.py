@@ -16,10 +16,15 @@ from stochavg.averaging import (
     FAIL_TOL,
     _sqrt_eigh,
     _torus_grid,
+    action_diffusion_polys,
     actions_of,
+    averaged_diffusion_polys,
     averaged_field_polys,
+    diagonal_entries,
     principal_sqrt_batched,
+    sqrt_diagonal,
 )
+from stochavg.poly import Polynomial
 from stochavg.model import Frequencies, SystemSpec
 from stochavg.poly import Field
 
@@ -395,3 +400,60 @@ def test_sqrt_batched_names_first_offending_row(n):
     with pytest.raises(NotPSDError) as err:
         principal_sqrt_batched(A.reshape(2, 3, n, n))
     assert err.value.row == 3
+
+
+# -- per-mode roots of diagonal averaged diffusions ---------------------------
+
+def test_diagonal_entries_of_averaged_diffusions():
+    # Psi = [[1, v1/2], [0, 1]] averages to A = diag(1 + |a1|^2/4, 1) and a
+    # diagonal S(I); a cv1*v2 entry makes both non-diagonal
+    diagonal = make_spec(2, ["-v1", "-v2"], [["1", "0.5*v1"], ["0", "1"]])
+    cross = make_spec(2, ["-v1", "-v2"], [["1", "0.5*v1"], ["0.5*cv1*v2", "1"]])
+    A = averaged_diffusion_polys(diagonal.psi_polys)
+    S = action_diffusion_polys(diagonal)
+    assert diagonal_entries(A) == (A[0][0], A[1][1])
+    assert diagonal_entries(S) == (S[0][0], S[1][1])
+    assert diagonal_entries(averaged_diffusion_polys(cross.psi_polys)) is None
+    assert diagonal_entries(action_diffusion_polys(cross)) is None
+
+
+@pytest.mark.parametrize("k, l", [(k, l) for k in range(3) for l in range(3) if k != l])
+def test_one_off_diagonal_entry_makes_a_matrix_non_diagonal(k, l):
+    zero = Polynomial.zero(3)
+    one = Polynomial.const(1.0, 3)
+    explicit_zero = Polynomial(3, {((1, 0, 0), (0, 0, 0)): 0j})  # a term with coefficient 0
+    matrix = [[one if i == j else explicit_zero if (i, j) == (0, 1) else zero
+               for j in range(3)] for i in range(3)]
+    assert diagonal_entries(matrix) == (one, one, one)
+    matrix[k][l] = expr("0.5*v1*cv2", 3)
+    assert diagonal_entries(matrix) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sqrt_diagonal_matches_the_batched_root_and_clamps_dust(n):
+    rng = np.random.default_rng(31 + n)
+    d = 10.0 ** rng.uniform(-6, 6, (n, 500))
+    d[:, :50] = -10.0 ** rng.uniform(-14, np.log10(0.9e-6), (n, 50))  # dust
+    d[:, 50:60] = 0.0
+    B = sqrt_diagonal(d.copy())
+    assert B.shape == d.shape and B.dtype == float
+    np.testing.assert_array_equal(B, np.sqrt(np.maximum(d, 0.0)))
+    # the root by eigendecomposition of the diagonal matrices, paths as batch
+    # rows (the 2x2 closed form errs by rounding relative to the largest
+    # entry, up to 1e-5 relative on the smaller one at these ranges)
+    ref = _sqrt_eigh(np.einsum("kp,kl->pkl", d, np.eye(n)))
+    np.testing.assert_array_equal(ref, np.einsum("pkl,kl->pkl", ref, np.eye(n)))
+    np.testing.assert_allclose(np.diagonal(ref, axis1=1, axis2=2).T, B, rtol=1e-15, atol=0)
+
+
+def test_sqrt_diagonal_names_the_first_offending_path():
+    d = np.ones((3, 6))
+    d[1, 3] = -0.5
+    d[2, 3] = -0.25
+    d[0, 5] = -2.0
+    d[2, 1] = -0.5 * FAIL_TOL  # dust, not a violation
+    with pytest.raises(NotPSDError) as err:
+        sqrt_diagonal(d)
+    assert err.value.row == 3
+    assert err.value.min_eigenvalue == -0.5
+    assert "row 3" in str(err.value)

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -148,7 +149,10 @@ def test_bad_config_exits_2(tmp_path):
     (RESONANT_CONFIG.replace("epsilon = 0.5", "epsilom = 0.01"), "system.epsilom"),
     (FROZEN_CONFIG + "psi_1_2 = 1\n", "dispersion.psi_1_2"),  # n1 = n = 1
     (RESONANT_CONFIG.replace("[dispersion]", "[dispersoin]"), "[dispersoin]"),
-], ids=["misspelt-key", "psi-past-n1", "misspelt-section"])
+    # configparser copies a default section's keys into every section, and
+    # they were reported as keys of [system]
+    (RESONANT_CONFIG + "\n[DEFAULT]\nfoo = 1\n", "unknown section [DEFAULT]"),
+], ids=["misspelt-key", "psi-past-n1", "misspelt-section", "default-section"])
 def test_unknown_config_key_or_section_exits_2(tmp_path, capsys, text, named):
     # each was dropped without a word: the run used another system than the file's
     cfg = tmp_path / "typo.cfg"
@@ -167,6 +171,19 @@ def test_bad_config_number_names_its_key(tmp_path, capsys, key, bad):
     assert cli.main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == \
         f"configuration error: bad value for system.{key}: {bad!r}\n"
+
+
+@pytest.mark.parametrize("text", [
+    FROZEN_CONFIG.replace("n = 1\n", "n = 1\nn1 = 0\n").split("[dispersion]")[0],
+    FROZEN_CONFIG.replace("n = 1\n", "n = 1\nn1 = 0\n"),
+], ids=["no-dispersion", "with-dispersion"])
+def test_config_n1_below_one_names_its_key(tmp_path, capsys, text):
+    # checked as n is: the run stopped on SystemSpec's row length, or on an
+    # unknown psi_1_1, and neither named system.n1
+    cfg = tmp_path / "n1.cfg"
+    cfg.write_text(text)
+    assert cli.main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: system.n1 must be >= 1\n"
 
 
 def test_nonfinite_exits_3(tmp_path):
@@ -405,6 +422,28 @@ def test_manifest_replays_each_command_bit_exactly(tmp_path, resonant_cfg, comma
     argv = REPLAY_ARGV[command]
     if command != "acceptance" and "--config" not in argv:
         argv = argv + ["--config", str(resonant_cfg)]
+    _assert_replays_bit_exactly(tmp_path, argv)
+
+
+# state-dependent dispersions: the first averages to diagonal A(a) and S(I),
+# whose roots are taken per mode; the cv1*v2 entry of the second makes both
+# non-diagonal, so their roots are batched matrix roots
+SMOOTH_PSI = {"diagonal": "psi_1_1 = 1\npsi_1_2 = 0.5*v1\npsi_2_2 = 1\n",
+              "cross": "psi_1_1 = 1\npsi_1_2 = 0.5*v1\npsi_2_1 = 0.5*cv1*v2\npsi_2_2 = 1\n"}
+
+
+@pytest.mark.parametrize("system", ["effective", "action"])
+@pytest.mark.parametrize("psi", sorted(SMOOTH_PSI))
+def test_manifest_replays_state_dependent_psi_bit_exactly(tmp_path, psi, system):
+    cfg = tmp_path / "smooth.cfg"
+    cfg.write_text(RESONANT_CONFIG.replace("psi_kind = constant", "psi_kind = smooth")
+                   .replace("v0 = 1+0j, 1+0j", "v0 = 1+0.5j, 0.5-1j")
+                   .replace("psi_1_1 = 1\npsi_2_2 = 1\n", SMOOTH_PSI[psi]))
+    _assert_replays_bit_exactly(tmp_path, ["simulate", "--system", system, "--T", "0.05",
+                                           "--paths", "20", "--seed", "6", "--config", str(cfg)])
+
+
+def _assert_replays_bit_exactly(tmp_path, argv):
     first = tmp_path / "first"
     assert cli.main(argv + ["--out", str(first)]) == EXIT_OK
     replay = tmp_path / "replay"
@@ -414,6 +453,26 @@ def test_manifest_replays_each_command_bit_exactly(tmp_path, resonant_cfg, comma
     assert "manifest.json" in artifacts and len(artifacts) > 1
     for name in artifacts:
         assert filecmp.cmp(first / name, replay / name, shallow=False), name
+
+
+def test_manifest_records_its_environment_and_replays_without_it(tmp_path, resonant_cfg,
+                                                                 monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    first = tmp_path / "first"
+    assert cli.main(["simulate", "--system", "effective", "--T", "0.05", "--paths", "5",
+                     "--config", str(resonant_cfg), "--out", str(first)]) == EXIT_OK
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest.pop("environment") == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "cpu_count": os.cpu_count(), "openblas_num_threads": None}
+    # a manifest written before the environment was recorded
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert cli.run_from_manifest(old, tmp_path / "replay") == EXIT_OK
+    assert (first / "paths.csv").read_bytes() == (tmp_path / "replay" / "paths.csv").read_bytes()
+    replayed = json.loads((tmp_path / "replay" / "manifest.json").read_text())
+    assert replayed["environment"]["openblas_num_threads"] == "1"
 
 
 def test_manifest_of_a_spec_built_in_code_replays_bit_exactly(tmp_path, monkeypatch):

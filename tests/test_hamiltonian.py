@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,6 +12,7 @@ from stochavg import (
     parse_field_expr,
     simulate_effective,
 )
+from stochavg.stats import distance_rows
 from stochavg.averaging import action_drift_F, average_field, average_function
 from stochavg.model import Frequencies, SystemSpec
 
@@ -208,3 +211,40 @@ def test_effective_actions_follow_the_hamiltonian_free_ou_law(variant):
             law = stats.ncx2(df=2, nc=abs(ACCEPTANCE_V0[k]) ** 2 * np.exp(-2.0 * t) / s2)
             ks = stats.kstest(np.abs(ens.at_time(t)[:, k]) ** 2 / s2, law.cdf).statistic
             assert ks <= critical, f"{variant}: tau={t} mode {k + 1} KS {ks:.4f} > {critical:.4f}"
+
+
+# --- the hamiltonian-null claim where Psi depends on the state ---------------
+
+# seed fixed before the distances were first computed
+STATE_PSI_SEED = 2517
+
+
+def _state_psi_system(extra=("", "")):
+    # the acceptance drift and hamiltonian with Psi = [[1, v1/2], [0, 1]]:
+    # A(a) = diag(1 + |a1|^2/4, 1), so B(a) varies with the state; ``extra``
+    # is added to the non-hamiltonian drift
+    spec = acceptance_system()
+    n = spec.n
+    return dataclasses.replace(
+        spec, psi_kind="smooth",
+        p1=tuple(p + parse_field_expr(e, n) if e else p for p, e in zip(spec.p1_polys, extra)),
+        psi=((parse_field_expr("1", n), parse_field_expr("0.5*v1", n)),
+             (parse_field_expr("0", n), parse_field_expr("1", n))))
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["hamiltonian", "planted"])
+def test_hamiltonian_part_drops_out_of_action_laws_with_state_dependent_psi(planted):
+    # Criterion 7 with a state-dependent Psi: the full and the modified
+    # effective equations give action laws within 2x the noise floor at
+    # tau = 1 and 2.  A real, hence non-hamiltonian, copy of the hamiltonian
+    # monomials planted in the modified drift moves the law past that gate.
+    paths, times, seed = 4000, [1.0, 2.0], STATE_PSI_SEED
+    kw = dict(T=2.0, dtau=1e-3, n_paths=paths, record_times=times)
+    spec = _state_psi_system()
+    modified = _state_psi_system(("-0.5*v1*abs2(v2)", "-0.5*v2*abs2(v1)")) if planted else spec
+    full = simulate_effective(spec, "full", ACCEPTANCE_V0, seed=(seed, 71), **kw)
+    mod = simulate_effective(modified, "modified", ACCEPTANCE_V0, seed=(seed, 72), **kw)
+    rows = distance_rows(spec.epsilon, full.actions(), mod.actions(), times, seed, bootstrap=0)
+    within = [r.estimate <= 2.0 * r.noise_floor for r in rows]
+    detail = "; ".join(f"tau={r.time:g}: {r.estimate:.4f} vs 2*{r.noise_floor:.4f}" for r in rows)
+    assert not all(within) if planted else all(within), detail

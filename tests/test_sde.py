@@ -252,6 +252,128 @@ def test_smooth_psi_closed_form_sqrt_matches_eigh_path(monkeypatch, system):
         np.testing.assert_array_equal(fast[1], slow[1])
 
 
+# Psi whose averaged diffusions A(a) and S(I) have only zero polynomials off
+# the diagonal: B and K take per-mode roots of the diagonal entries
+DIAGONAL_PSI = {
+    2: ([["1", "0.5*v1"], ["0", "1"]], "abs2(v1)*abs2(v2)", [1 + 0.5j, 0.5 - 1j], [0.5, 1e-3]),
+    3: ([["1", "0.5*v1", "0"], ["0", "1", "0.5*v3"], ["0", "0", "1"]],
+        "abs2(v1)*abs2(v3)", [1 + 0.5j, 0.5 - 1j, 0.3j], [0.5, 1e-3, 0.2]),
+}
+
+
+def _diagonal_psi_spec(n):
+    psi, h, _, _ = DIAGONAL_PSI[n]
+    return make_spec(n, [f"-v{k}" for k in range(1, n + 1)], psi, h=h, psi_kind="smooth")
+
+
+def _diagonal_run(n, system, n_paths=64):
+    spec, (_, _, v0, I0) = _diagonal_psi_spec(n), DIAGONAL_PSI[n]
+    kw = dict(T=0.3, dtau=1e-3, n_paths=n_paths, seed=9)
+    if system == "action":
+        ens = simulate_action_sde(spec, np.array(I0), **kw)
+        return [ens.values, ens.extras["clamp_counts"]]
+    return [simulate_effective(spec, system, np.array(v0), **kw).values]
+
+
+def _count_matrix_roots(monkeypatch):
+    calls = []
+    root = averaging.principal_sqrt_batched
+    monkeypatch.setattr(averaging, "principal_sqrt_batched",
+                        lambda A: calls.append(A.shape) or root(A))
+    return calls
+
+
+@pytest.mark.parametrize("system", ["full", "modified", "action"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_diagonal_dispersion_matches_the_matrix_root(monkeypatch, n, system):
+    # the matrix root is the closed form for n = 2 and eigh for n = 3
+    calls = _count_matrix_roots(monkeypatch)
+    fast = _diagonal_run(n, system)
+    assert not calls
+    monkeypatch.setattr(averaging, "diagonal_entries", lambda matrix: None)
+    slow = _diagonal_run(n, system)
+    assert len(calls) == 300 and calls[0] == (64, n, n)
+    np.testing.assert_allclose(fast[0], slow[0], rtol=0, atol=1e-12)
+    if system == "action":
+        assert fast[1].sum() > 0
+        np.testing.assert_array_equal(fast[1], slow[1])
+
+
+def test_diagonal_dispersion_in_the_coupled_step_matches_the_matrix_root(monkeypatch):
+    # the coupled step runs its reference and coupled halves through one rule;
+    # I_2(0) = 0.125 starts near delta, so Delta-segments occur
+    def run():
+        return build_coupled(_diagonal_psi_spec(2), np.array([1 + 0.5j, 0.5j]), T=0.3,
+                             dtau=1e-3, delta=0.1, R=16.0, n_paths=64, seed=9)
+
+    calls = _count_matrix_roots(monkeypatch)
+    fast = run()
+    assert not calls
+    monkeypatch.setattr(averaging, "diagonal_entries", lambda matrix: None)
+    slow = run()
+    assert len(calls) == 600  # two halves a step
+    for name in ("reference_actions", "coupled_actions", "reference_states", "coupled_states"):
+        np.testing.assert_allclose(getattr(fast, name).values, getattr(slow, name).values,
+                                   rtol=0, atol=1e-12)
+    assert fast.segment_count() > 64 and fast.schedules == slow.schedules
+
+    def nodes(res):
+        return [[event.node for event in path] for path in res.rotations]
+
+    assert sum(map(len, nodes(fast))) > 0 and nodes(fast) == nodes(slow)
+
+
+@pytest.mark.parametrize("system", ["full", "action"])
+def test_diagonal_dispersion_seed_determinism_across_chunks(monkeypatch, system):
+    _assert_chunk_invariant(monkeypatch, lambda: _diagonal_run(2, system))
+
+
+@pytest.mark.parametrize("system", ["effective", "action"])
+def test_off_diagonal_dispersion_takes_the_matrix_root(monkeypatch, system):
+    calls = _count_matrix_roots(monkeypatch)
+    _smooth_run(system)
+    assert len(calls) == 300 and calls[0] == (64, 2, 2)
+
+
+@pytest.mark.parametrize("system", ["full", "action"])
+def test_diagonal_dispersion_not_psd_as_the_matrix_root(monkeypatch, system):
+    # A_11 = 1 - |a1|^2 and S_11 = 1 - 2 I_1 turn negative once a path's
+    # mode 1, which grows, leaves the unit disc; both roots name the same
+    # path and time
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", 3)
+    n, spec = 2, make_spec(2, ["0.5*v1", "-v2"], [["1", "0.5*v1"], ["0", "1"]],
+                           psi_kind="smooth")
+    entries = (parse_field_expr("1 - abs2(v1)", n), parse_field_expr("0", n),
+               parse_field_expr("1", n))
+    if system == "full":
+        monkeypatch.setattr(averaging, "averaged_diffusion_polys", lambda psi: (
+            (entries[0], entries[1]), (entries[1], entries[2])))
+    else:
+        S = [averaging.ActionPolynomial.from_resonant_poly(p) for p in entries]
+        monkeypatch.setattr(averaging, "action_diffusion_polys", lambda spec: (
+            (S[0], S[1]), (S[1], S[2])))
+
+    def failure():
+        with pytest.raises(NotPSDError) as err:
+            if system == "full":
+                simulate_effective(spec, "full", np.array([0.95 + 0j, 0j]), T=1.0, dtau=1e-3,
+                                   n_paths=8, seed=5)
+            else:
+                simulate_action_sde(spec, np.array([0.45, 0.5]), T=1.0, dtau=1e-3, n_paths=8,
+                                    seed=5)
+        return err.value
+
+    fast = failure()
+    monkeypatch.setattr(averaging, "diagonal_entries", lambda matrix: None)
+    slow = failure()
+    assert fast.path_index == slow.path_index
+    assert fast.time == slow.time > 0
+    assert fast.min_eigenvalue == pytest.approx(slow.min_eigenvalue, rel=1e-9)
+    assert fast.min_eigenvalue < -averaging.FAIL_TOL
+    assert str(fast) == str(slow)
+    assert f"{system} path {fast.path_index}" in str(fast)
+
+
 def test_not_psd_inside_integrator_names_path_and_time(monkeypatch):
     # chunks of 3 paths: path 5 is row 2 of the second chunk
     monkeypatch.setattr(sde, "_CHUNK_PATHS", 3)
