@@ -158,13 +158,12 @@ def criterion_5(n_paths, seed):
     rows = stats.convergence_table(spec, ACCEPTANCE_V0, [0.2, 0.05, 0.0125],
                                    T=1.0, n_paths=n_paths, times=[1.0],
                                    seed=seed)
-    ests = [r.estimate for r in rows]
-    decreasing = ests[0] > ests[1] > ests[2]
+    decreasing, final_ok = stats.convergence_trend(rows)
     separated = rows[0].ci_lo > rows[-1].ci_hi
-    final_ok = ests[-1] <= 2.0 * rows[-1].noise_floor
     passed = decreasing and separated and final_ok
     return _result(5, "epsilon-sweep action-law convergence", passed,
-                   f"distances {np.round(ests, 4).tolist()} strictly decreasing={decreasing}, "
+                   f"distances {np.round([r.estimate for r in rows], 4).tolist()} "
+                   f"strictly decreasing={decreasing}, "
                    f"CI-separated={separated}, final<=2*floor({2 * rows[-1].noise_floor:.4f})={final_ok}")
 
 

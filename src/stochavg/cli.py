@@ -215,9 +215,7 @@ def cmd_compare(args, spec, cfg_v0, out):
               f"ci=({r.ci_lo:.5f},{r.ci_hi:.5f}) floor={r.noise_floor:.5f}")
     if args.strict:
         for t in times:
-            sub = [r for r in rows if r.time == t]
-            decreasing = all(a.estimate > b.estimate for a, b in zip(sub, sub[1:]))
-            final_ok = sub[-1].estimate <= 2.0 * sub[-1].noise_floor
+            decreasing, final_ok = stats.convergence_trend([r for r in rows if r.time == t])
             if not (decreasing and final_ok):
                 print(f"strict check failed at tau={t:g}: decreasing={decreasing} "
                       f"final_below_2floor={final_ok}")

@@ -25,10 +25,9 @@ that the step indexes with ``sl``.  The steps:
   boundary of the positive cone.
 
 The noise coefficients B(a) = A(a)^{1/2} and K(I) = S(I)^{1/2}, roots of
-the averaged diffusions, are diagonal closed forms for constant Psi.  For a
-state-dependent Psi whose averaged diffusion has only zero polynomials off
-the diagonal (checked once per run) they are the per-mode roots of its
-diagonal entries; otherwise batched matrix roots, per path and step.
+the averaged diffusions, are diagonal closed forms for constant Psi; for a
+state-dependent Psi, ``_root_kick`` builds them from the averaged diffusion's
+polynomials.
 
 The coupled construction in ``coupling`` is the cut-off step of two halves,
 (reference, coupled).  The pathwise action identity check reads one path of
@@ -392,6 +391,26 @@ def _scaled(db, b):
     return np.multiply(db, b, np.empty_like(db, order="C"))
 
 
+def _root_kick(matrix_polys):
+    """(x, db) -> B(x) db for B the principal root of the symmetric matrix of
+    polynomials ``matrix_polys`` (an averaged diffusion) at mode-major
+    states x, as (k, paths) rows.  When every off-diagonal entry is the zero
+    polynomial, B(x) = diag{sqrt(M_kk(x))} from the diagonal rows alone;
+    otherwise the Hermitian part of M(x) is rooted per path."""
+    diag = averaging.diagonal_entries(matrix_polys)
+    if diag is not None:
+        entries = Field(diag)
+        return lambda x, db: _scaled(db, averaging.sqrt_diagonal(_rows(entries, x).real))
+    entries = Field(matrix_polys)
+
+    def kick(x, db):
+        M = entries(x.T)
+        M = 0.5 * (M + np.conj(np.swapaxes(M, 1, 2)))
+        return _kick(averaging.principal_sqrt_batched(M), db)
+
+    return kick
+
+
 def _perturbed_parts(spec, dtau):
     """Fast rotation factor of one splitting step, as a (k, 1) column, and
     Psi(v) dbeta as a function of (v, dbeta); a constant diagonal Psi scales
@@ -455,33 +474,14 @@ def _effective_rule(spec, variants, dtau):
     a + dbeta instead.
 
     Constant dispersion uses the closed form B = diag{b_k}, so B dbeta is
-    dbeta scaled by b.  Otherwise the symbolic averaged diffusion entries
-    are evaluated per path.  When every off-diagonal entry of A is the zero
-    polynomial (checked once per run), only the diagonal is evaluated, as
-    (k, paths) rows, and B(a) = diag{sqrt(A_kk(a))} scales dbeta the same
-    way; any other A takes its principal square roots B(a) = sqrt(A(a))
-    batched.
+    dbeta scaled by b for all halves at once; otherwise ``_root_kick`` of
+    the averaged diffusion A gives each half's B(a) dbeta.
     """
     drifts = [Field(_effective_drift_polys(spec, v)) for v in variants]
     if spec.psi_is_constant:
         b = averaging.constant_psi_b(spec)[:, None]
     else:
-        A_polys = averaging.averaged_diffusion_polys(spec.psi_polys)
-        diag = averaging.diagonal_entries(A_polys)
-        entries = Field(A_polys if diag is None else diag)
-
-    def dispersion(a, db):
-        if spec.psi_is_constant:
-            return _scaled(db, b)
-        out = np.empty_like(a)
-        for h, half in enumerate(a):
-            if diag is not None:
-                np.multiply(db, averaging.sqrt_diagonal(_rows(entries, half).real), out[h])
-            else:
-                A = entries(half.T)
-                A = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
-                out[h] = _kick(averaging.principal_sqrt_batched(A), db)
-        return out
+        kick = _root_kick(averaging.averaged_diffusion_polys(spec.psi_polys))
 
     def rule(a, db, stop=None):
         nxt = np.empty_like(a)
@@ -489,7 +489,11 @@ def _effective_rule(spec, variants, dtau):
             field(a[h].T, nxt[h].T)
         nxt *= dtau  # a + <<P>>(a) dtau + B(a) dbeta, in place
         nxt += a
-        nxt += dispersion(a, db)
+        if spec.psi_is_constant:
+            nxt += _scaled(db, b)
+        else:
+            for h, half in enumerate(a):
+                nxt[h] += kick(half, db)
         if stop is not None and stop.any():
             np.copyto(nxt, a + db, where=stop[:, None])
         return nxt
@@ -571,11 +575,8 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
     ``extras["clamp_counts"]``.  An overflow to -inf is not clamped: it is
     raised as NonFiniteError like any other non-finite step.
 
-    Constant dispersion has K(I) = diag{b_k sqrt(2 I_k)}.  Otherwise the
-    symbolic entries of S(I) are evaluated per path: when every off-diagonal
-    entry is the zero polynomial (checked once per run), only the diagonal,
-    as (k, paths) rows, and K(I) = diag{sqrt(S_kk(I))} scales dW; any other
-    S takes its principal square roots K(I) = sqrt(S(I)) batched.
+    Constant dispersion has K(I) = diag{b_k sqrt(2 I_k)}; otherwise K(I) dW
+    is ``_root_kick`` of the averaged action diffusion S.
     """
     I0 = np.asarray(I0, dtype=float)
     if I0.shape != (spec.n,) or (I0 < 0).any():
@@ -584,22 +585,13 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
     if spec.psi_is_constant:
         b = averaging.constant_psi_b(spec)[:, None]
     else:
-        S_polys = averaging.action_diffusion_polys(spec)
-        diag = averaging.diagonal_entries(S_polys)
-        S_entries = Field(S_polys if diag is None else diag)
+        kick = _root_kick(averaging.action_diffusion_polys(spec))
     _check_paths(n_paths)
     clamp_counts = np.zeros((spec.n, n_paths), dtype=int)  # per mode and path
 
     def step(I, dW, m, sl):
-        if spec.psi_is_constant:
-            kick = b * np.sqrt(2.0 * I) * dW
-        elif diag is not None:
-            kick = _scaled(dW, averaging.sqrt_diagonal(_rows(S_entries, I)))
-        else:
-            S = S_entries(I.T)
-            S = 0.5 * (S + np.swapaxes(S, 1, 2))
-            kick = _kick(averaging.principal_sqrt_batched(S), dW)
-        I = I + _rows(F, I) * dtau + kick
+        noise = b * np.sqrt(2.0 * I) * dW if spec.psi_is_constant else kick(I, dW)
+        I = I + _rows(F, I) * dtau + noise
         neg = (I < 0) & (I > -np.inf)
         clamp_counts[:, sl] += neg
         return np.where(neg, 0.0, I)

@@ -526,6 +526,14 @@ def distance_rows(eps, ens1, ens2, times, seed, bootstrap, feature_count=256):
     return rows
 
 
+def convergence_trend(rows):
+    """The convergence check of an epsilon sweep at one time, rows in the
+    order of decreasing epsilon: whether the distances strictly decrease,
+    and whether the last is at most twice its noise floor."""
+    decreasing = all(a.estimate > b.estimate for a, b in zip(rows, rows[1:]))
+    return decreasing, rows[-1].estimate <= 2.0 * rows[-1].noise_floor
+
+
 def map_units(fn, units, workers):
     """``[fn(u) for u in units]``, in unit order.  With more than one worker and
     more than one unit the calls run in min(workers, units) spawned processes:

@@ -14,7 +14,6 @@ from stochavg import (
 )
 from stochavg.averaging import (
     FAIL_TOL,
-    _sqrt_eigh,
     _torus_grid,
     action_diffusion_polys,
     actions_of,
@@ -317,7 +316,9 @@ def test_averaged_field_polys_match_pointwise_averaging():
 def _psd_batch(rng, k, complex_):
     """Random Hermitian PSD 2x2 batch: full-rank, rank-one, zero and diagonal
     rows at scales 1e-6 .. 1e6, and rank-one rows with an eigenvalue in
-    (-1e-6, 0) (dust).  Returns the batch and the mask of dust rows."""
+    (-1e-6, 0) (dust).  Returns the batch and what its root squares to: the
+    batch with each dust eigenvalue clamped to zero, which is the row before
+    the dust was added."""
     def draw(*shape):
         z = rng.standard_normal(shape)
         return z + 1j * rng.standard_normal(shape) if complex_ else z
@@ -330,14 +331,13 @@ def _psd_batch(rng, k, complex_):
     A[3 * q] = 0.0
     A[3 * q + 1:4 * q] = np.eye(2) * rng.random((q - 1, 1, 2)) * (rng.random((q - 1, 1, 2)) > 0.3)
     A *= (10.0 ** rng.uniform(-6, 6, k))[:, None, None]
+    clamped = A.copy()
     # dust: minus a tiny multiple of the projector orthogonal to u
     w = np.stack([-np.conj(u[2 * q:, 1]), np.conj(u[2 * q:, 0])], axis=1)
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     lam = -10.0 ** rng.uniform(-12, np.log10(0.9e-6), q)
     A[2 * q:3 * q] += lam[:, None, None] * w[:, :, None] * np.conj(w[:, None, :])
-    dust = np.zeros(k, dtype=bool)
-    dust[2 * q:3 * q] = True
-    return A, dust
+    return A, clamped
 
 
 def _rel(X, A):
@@ -345,45 +345,15 @@ def _rel(X, A):
 
 
 @pytest.mark.parametrize("complex_", [True, False])
-def test_sqrt_2x2_closed_form_matches_eigh(complex_):
+def test_sqrt_batched_squares_to_the_clamped_matrix(complex_):
     rng = np.random.default_rng(17 + complex_)
-    A, dust = _psd_batch(rng, 4000, complex_)
+    A, clamped = _psd_batch(rng, 4000, complex_)
     B = principal_sqrt_batched(A)
-    ref = _sqrt_eigh(A)
-    assert B.dtype == ref.dtype == (complex if complex_ else float)
-    np.testing.assert_array_equal(B, np.conj(np.swapaxes(B, 1, 2)))
-    # B squares to A; on dust rows, to A with the dust eigenvalue clamped
-    target = np.where(dust[:, None, None], ref @ ref, A)
-    assert _rel(B @ B - target, A).max() <= 1e-9
-    # agreement wherever the root is well conditioned: well away from a zero
-    # eigenvalue, or with dust clearly above rounding, which both clamp
-    lam = np.linalg.eigvalsh(A)
-    clamped = dust & (lam[:, 0] < -1e-12 * (1.0 + np.abs(A).max(axis=(1, 2))))
-    well = (lam[:, 0] >= 1e-3 * lam[:, 1]) | clamped
-    assert clamped.sum() > 200
-    assert well.sum() > 2000
-    assert _rel(B - ref, A)[well].max() <= 1e-12
-
-
-@pytest.mark.parametrize("complex_", [True, False])
-def test_sqrt_2x2_psd_gate_matches_eigh(complex_):
-    rng = np.random.default_rng(5 + complex_)
-    A, _ = _psd_batch(rng, 400, complex_)
-    # shift rows by multiples of the identity around the gate at -FAIL_TOL
-    A = A + np.eye(2) * rng.uniform(-1e-5, 1e-6, (400, 1, 1))
-    lam_min = np.linalg.eigvalsh(A)[:, 0]
-    scale = 1.0 + np.abs(A).max(axis=(1, 2))
-    clear = np.abs(lam_min + FAIL_TOL) > 1e-12 * scale
-    assert (lam_min[clear] < -FAIL_TOL).sum() > 50 and (lam_min[clear] > -FAIL_TOL).sum() > 50
-    for row in A[clear]:
-        outcomes = []
-        for root in (principal_sqrt_batched, _sqrt_eigh):
-            try:
-                root(row[None])
-                outcomes.append(False)
-            except NotPSDError:
-                outcomes.append(True)
-        assert outcomes[0] == outcomes[1]
+    assert B.dtype == (complex if complex_ else float)
+    # Hermitian to rounding; B squares to A, on dust rows with the dust
+    # eigenvalue clamped
+    assert _rel(B - np.conj(np.swapaxes(B, 1, 2)), A).max() <= 1e-12
+    assert _rel(B @ B - clamped, A).max() <= 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -438,10 +408,8 @@ def test_sqrt_diagonal_matches_the_batched_root_and_clamps_dust(n):
     B = sqrt_diagonal(d.copy())
     assert B.shape == d.shape and B.dtype == float
     np.testing.assert_array_equal(B, np.sqrt(np.maximum(d, 0.0)))
-    # the root by eigendecomposition of the diagonal matrices, paths as batch
-    # rows (the 2x2 closed form errs by rounding relative to the largest
-    # entry, up to 1e-5 relative on the smaller one at these ranges)
-    ref = _sqrt_eigh(np.einsum("kp,kl->pkl", d, np.eye(n)))
+    # the batched root of the diagonal matrices, paths as batch rows
+    ref = principal_sqrt_batched(np.einsum("kp,kl->pkl", d, np.eye(n)))
     np.testing.assert_array_equal(ref, np.einsum("pkl,kl->pkl", ref, np.eye(n)))
     np.testing.assert_allclose(np.diagonal(ref, axis1=1, axis2=2).T, B, rtol=1e-15, atol=0)
 

@@ -242,16 +242,6 @@ def test_smooth_psi_seed_determinism_across_chunks(monkeypatch, system):
     _assert_chunk_invariant(monkeypatch, lambda: _smooth_run(system))
 
 
-@pytest.mark.parametrize("system", ["effective", "action"])
-def test_smooth_psi_closed_form_sqrt_matches_eigh_path(monkeypatch, system):
-    fast = _smooth_run(system)
-    monkeypatch.setattr(averaging, "principal_sqrt_batched", averaging._sqrt_eigh)
-    slow = _smooth_run(system)
-    np.testing.assert_allclose(fast[0], slow[0], rtol=0, atol=1e-12)
-    if system == "action":
-        np.testing.assert_array_equal(fast[1], slow[1])
-
-
 # Psi whose averaged diffusions A(a) and S(I) have only zero polynomials off
 # the diagonal: B and K take per-mode roots of the diagonal entries
 DIAGONAL_PSI = {
@@ -286,7 +276,7 @@ def _count_matrix_roots(monkeypatch):
 @pytest.mark.parametrize("system", ["full", "modified", "action"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_diagonal_dispersion_matches_the_matrix_root(monkeypatch, n, system):
-    # the matrix root is the closed form for n = 2 and eigh for n = 3
+    # the per-mode roots against the batched eigh root of the full matrix
     calls = _count_matrix_roots(monkeypatch)
     fast = _diagonal_run(n, system)
     assert not calls

@@ -22,6 +22,7 @@ from stochavg import (
 )
 from stochavg.model import Frequencies, SystemSpec
 from stochavg.stats import (
+    ConvergenceRow,
     _bl1d_exact,
     _bl1d_pass,
     _bootstrap_gaps,
@@ -30,6 +31,7 @@ from stochavg.stats import (
     _merged_support,
     _RampFamily,
     _sorted_quantile,
+    convergence_trend,
 )
 
 
@@ -653,6 +655,19 @@ def test_convergence_table_requires_decreasing_eps():
     with pytest.raises(ValueError):
         convergence_table(spec, np.array([1 + 0j, 1 + 0j]), [0.1, 0.2], T=0.5,
                           n_paths=8, times=[0.5], seed=0)
+
+
+def _trend_rows(estimates, floor=0.01):
+    return [ConvergenceRow(eps=0.2 / 4**i, time=1.0, estimate=e, ci_lo=np.nan, ci_hi=np.nan,
+                           noise_floor=floor) for i, e in enumerate(estimates)]
+
+
+def test_convergence_trend_checks_the_decrease_and_the_final_floor():
+    assert convergence_trend(_trend_rows([0.3, 0.1, 0.02])) == (True, True)
+    assert convergence_trend(_trend_rows([0.3, 0.02, 0.02])) == (False, True)  # not strict
+    assert convergence_trend(_trend_rows([0.3, 0.01, 0.02])) == (False, True)
+    assert convergence_trend(_trend_rows([0.3, 0.1, 0.0201])) == (True, False)  # > 2 floor
+    assert convergence_trend(_trend_rows([0.3, 0.1, 0.02])[-1:]) == (True, True)
 
 
 def test_convergence_trend_small_scale():
