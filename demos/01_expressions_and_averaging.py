@@ -31,7 +31,7 @@ print("== scalar averaging: only matched exponents survive ==")
 for text in ("abs2(v1)", "v1", "v1*cv2", "abs2(v1)*abs2(v2)"):
     f = parse_field_expr(text, n)
     sym = average_function(f, a)
-    quad = average_function(f, a, "quadrature", grid_per_dim=32)
+    quad = average_function(f, a, grid_per_dim=32)
     print(f"<{text:>18}>(a) = {sym:.6f}   (quadrature gap {abs(sym - quad):.1e})")
 
 print()

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import filecmp
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import averaging, coupling, sde, stats
 from .averaging import action_drift_F, averaged_diffusion, principal_sqrt
-from .expr import parse_field_expr
-from .model import Frequencies, SystemSpec, orthogonality_residual
+from .model import orthogonality_residual
 from .poly import Polynomial
 from .systems import ACCEPTANCE_V0, acceptance_system
 
@@ -67,10 +66,10 @@ def criterion_1(n_paths, seed):
     target_B = np.diag([1.0, 2.0])
     for _ in range(4):
         a = _rand_state(rng, n)
-        A = averaged_diffusion(psi, a, "symbolic")
+        A = averaged_diffusion(psi, a)
         worst_sym = max(worst_sym, np.abs(A - target_A).max(),
                         np.abs(principal_sqrt(A) - target_B).max())
-        Aq = averaged_diffusion(psi, a, "quadrature", grid_per_dim=64)
+        Aq = averaged_diffusion(psi, a, grid_per_dim=64)
         worst_quad = max(worst_quad, np.abs(Aq - target_A).max(),
                          np.abs(principal_sqrt(Aq) - target_B).max())
     passed = worst_sym <= 1e-12 and worst_quad <= 1e-9
@@ -94,13 +93,13 @@ def criterion_2(n_paths, seed):
         for _ in range(8):
             a = _rand_state(rng, n)
             s = averaging.average_function(f, a)
-            q = averaging.average_function(f, a, "quadrature", grid_per_dim=grid)
+            q = averaging.average_function(f, a, grid_per_dim=grid)
             worst = max(worst, abs(s - q) / (1 + abs(s)))
             sf = averaging.average_field(P, a)
-            qf = averaging.average_field(P, a, "quadrature", grid_per_dim=grid)
+            qf = averaging.average_field(P, a, grid_per_dim=grid)
             worst = max(worst, float(np.abs(sf - qf).max() / (1 + np.abs(sf).max())))
             sA = averaging.averaged_diffusion(psi, a)
-            qA = averaging.averaged_diffusion(psi, a, "quadrature", grid_per_dim=grid)
+            qA = averaging.averaged_diffusion(psi, a, grid_per_dim=grid)
             worst = max(worst, float(np.abs(sA - qA).max() / (1 + np.abs(sA).max())))
     passed = worst <= 1e-9
     return _result(2, "symbolic vs quadrature backend equivalence", passed,
@@ -118,18 +117,11 @@ def criterion_3(n_paths, seed):
         v = _rand_state(rng, n)
         worst_res = max(worst_res, float(np.abs(orthogonality_residual(q + q.conj(), v)).max()))
 
-    n = 2
-    base = dict(
-        freqs=Frequencies((1.0, np.sqrt(2.0))), epsilon=0.5,
-        psi=((parse_field_expr("1", n), parse_field_expr("0", n)),
-             (parse_field_expr("0", n), parse_field_expr("1", n))),
-        psi_kind="constant",
-    )
     spec_h = acceptance_system()
-    spec_p1 = SystemSpec(p1=spec_h.p1, h=None, **base)
+    spec_p1 = replace(spec_h, h=None)
     worst_F = 0.0
     for _ in range(16):
-        I = rng.random(n) * 2.0
+        I = rng.random(spec_h.n) * 2.0
         worst_F = max(worst_F, float(np.abs(
             action_drift_F(spec_h, I) - action_drift_F(spec_p1, I)).max()))
     passed = worst_res <= 1e-9 and worst_F <= 1e-9

@@ -7,8 +7,8 @@ e^{i(w_k - w_l)}.  On polynomials the integrals are exact: a monomial
 v^alpha conj(v)^beta survives averaging against e^{i d.w} iff
 alpha - beta = d, which gives the symbolic backend that every command and
 integrator uses.  ``average_function``, ``average_field`` and
-``averaged_diffusion`` also take ``method="quadrature"`` with the caller's
-``grid_per_dim``: the tensor-product rectangle rule, spectrally exact on
+``averaged_diffusion`` given an int ``grid_per_dim`` average by quadrature
+instead: the tensor-product rectangle rule, spectrally exact on
 trigonometric polynomials below the grid's Nyquist order, so the two
 backends must agree to rounding on polynomial inputs; acceptance criteria
 1 and 2 keep it as the oracle of the symbolic backend.  The action
@@ -34,29 +34,28 @@ def actions_of(v):
     return 0.5 * (v.real**2 + v.imag**2)
 
 
-def _torus_grid(n, method, grid_per_dim):
+def _torus_grid(n, grid_per_dim):
     """Angles of the quadrature backend: the tensor-product grid on [0, 2pi)^n."""
-    if method != "quadrature":
-        raise ValueError(f"unknown averaging method {method!r}")
-    if grid_per_dim is None or grid_per_dim < 2:
+    if grid_per_dim < 2:
         raise ValueError("quadrature needs grid_per_dim, at least 2 nodes per dimension")
     w = 2.0 * np.pi * np.arange(grid_per_dim) / grid_per_dim
     mesh = np.meshgrid(*([w] * n), indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-def average_with_phase(field, shift, a, method="symbolic", *, grid_per_dim=None):
+def average_with_phase(field, shift, a, *, grid_per_dim=None):
     """Average ``e^{i shift.w} field(Phi_{-w} a)`` over the torus.
 
-    ``shift`` is an integer vector; the symbolic backend keeps exactly the
-    monomials with alpha - beta = shift.
+    ``shift`` is an integer vector; the symbolic backend, the default, keeps
+    exactly the monomials with alpha - beta = shift.  An int ``grid_per_dim``
+    (at least 2) averages on that many quadrature nodes per dimension instead.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1]
     p = as_poly(field, n)
-    if method == "symbolic":
+    if grid_per_dim is None:
         return complex(p.keep_resonant(shift).evaluate(a))
-    angles = _torus_grid(n, method, grid_per_dim)
+    angles = _torus_grid(n, grid_per_dim)
     states = np.exp(-1j * angles) * a
     vals = p.evaluate(states)
     shift = np.asarray(shift, dtype=float)
@@ -65,13 +64,13 @@ def average_with_phase(field, shift, a, method="symbolic", *, grid_per_dim=None)
     return complex(vals.mean())
 
 
-def average_function(f, a, method="symbolic", *, grid_per_dim=None):
+def average_function(f, a, *, grid_per_dim=None):
     """Torus average of a scalar function at the point ``a``."""
     a = np.asarray(a, dtype=complex)
-    return average_with_phase(f, (0,) * a.shape[-1], a, method, grid_per_dim=grid_per_dim)
+    return average_with_phase(f, (0,) * a.shape[-1], a, grid_per_dim=grid_per_dim)
 
 
-def average_field(P, a, method="symbolic", *, grid_per_dim=None):
+def average_field(P, a, *, grid_per_dim=None):
     """Torus average of a vector field; component k carries the phase e^{i w_k}."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1]
@@ -80,7 +79,7 @@ def average_field(P, a, method="symbolic", *, grid_per_dim=None):
     out = np.empty(n, dtype=complex)
     for k in range(n):
         shift = tuple(1 if j == k else 0 for j in range(n))
-        out[k] = average_with_phase(P[k], shift, a, method, grid_per_dim=grid_per_dim)
+        out[k] = average_with_phase(P[k], shift, a, grid_per_dim=grid_per_dim)
     return out
 
 
@@ -114,7 +113,7 @@ def averaged_diffusion_polys(psi_polys):
     return tuple(out)
 
 
-def averaged_diffusion(psi, a, method="symbolic", *, grid_per_dim=None):
+def averaged_diffusion(psi, a, *, grid_per_dim=None):
     """Averaged diffusion matrix A(a); Hermitian PSD up to rounding.
 
     For constant dispersion this reduces to diag{sum_j |Psi_kj|^2}: the
@@ -125,10 +124,10 @@ def averaged_diffusion(psi, a, method="symbolic", *, grid_per_dim=None):
     if len(psi) != n:
         raise ValueError(f"dispersion needs {n} rows, got {len(psi)}")
     psi_polys = tuple(tuple(as_poly(e, n) for e in row) for row in psi)
-    if method == "symbolic":
+    if grid_per_dim is None:
         A = Field(averaged_diffusion_polys(psi_polys))(a)
         return 0.5 * (A + A.conj().T)
-    angles = _torus_grid(n, method, grid_per_dim)
+    angles = _torus_grid(n, grid_per_dim)
     states = np.exp(-1j * angles) * a
     rotated = np.exp(1j * angles)[:, :, None] * Field(psi_polys)(states)
     A = np.einsum("gkl,gml->km", rotated, rotated.conj()) / angles.shape[0]
@@ -306,8 +305,3 @@ def action_diffusion_SK(spec, actions):
     K = principal_sqrt(S)
     return S, K
 
-
-def constant_psi_b(spec):
-    """Per-mode noise amplitudes b_k = sqrt(sum_l |Psi_kl|^2) for constant Psi."""
-    mat = spec.psi_constant_matrix()
-    return np.sqrt((np.abs(mat) ** 2).sum(axis=1))

@@ -207,18 +207,6 @@ class SystemSpec:
             for k, row in enumerate(self.psi, 1)
         )
 
-    @cached_property
-    def psi_is_constant(self):
-        return all(p.is_constant() for row in self.psi_polys for p in row)
-
-    def psi_constant_matrix(self):
-        if not self.psi_is_constant:
-            raise ValueError("dispersion is state-dependent")
-        return np.array(
-            [[p.constant_value() for p in row] for row in self.psi_polys],
-            dtype=complex,
-        )
-
 
 def validate_state(v, n, name="state"):
     """Coerce to a finite complex vector of length n."""

@@ -24,10 +24,11 @@ that the step indexes with ``sl``.  The steps:
 * the averaged action equation dI = F(I) dtau + K(I) dW, clamped at the
   boundary of the positive cone.
 
-The noise coefficients B(a) = A(a)^{1/2} and K(I) = S(I)^{1/2}, roots of
-the averaged diffusions, are diagonal closed forms for constant Psi; for a
-state-dependent Psi, ``_root_kick`` builds them from the averaged diffusion's
-polynomials.
+Every step forms its noise term G(x) dbeta through one builder, ``_noise``:
+G is Psi(v) in the perturbed step, and the principal roots B(a) = A(a)^{1/2}
+and K(I) = S(I)^{1/2} of the averaged diffusions in the effective and action
+steps.  From the polynomials alone it chooses once per run between a
+constant G, per-mode scales and a per-path matrix batch.
 
 The coupled construction in ``coupling`` is the cut-off step of two halves,
 (reference, coupled).  The pathwise action identity check reads one path of
@@ -385,51 +386,49 @@ def _rows(field, x):
     return field(x.T, np.empty_like(x).T).T
 
 
-def _scaled(db, b):
+def _scaled(b, db):
     """db * b for per-mode amplitudes b, into C-ordered rows: over the
     transposed increments numpy's own loop order runs several times slower."""
     return np.multiply(db, b, np.empty_like(db, order="C"))
 
 
-def _root_kick(matrix_polys):
-    """(x, db) -> B(x) db for B the principal root of the symmetric matrix of
-    polynomials ``matrix_polys`` (an averaged diffusion) at mode-major
-    states x, as (k, paths) rows.  When every off-diagonal entry is the zero
-    polynomial, B(x) = diag{sqrt(M_kk(x))} from the diagonal rows alone;
-    otherwise the Hermitian part of M(x) is rooted per path."""
-    diag = averaging.diagonal_entries(matrix_polys)
+def _kick(G, db):
+    """G dbeta as (k, paths) rows, for one matrix G or a (paths, k, n1) batch;
+    the product runs on the path-major increments db.T."""
+    return (db.T @ G.T if G.ndim == 2 else np.einsum("pkl,pl->pk", G, db.T)).T
+
+
+def _noise(matrix, root=False):
+    """(x, db) -> G(x) db as (k, paths) rows, for the mode-major states x and
+    increments db of a step, where G is the matrix of polynomials (or action
+    polynomials) ``matrix`` or, with ``root``, the principal root of its
+    Hermitian part.  The form is chosen once, from the polynomials alone:
+
+    * constant entries: G is evaluated (and rooted) once, then scales the
+      increments per mode if it is diagonal and multiplies them if not;
+    * a square matrix whose off-diagonal entries are all the zero
+      polynomial: each step evaluates the diagonal as (k, paths) rows, takes
+      their ``sqrt_diagonal`` when rooted, and scales the increments per mode;
+    * otherwise each step evaluates G(x) for every path, (paths, k, n1), and
+      roots it with ``principal_sqrt_batched``.
+    """
+    n = len(matrix)
+    diag = averaging.diagonal_entries(matrix) if all(len(r) == n for r in matrix) else None
     if diag is not None:
-        entries = Field(diag)
-        return lambda x, db: _scaled(db, averaging.sqrt_diagonal(_rows(entries, x).real))
-    entries = Field(matrix_polys)
-
-    def kick(x, db):
-        M = entries(x.T)
-        M = 0.5 * (M + np.conj(np.swapaxes(M, 1, 2)))
-        return _kick(averaging.principal_sqrt_batched(M), db)
-
-    return kick
-
-
-def _perturbed_parts(spec, dtau):
-    """Fast rotation factor of one splitting step, as a (k, 1) column, and
-    Psi(v) dbeta as a function of (v, dbeta); a constant diagonal Psi scales
-    the increments instead of multiplying matrices."""
-    rot = np.exp(-1j * spec.freqs.as_array() * dtau / spec.epsilon)[:, None]
-    if not spec.psi_is_constant:
-        field = Field(spec.psi_polys)
-        return rot, lambda v, db: _kick(field(v.T), db)
-    const_psi = spec.psi_constant_matrix()
-    diag = np.diagonal(const_psi).copy()
-    if const_psi.shape[0] == const_psi.shape[1] and np.array_equal(const_psi, np.diag(diag)):
-        return rot, lambda v, db: _scaled(db, diag[:, None])
-    return rot, lambda v, db: _kick(const_psi, db)
-
-
-def _kick(psi, db):
-    """Psi dbeta as (k, paths) rows, for one constant Psi or a (paths, k, n1)
-    batch; the product runs on the path-major increments db.T."""
-    return (db.T @ psi.T if psi.ndim == 2 else np.einsum("pkl,pl->pk", psi, db.T)).T
+        entries, apply = Field(diag), _scaled
+        evaluate = lambda x: _rows(entries, x)
+        rooted = lambda d: averaging.sqrt_diagonal(d.real)
+    else:
+        entries, apply = Field(matrix), _kick
+        evaluate = lambda x: entries(x.T)
+        rooted = lambda G: averaging.principal_sqrt_batched(
+            0.5 * (G + np.conj(np.swapaxes(G, -1, -2))))
+    if any(mono for p in entries.leaves for mono in p.lowered[0]):
+        return lambda x, db: apply(rooted(evaluate(x)) if root else evaluate(x), db)
+    G = entries(np.zeros((1, entries.leaves[0].n)))  # the entries at one point
+    G = G.T if diag is not None else G[0]
+    G = rooted(G) if root else G
+    return lambda x, db: apply(G, db)
 
 
 def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
@@ -443,11 +442,12 @@ def simulate_perturbed(spec: SystemSpec, v0, T, dtau, n_paths, seed,
     """
     _check_resolution(spec, dtau)
     v0 = validate_state(v0, spec.n, "v0")
-    rot, kick = _perturbed_parts(spec, dtau)
+    rot = np.exp(-1j * spec.freqs.as_array() * dtau / spec.epsilon)[:, None]
     drift = Field(spec.drift_polys)
+    noise = _noise(spec.psi_polys)
 
     def step(v, db, m, sl):
-        return rot * (v + _rows(drift, v) * dtau + kick(v, db))
+        return rot * (v + _rows(drift, v) * dtau + noise(v, db))
 
     v_ens = _integrate(v0, spec.n1, T, dtau, record_times, n_paths, seed,
                        STATE_STREAM, step, "perturbed")
@@ -471,17 +471,10 @@ def _effective_rule(spec, variants, dtau):
     (modified) effective equation for the halves a[h], of shape (k, paths),
     half h with the drift of ``variants[h]``, all driven by one dbeta;
     where ``stop[h, p]`` holds, path p of half h takes the trivial step
-    a + dbeta instead.
-
-    Constant dispersion uses the closed form B = diag{b_k}, so B dbeta is
-    dbeta scaled by b for all halves at once; otherwise ``_root_kick`` of
-    the averaged diffusion A gives each half's B(a) dbeta.
+    a + dbeta instead.  B(a) dbeta is ``_noise`` of the averaged diffusion A.
     """
     drifts = [Field(_effective_drift_polys(spec, v)) for v in variants]
-    if spec.psi_is_constant:
-        b = averaging.constant_psi_b(spec)[:, None]
-    else:
-        kick = _root_kick(averaging.averaged_diffusion_polys(spec.psi_polys))
+    noise = _noise(averaging.averaged_diffusion_polys(spec.psi_polys), root=True)
 
     def rule(a, db, stop=None):
         nxt = np.empty_like(a)
@@ -489,11 +482,8 @@ def _effective_rule(spec, variants, dtau):
             field(a[h].T, nxt[h].T)
         nxt *= dtau  # a + <<P>>(a) dtau + B(a) dbeta, in place
         nxt += a
-        if spec.psi_is_constant:
-            nxt += _scaled(db, b)
-        else:
-            for h, half in enumerate(a):
-                nxt[h] += kick(half, db)
+        for h, half in enumerate(a):
+            nxt[h] += noise(half, db)
         if stop is not None and stop.any():
             np.copyto(nxt, a + db, where=stop[:, None])
         return nxt
@@ -573,25 +563,19 @@ def simulate_action_sde(spec: SystemSpec, I0, T, dtau, n_paths, seed,
     Finite negative components are clamped at zero (reflecting boundary to
     leading order); clamp events are counted per path in
     ``extras["clamp_counts"]``.  An overflow to -inf is not clamped: it is
-    raised as NonFiniteError like any other non-finite step.
-
-    Constant dispersion has K(I) = diag{b_k sqrt(2 I_k)}; otherwise K(I) dW
-    is ``_root_kick`` of the averaged action diffusion S.
+    raised as NonFiniteError like any other non-finite step.  K(I) dW is
+    ``_noise`` of the averaged action diffusion S.
     """
     I0 = np.asarray(I0, dtype=float)
     if I0.shape != (spec.n,) or (I0 < 0).any():
         raise ValueError("I0 must be a nonnegative action vector")
     F = Field(averaging.action_drift_polys(spec))
-    if spec.psi_is_constant:
-        b = averaging.constant_psi_b(spec)[:, None]
-    else:
-        kick = _root_kick(averaging.action_diffusion_polys(spec))
+    noise = _noise(averaging.action_diffusion_polys(spec), root=True)
     _check_paths(n_paths)
     clamp_counts = np.zeros((spec.n, n_paths), dtype=int)  # per mode and path
 
     def step(I, dW, m, sl):
-        noise = b * np.sqrt(2.0 * I) * dW if spec.psi_is_constant else kick(I, dW)
-        I = I + _rows(F, I) * dtau + noise
+        I = I + _rows(F, I) * dtau + noise(I, dW)
         neg = (I < 0) & (I > -np.inf)
         clamp_counts[:, sl] += neg
         return np.where(neg, 0.0, I)
@@ -622,7 +606,7 @@ def ito_action_consistency(spec: SystemSpec, v0, T, dtau, seed) -> float:
     v = simulate_perturbed(spec, v0, T, dtau, 1, seed).v.values[0]
     x = v[:-1]  # left endpoints, (steps, n)
     db = NoisePath(seed, 0, STATE_STREAM, dtau).complex_increments(x.shape[0], spec.n1)
-    psi = spec.psi_constant_matrix() if spec.psi_is_constant else Field(spec.psi_polys)(x)
+    psi = Field(spec.psi_polys)(x)
     pv = Field(spec.drift_polys)(x)
     dv = _kick(psi, db.T).T  # the nodes in the place of paths
     inc = ((x * np.conj(pv)).real * dtau + (x * np.conj(dv)).real

@@ -27,7 +27,7 @@ from stochavg.poly import Polynomial
 from stochavg.model import Frequencies, SystemSpec
 from stochavg.poly import Field
 
-QUAD = dict(method="quadrature", grid_per_dim=32)
+QUAD = dict(grid_per_dim=32)
 
 
 def expr(text, n):
@@ -47,7 +47,7 @@ def _angle_states(actions, angles):
 def action_drift_quadrature(spec, actions, grid_per_dim):
     """Oracle of ``action_drift_F``: the angle average of
     v_k . P_k(v) + sum_l |Psi_kl(v)|^2 by the rectangle rule on the torus."""
-    v = _angle_states(actions, _torus_grid(spec.n, "quadrature", grid_per_dim))
+    v = _angle_states(actions, _torus_grid(spec.n, grid_per_dim))
     P = Field(spec.drift_polys)(v)
     integrand = (v * np.conj(P)).real + (np.abs(Field(spec.psi_polys)(v)) ** 2).sum(axis=2)
     return integrand.mean(axis=0)
@@ -56,7 +56,7 @@ def action_drift_quadrature(spec, actions, grid_per_dim):
 def action_diffusion_quadrature(spec, actions, grid_per_dim):
     """Oracle of S(I) in ``action_diffusion_SK``: the angle average of
     sum_l (v_k conj(Psi_kl)) . (v_j conj(Psi_jl)) by the rectangle rule."""
-    angles = _torus_grid(spec.n, "quadrature", grid_per_dim)
+    angles = _torus_grid(spec.n, grid_per_dim)
     v = _angle_states(actions, angles)
     w = v[:, :, None] * np.conj(Field(spec.psi_polys)(v))  # (g, n, n1): v_k conj(Psi_kl)
     S = np.einsum("gkl,gjl->kj", w, np.conj(w)).real / angles.shape[0]
@@ -128,8 +128,7 @@ def test_averaged_diffusion_constant_diagonal():
     a = np.array([0.4 + 0.1j, 1.0 - 2.0j])
     A = averaged_diffusion([[expr(t, 2) for t in row] for row in psi], a)
     np.testing.assert_allclose(A, np.diag([1.0, 4.0]), atol=1e-12)
-    Aq = averaged_diffusion([[expr(t, 2) for t in row] for row in psi], a,
-                            method="quadrature", grid_per_dim=64)
+    Aq = averaged_diffusion([[expr(t, 2) for t in row] for row in psi], a, grid_per_dim=64)
     np.testing.assert_allclose(Aq, np.diag([1.0, 4.0]), atol=1e-9)
     np.testing.assert_allclose(principal_sqrt(A), np.diag([1.0, 2.0]), atol=1e-12)
 
@@ -168,15 +167,15 @@ def test_averaged_diffusion_hermitian_psd_at_random_points():
 
 # -- principal square root -----------------------------------------------------
 
-def test_quadrature_needs_a_grid():
-    # the quadrature backend has no default grid; the symbolic one needs none
+def test_quadrature_needs_at_least_two_nodes():
+    # no grid averages symbolically; a grid of fewer than 2 nodes is an error
     a = np.array([1.0 + 0.5j, 0.5 - 1j])
     psi = ((expr("1", 2), expr("0.5*v1", 2)), (expr("0", 2), expr("1", 2)))
     field = (expr("-v1 + v1*v2*cv2", 2), expr("-v2", 2))
     for average, arg in ((average_function, expr("v1*cv1", 2)), (average_field, field),
                          (averaged_diffusion, psi)):
         with pytest.raises(ValueError, match="grid_per_dim"):
-            average(arg, a, method="quadrature")
+            average(arg, a, grid_per_dim=1)
         np.testing.assert_allclose(average(arg, a), average(arg, a, **QUAD), atol=1e-12)
 
 
@@ -269,7 +268,7 @@ def test_backend_equivalence_random_polynomials():
         a = rand_state(rng, n)
         sym = average_function(p, a)
         grid = 2 * 4 + 2
-        quad = average_function(p, a, method="quadrature", grid_per_dim=grid)
+        quad = average_function(p, a, grid_per_dim=grid)
         assert abs(sym - quad) <= 1e-10 * (1 + abs(sym))
 
 

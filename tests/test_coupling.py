@@ -314,7 +314,7 @@ def slow_coupled(spec, v0, T, dtau, delta, R, n_paths, seed):
     M = int(round(T / dtau))
     full = averaging.averaged_field_polys(spec.drift_polys, n)
     modified = averaging.averaged_field_polys(spec.p1_polys, n)
-    b = averaging.constant_psi_b(spec)
+    b = np.sqrt([sum(abs(p.constant_value()) ** 2 for p in row) for row in spec.psi_polys])
     stop_ref = np.zeros(n_paths, dtype=bool)
     stop_cpl = np.zeros(n_paths, dtype=bool)
     tau_R_ref = np.full(n_paths, M * dtau)

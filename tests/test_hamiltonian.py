@@ -134,7 +134,7 @@ def test_averaged_hamiltonian_symbolic_vs_quadrature():
         h = random_real_hamiltonian(rng, 2)
         a = rand_state(rng, 2)
         sym = average_function(h, a).real
-        quad = average_function(h, a, method="quadrature", grid_per_dim=16).real
+        quad = average_function(h, a, grid_per_dim=16).real
         assert sym == pytest.approx(quad, abs=1e-10 * (1 + abs(sym)))
 
 

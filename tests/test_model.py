@@ -271,7 +271,7 @@ def spec_hash(spec):
 def test_config_parses_and_roundtrips(tmp_path):
     cfg = parse_system_text(CONFIG)
     assert cfg.spec.n == 2
-    assert cfg.spec.psi_is_constant
+    assert all(p.is_constant() for row in cfg.spec.psi_polys for p in row)
     np.testing.assert_allclose(cfg.v0, [1, 1])
     text = system_to_text(cfg.spec)
     cfg2 = parse_system_text(text)
@@ -314,6 +314,6 @@ def test_config_rejects_bad_expression():
 def test_config_missing_dispersion_defaults_to_zero():
     text = CONFIG.replace("psi_1_1 = 1\n", "")
     cfg = parse_system_text(text)
-    mat = cfg.spec.psi_constant_matrix()
-    assert mat[0, 0] == 0
-    assert mat[1, 1] == 1
+    psi = cfg.spec.psi_polys
+    assert psi[0][0].constant_value() == 0
+    assert psi[1][1].constant_value() == 1

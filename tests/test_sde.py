@@ -313,6 +313,58 @@ def test_diagonal_dispersion_in_the_coupled_step_matches_the_matrix_root(monkeyp
     assert sum(map(len, nodes(fast))) > 0 and nodes(fast) == nodes(slow)
 
 
+def _closed_form_run(spec, system, x0, T, dtau, n_paths, seed):
+    """The constant-Psi closed forms, with a step of their own on ``sde._integrate``:
+    B dbeta = b dbeta in the (modified) effective equation and K(I) dW =
+    b sqrt(2 I) dW in the action equation, b_k = sqrt(sum_l |Psi_kl|^2)."""
+    psi = np.array([[p.constant_value() for p in row] for row in spec.psi_polys])
+    b = np.sqrt((np.abs(psi) ** 2).sum(axis=1))[:, None]
+    if system == "action":
+        F = Field(averaging.action_drift_polys(spec))
+
+        def step(I, dW, m, sl):
+            I = I + sde._rows(F, I) * dtau + b * np.sqrt(2.0 * I) * dW
+            return np.where((I < 0) & (I > -np.inf), 0.0, I)
+
+        stream = sde.ACTION_STREAM
+    else:
+        drift = Field(sde._effective_drift_polys(spec, system))
+
+        def step(a, db, m, sl):
+            return a + sde._rows(drift, a) * dtau + db * b
+
+        stream = sde.STATE_STREAM
+    return sde._integrate(x0, spec.n, T, dtau, None, n_paths, seed, stream, step).values
+
+
+CONSTANT_PSI = {
+    "identity": lambda: acceptance_system(epsilon=0.2),
+    "non_unit": lambda: make_spec(2, ["-v1 + 0.3*v2", "-0.5*v2"],
+                                  [["1.5", "0.7"], ["0.2", "0.3"]], h="abs2(v1)*abs2(v2)"),
+}
+
+
+@pytest.mark.parametrize("system", ["full", "modified", "action"])
+@pytest.mark.parametrize("psi", sorted(CONSTANT_PSI))
+def test_constant_dispersion_matches_the_closed_form(psi, system):
+    # identity Psi roots 1 and 2 I exactly; b_k != 1 takes sqrt(b^2 2 I)
+    # where the closed form takes b sqrt(2 I), and may move the last bits
+    spec = CONSTANT_PSI[psi]()
+    x0 = np.array([0.5, 1e-3]) if system == "action" else np.array([1 + 0.5j, 0.5 - 1j])
+    kw = dict(T=0.3, dtau=1e-3, n_paths=64, seed=9)
+    if system == "action":
+        ens = simulate_action_sde(spec, x0, **kw)
+        assert ens.extras["clamp_counts"].sum() > 0
+        got = ens.values
+    else:
+        got = simulate_effective(spec, system, x0, **kw).values
+    want = _closed_form_run(spec, system, x0, **kw)
+    if psi == "identity":
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("system", ["full", "action"])
 def test_diagonal_dispersion_seed_determinism_across_chunks(monkeypatch, system):
     _assert_chunk_invariant(monkeypatch, lambda: _diagonal_run(2, system))
@@ -628,8 +680,8 @@ def _ito_oracle(spec, v0, T, dtau, seed):
     sde._check_resolution(spec, dtau)
     v0 = np.asarray(v0, dtype=complex)
     rot = np.exp(-1j * spec.freqs.as_array() * dtau / spec.epsilon)[:, None]
-    if spec.psi_is_constant:
-        const_psi = spec.psi_constant_matrix()
+    if all(p.is_constant() for row in spec.psi_polys for p in row):
+        const_psi = np.array([[p.constant_value() for p in row] for row in spec.psi_polys])
         psi = lambda v: const_psi
     else:
         field = Field(spec.psi_polys)
